@@ -1,4 +1,4 @@
-.PHONY: build test race bench benchcheck examples fuzz lint
+.PHONY: build test race bench benchcheck benchmark-check examples fuzz lint
 
 build:
 	go build ./...
@@ -28,6 +28,13 @@ test:
 
 race:
 	go test -race ./...
+
+# benchmark-check builds, vets and tests the repo benchmark (benchmark/,
+# its own module, so `./...` from the root never reaches it). It imports
+# internal packages directly: a removed or renamed symbol it uses fails
+# here rather than at the next benchmark run.
+benchmark-check:
+	cd benchmark && go build -o /dev/null ./... && go vet ./... && go test ./...
 
 # fuzz replays the checked-in seed corpora (always, via go test) and then
 # fuzzes each target briefly — enough for CI to catch regressions in the

@@ -217,11 +217,12 @@ func BenchmarkSequentialPipeline(b *testing.B) {
 	// and the Eq. 2 finalization.
 	for _, workers := range []int{1, 0} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			opts := core.DefaultOptions()
-			opts.BatchCount = 4
-			opts.Workers = workers
+			engine, err := NewEngine(WithBatches(4), WithWorkers(workers))
+			if err != nil {
+				b.Fatal(err)
+			}
 			for i := 0; i < b.N; i++ {
-				if _, err := core.ComputeSequential(ds, opts); err != nil {
+				if _, err := engine.Similarity(context.Background(), ds); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -230,15 +231,20 @@ func BenchmarkSequentialPipeline(b *testing.B) {
 }
 
 func BenchmarkDistributedPipeline8Ranks(b *testing.B) {
-	ds := benchmarkProxy(b)
-	opts := core.DefaultOptions()
-	opts.BatchCount = 4
-	opts.Procs = 8
-	opts.Replication = 2
-	opts.SkipGather = true
+	benchDiscard(b, benchmarkProxy(b), WithBatches(4), WithProcs(8), WithReplication(2))
+}
+
+// benchDiscard times the pipeline alone: each iteration streams into the
+// discarding sink, so no output is assembled.
+func benchDiscard(b *testing.B, ds Dataset, options ...Option) {
+	b.Helper()
+	engine, err := NewEngine(options...)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Compute(ds, opts); err != nil {
+		if _, err := engine.Stream(context.Background(), ds, Discard); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -274,18 +280,7 @@ func BenchmarkDistributedPipeline12Ranks3Layers(b *testing.B) {
 	// The replicated 2×2×3 grid: exercises the inter-layer reduction and the
 	// panel broadcasts of internal/dist, the hot path of the paper's c > 1
 	// ablation (Section V-C).
-	ds := benchmarkProxy(b)
-	opts := core.DefaultOptions()
-	opts.BatchCount = 4
-	opts.Procs = 12
-	opts.Replication = 3
-	opts.SkipGather = true
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.Compute(ds, opts); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchDiscard(b, benchmarkProxy(b), WithBatches(4), WithProcs(12), WithReplication(3))
 }
 
 func BenchmarkExactJaccardBaseline(b *testing.B) {

@@ -24,9 +24,9 @@ import (
 	"path/filepath"
 	"strings"
 
-	genomeatscale "genomeatscale"
 	"genomeatscale/internal/cliutil"
 	"genomeatscale/internal/cluster"
+	"genomeatscale/internal/core"
 	"genomeatscale/internal/genome"
 	"genomeatscale/internal/output"
 )
@@ -118,7 +118,7 @@ func run(args []string, out *os.File) error {
 		return err
 	}
 	defer closeTransport()
-	e, err := genomeatscale.NewEngineFromOptions(opts)
+	e, err := core.NewEngine(opts)
 	if err != nil {
 		return err
 	}

@@ -12,16 +12,16 @@ import (
 // (DefaultOptions).
 type Option func(*Options)
 
-// WithProcs sets the number of virtual BSP ranks; values above 1 select
-// the fully distributed pipeline. Under WithAutotune this pins the rank
+// WithProcs sets the number of virtual BSP ranks; values above 1 run the
+// pipeline on the processor grid. Under WithAutotune this pins the rank
 // count: the tuner plans around it instead of choosing its own.
 func WithProcs(p int) Option {
 	return func(o *Options) { o.Procs = p; o.SetExplicit(core.FieldProcs) }
 }
 
 // WithWorkers sets the shared-memory worker-goroutine count per process
-// (0 = one per available CPU — a fair share per rank on the distributed
-// path — 1 = the exact serial kernels).
+// (0 = a fair share of the available CPUs per rank, all of them for a
+// single process; 1 = the exact serial kernels).
 func WithWorkers(w int) Option {
 	return func(o *Options) { o.Workers = w; o.SetExplicit(core.FieldWorkers) }
 }
@@ -51,8 +51,8 @@ func WithReplication(c int) Option {
 	return func(o *Options) { o.Replication = c; o.SetExplicit(core.FieldReplication) }
 }
 
-// WithTileRows sets the row-band height of the tiles the sequential path
-// emits when streaming (0 = default). The distributed path's tiles are the
+// WithTileRows sets the row-band height of the tiles a single-process run
+// emits when streaming (0 = default). A grid run's tiles are the
 // processor-grid result blocks and ignore this setting. Pinned under
 // WithAutotune.
 func WithTileRows(r int) Option {
@@ -71,8 +71,8 @@ func WithTileRows(r int) Option {
 //
 // size 0 derives the sketch size from threshold and slack (and is tunable
 // under WithAutotune; an explicit size is pinned); slack 0 uses the
-// default margin. Prescreening runs on the sequential path only: combine
-// it with WithProcs(1) (the default), not a rank grid.
+// default margin. Prescreening runs in a single process only: combine it
+// with WithProcs(1) (the default), not a rank grid.
 func WithSketchPrescreen(size int, threshold, slack float64) Option {
 	return func(o *Options) {
 		o.Sketch = core.SketchOptions{Size: size, Threshold: threshold, Slack: slack}
@@ -94,11 +94,6 @@ func WithSketchPrescreen(size int, threshold, slack float64) Option {
 // how they are computed.
 func WithAutotune(on bool) Option { return func(o *Options) { o.Autotune = on } }
 
-// WithSkipGather controls the legacy stats-only mode of Engine.Similarity:
-// when set, the full matrices are not assembled. Engine.Stream with the
-// Discard sink is the streaming equivalent.
-func WithSkipGather(skip bool) Option { return func(o *Options) { o.SkipGather = skip } }
-
 // Engine is a reusable, validated SimilarityAtScale configuration. Option
 // validation, the processor-grid layout and the worker-pool sizing happen
 // once in NewEngine and are amortised across calls; the engine is
@@ -118,14 +113,7 @@ func NewEngine(options ...Option) (*Engine, error) {
 	for _, opt := range options {
 		opt(&o)
 	}
-	return NewEngineFromOptions(o)
-}
-
-// NewEngineFromOptions builds an engine from a fully populated Options
-// value — the bridge for callers (like the CLIs) that already assembled an
-// Options struct. New code should prefer NewEngine with functional options.
-func NewEngineFromOptions(opts Options) (*Engine, error) {
-	ce, err := core.NewEngine(opts)
+	ce, err := core.NewEngine(o)
 	if err != nil {
 		return nil, err
 	}
@@ -135,9 +123,9 @@ func NewEngineFromOptions(opts Options) (*Engine, error) {
 // Options returns the configuration the engine was built with.
 func (e *Engine) Options() Options { return e.core.Options() }
 
-// Similarity runs SimilarityAtScale with the classic gathered-output
-// semantics: the full B, S and D matrices are assembled (at rank 0 for the
-// distributed path) unless the engine was built WithSkipGather(true).
+// Similarity runs SimilarityAtScale and assembles the full B, S and D
+// matrices (at rank 0 of a multi-process run). It is Stream driving the
+// engine's own collecting sink.
 func (e *Engine) Similarity(ctx context.Context, ds Dataset) (*Result, error) {
 	return e.core.Similarity(ctx, ds)
 }
@@ -169,8 +157,7 @@ type TileSink = core.TileSink
 // sink, with its Jaccard similarity.
 type Pair = tile.Pair
 
-// CollectSink reassembles streamed tiles into full dense matrices — the
-// streaming form of the legacy full gather.
+// CollectSink reassembles streamed tiles into full dense matrices.
 type CollectSink = tile.Collect
 
 // TopKSink retains the k most similar pairs in O(k) memory.
@@ -195,7 +182,7 @@ func TopK(k int) *TopKSink { return tile.NewTopK(k) }
 func Threshold(tau float64) *ThresholdSink { return tile.NewThreshold(tau) }
 
 // Discard drops every tile: the run (and its statistics) execute without
-// materialising any output — the streaming equivalent of SkipGather.
+// materialising any output.
 var Discard TileSink = tile.Discard
 
 // SortPairs orders pairs by descending similarity, ties by ascending

@@ -6,9 +6,9 @@
 //
 //   - building datasets (from k-mer sets, graphs, documents or synthetic
 //     generators in the internal packages),
-//   - running SimilarityAtScale sequentially or across virtual BSP ranks,
-//     either one-shot (Similarity) or through a reusable, cancellable
-//     Engine (NewEngine) that can stream the result tile by tile into a
+//   - running SimilarityAtScale in one process or across virtual BSP ranks
+//     through a reusable, cancellable Engine (NewEngine) that gathers the
+//     result (Engine.Similarity) or streams it tile by tile into a
 //     TileSink (CollectFull, TopK, Threshold, or a custom sink),
 //   - computing exact pairwise Jaccard values for verification.
 //
@@ -18,11 +18,7 @@
 // programs.
 package genomeatscale
 
-import (
-	"context"
-
-	"genomeatscale/internal/core"
-)
+import "genomeatscale/internal/core"
 
 // Dataset is the abstract input of SimilarityAtScale: n samples, each a set
 // of attribute indices in [0, NumAttributes).
@@ -61,23 +57,6 @@ func NewDataset(names []string, samples [][]uint64, numAttributes uint64) (*InMe
 // DefaultOptions returns the paper's default configuration: one batch,
 // 64-bit masks, a single process, no replication.
 func DefaultOptions() Options { return core.DefaultOptions() }
-
-// Similarity runs SimilarityAtScale once. With Options.Procs == 1 it uses
-// the sequential algebraic pipeline; otherwise it runs the fully
-// distributed pipeline over the in-process BSP runtime.
-//
-// Similarity is the legacy one-shot form, kept as a thin wrapper over the
-// reusable engine: it is exactly NewEngineFromOptions(opts) followed by
-// Engine.Similarity with a background context. Code that runs repeatedly,
-// needs cancellation, or wants streaming output should build an Engine
-// (see NewEngine and Engine.Stream).
-func Similarity(ds Dataset, opts Options) (*Result, error) {
-	e, err := NewEngineFromOptions(opts)
-	if err != nil {
-		return nil, err
-	}
-	return e.Similarity(context.Background(), ds)
-}
 
 // ExactJaccard computes the exact pairwise Jaccard similarity of two sorted
 // attribute sets; it is the brute-force reference the algebraic paths are

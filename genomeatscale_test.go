@@ -1,9 +1,24 @@
 package genomeatscale
 
 import (
+	"context"
 	"math"
 	"testing"
 )
+
+// gather builds an engine from options and returns its gathered result.
+func gather(t *testing.T, ds Dataset, options ...Option) *Result {
+	t.Helper()
+	e, err := NewEngine(options...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := e.Similarity(context.Background(), ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
 
 func TestFacadeSequentialAndDistributedAgree(t *testing.T) {
 	ds, err := NewDataset(
@@ -14,17 +29,8 @@ func TestFacadeSequentialAndDistributedAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := Similarity(ds, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := DefaultOptions()
-	opts.Procs = 4
-	opts.BatchCount = 2
-	dist, err := Similarity(ds, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	seq := gather(t, ds)
+	dist := gather(t, ds, WithProcs(4), WithBatches(2))
 	for i := 0; i < 3; i++ {
 		for j := 0; j < 3; j++ {
 			if math.Abs(seq.Similarity(i, j)-dist.Similarity(i, j)) > 1e-12 {

@@ -146,8 +146,8 @@ func PrintSketch(w io.Writer, s *core.SketchStats) {
 }
 
 // Engine builds a reusable engine from the bound flag values.
-func (f *ComputeFlags) Engine() (*genomeatscale.Engine, error) {
-	return genomeatscale.NewEngineFromOptions(f.Options())
+func (f *ComputeFlags) Engine() (*core.Engine, error) {
+	return core.NewEngine(f.Options())
 }
 
 // Streaming reports whether -top-k or -threshold requested a streaming

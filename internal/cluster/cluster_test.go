@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -188,7 +189,11 @@ func TestGuideTreeFromJaccardDistances(t *testing.T) {
 	samples = append(samples, groupB...)
 	names := []string{"a0", "a1", "a2", "b0", "b1"}
 	ds := core.MustInMemoryDataset(names, samples, 200)
-	res, err := core.ComputeSequential(ds, core.DefaultOptions())
+	e, err := core.NewEngine(core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := e.Similarity(context.Background(), ds)
 	if err != nil {
 		t.Fatal(err)
 	}

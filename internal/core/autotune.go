@@ -87,8 +87,8 @@ func fixedFrom(o Options) (costmodel.Fixed, []string) {
 			f.SketchSize = o.Sketch.Size
 			pinned = append(pinned, "sketchsize")
 		}
-		// Prescreening is sequential-only (Validate enforces Procs == 1 on
-		// static runs); keep the tuner from planning a rank grid.
+		// Prescreening is single-process only (Validate enforces Procs == 1
+		// on static runs); keep the tuner from planning a rank grid.
 		if f.Procs == 0 {
 			f.Procs = 1
 		}

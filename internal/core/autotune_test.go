@@ -19,13 +19,13 @@ func TestAutotuneMatchesManual(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	ds := randomDataset(rng, 23, 700, 0.05)
 
-	manual, err := ComputeSequential(ds, DefaultOptions())
+	manual, err := run(ds, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts := DefaultOptions()
 	opts.Autotune = true
-	auto, err := ComputeSequential(ds, opts)
+	auto, err := run(ds, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestAutotunePinnedProcs(t *testing.T) {
 	rng := rand.New(rand.NewSource(72))
 	ds := randomDataset(rng, 17, 500, 0.06)
 
-	base, err := ComputeSequential(ds, DefaultOptions())
+	base, err := run(ds, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestAutotunePinnedProcs(t *testing.T) {
 	opts.Autotune = true
 	opts.Procs = 4
 	opts.SetExplicit(FieldProcs)
-	res, err := Compute(ds, opts)
+	res, err := run(ds, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,16 +1,38 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"genomeatscale/internal/bsp"
 	"genomeatscale/internal/sparse"
+	"genomeatscale/internal/tile"
 )
 
 func approxEqual(a, b float64) bool { return math.Abs(a-b) < 1e-12 }
+
+// run is the tests' one-shot entry point: a throwaway engine for opts and
+// the gathered result of Engine.Similarity.
+func run(ds Dataset, opts Options) (*Result, error) {
+	e, err := NewEngine(opts)
+	if err != nil {
+		return nil, err
+	}
+	return e.Similarity(context.Background(), ds)
+}
+
+// oneRankGrid returns opts configured to run the grid target at a single
+// rank: Procs == 1 alone is a local run, so tests that want the BSP path
+// there attach a one-rank in-memory transport.
+func oneRankGrid(opts Options) Options {
+	opts.Procs = 1
+	opts.Transport = bsp.MemCluster(1)[0]
+	return opts
+}
 
 func randomDataset(rng *rand.Rand, n int, m uint64, density float64) *InMemoryDataset {
 	samples := make([][]uint64, n)
@@ -176,7 +198,7 @@ func TestOptionsValidate(t *testing.T) {
 	}
 }
 
-func TestComputeSequentialMatchesExact(t *testing.T) {
+func TestLocalMatchesExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 8; trial++ {
 		n := 3 + rng.Intn(12)
@@ -188,7 +210,7 @@ func TestComputeSequentialMatchesExact(t *testing.T) {
 				opts := DefaultOptions()
 				opts.BatchCount = batches
 				opts.MaskBits = maskBits
-				res, err := ComputeSequential(ds, opts)
+				res, err := run(ds, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -208,9 +230,9 @@ func TestComputeSequentialMatchesExact(t *testing.T) {
 	}
 }
 
-func TestComputeSequentialEmptySamples(t *testing.T) {
+func TestLocalEmptySamples(t *testing.T) {
 	ds := MustInMemoryDataset(nil, [][]uint64{{}, {}, {1, 2}}, 10)
-	res, err := ComputeSequential(ds, DefaultOptions())
+	res, err := run(ds, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,17 +250,14 @@ func TestComputeSequentialEmptySamples(t *testing.T) {
 	}
 }
 
-func TestComputeSequentialInvalidOptions(t *testing.T) {
+func TestInvalidOptionsRejected(t *testing.T) {
 	ds := MustInMemoryDataset(nil, [][]uint64{{1}}, 10)
-	if _, err := ComputeSequential(ds, Options{}); err == nil {
+	if _, err := run(ds, Options{}); err == nil {
 		t.Error("expected error for zero options")
-	}
-	if _, err := Compute(ds, Options{}); err == nil {
-		t.Error("expected error for zero options (distributed)")
 	}
 }
 
-func TestComputeDistributedMatchesSequential(t *testing.T) {
+func TestGridMatchesExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	configs := []struct {
 		procs, replication, batches, maskBits int
@@ -263,7 +282,10 @@ func TestComputeDistributedMatchesSequential(t *testing.T) {
 			opts.Replication = cfg.replication
 			opts.BatchCount = cfg.batches
 			opts.MaskBits = cfg.maskBits
-			res, err := Compute(ds, opts)
+			if cfg.procs == 1 {
+				opts = oneRankGrid(opts)
+			}
+			res, err := run(ds, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -294,25 +316,44 @@ func TestComputeDistributedMatchesSequential(t *testing.T) {
 	}
 }
 
-func TestComputeEmptyDataset(t *testing.T) {
+// TestEmptyDatasetRejected: a dataset without samples is the same error on
+// both entry points and both targets.
+func TestEmptyDatasetRejected(t *testing.T) {
 	ds := MustInMemoryDataset(nil, nil, 10)
-	if _, err := Compute(ds, DefaultOptions()); err == nil {
-		t.Error("expected error for empty dataset")
+	grid := DefaultOptions()
+	grid.Procs = 4
+	for name, opts := range map[string]Options{"local": DefaultOptions(), "grid": grid, "one-rank grid": oneRankGrid(DefaultOptions())} {
+		e, err := NewEngine(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, gatherErr := e.Similarity(context.Background(), ds)
+		_, streamErr := e.Stream(context.Background(), ds, tile.NewCollect())
+		for entry, err := range map[string]error{"Similarity": gatherErr, "Stream": streamErr} {
+			if err == nil || err.Error() != "core: dataset has no samples" {
+				t.Errorf("%s %s: err = %v, want the no-samples error", name, entry, err)
+			}
+		}
 	}
 }
 
-func TestComputeSkipGather(t *testing.T) {
+// TestStreamDiscardAssemblesNothing: streaming into the discarding sink
+// runs the pipeline for its statistics without assembling matrices.
+func TestStreamDiscardAssemblesNothing(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	ds := randomDataset(rng, 6, 300, 0.05)
 	opts := DefaultOptions()
 	opts.Procs = 4
-	opts.SkipGather = true
-	res, err := Compute(ds, opts)
+	e, err := NewEngine(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := e.Stream(context.Background(), ds, tile.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.S != nil || res.D != nil || res.B != nil {
-		t.Error("SkipGather must not assemble the full matrices")
+		t.Error("a streaming run must not assemble the full matrices")
 	}
 	defer func() {
 		if recover() == nil {
@@ -329,13 +370,13 @@ func TestBatchingInvarianceProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		ds := randomDataset(rng, 5+rng.Intn(5), uint64(100+rng.Intn(900)), 0.05)
 		base := DefaultOptions()
-		ref, err := ComputeSequential(ds, base)
+		ref, err := run(ds, base)
 		if err != nil {
 			return false
 		}
 		batched := base
 		batched.BatchCount = int(batchesRaw%16) + 1
-		got, err := ComputeSequential(ds, batched)
+		got, err := run(ds, batched)
 		if err != nil {
 			return false
 		}
@@ -351,13 +392,13 @@ func TestMaskWidthInvarianceProperty(t *testing.T) {
 	f := func(seed int64, widthRaw uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		ds := randomDataset(rng, 4+rng.Intn(5), uint64(100+rng.Intn(500)), 0.08)
-		ref, err := ComputeSequential(ds, DefaultOptions())
+		ref, err := run(ds, DefaultOptions())
 		if err != nil {
 			return false
 		}
 		opts := DefaultOptions()
 		opts.MaskBits = int(widthRaw%64) + 1
-		got, err := ComputeSequential(ds, opts)
+		got, err := run(ds, opts)
 		if err != nil {
 			return false
 		}
@@ -379,11 +420,11 @@ func TestPermutationInvariance(t *testing.T) {
 		permSamples[i] = ds.Sample(p)
 	}
 	permDS := MustInMemoryDataset(nil, permSamples, 400)
-	orig, err := ComputeSequential(ds, DefaultOptions())
+	orig, err := run(ds, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	permuted, err := ComputeSequential(permDS, DefaultOptions())
+	permuted, err := run(permDS, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

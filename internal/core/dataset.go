@@ -8,13 +8,15 @@
 // B = AᵀA with a popcount-AND semiring before deriving the similarity
 // matrix S and distance matrix D = 1 − S.
 //
-// Three computation paths are provided and cross-checked in tests:
-//
-//   - ExactJaccard: a brute-force set implementation (the semantic oracle).
-//   - ComputeSequential: the single-process algebraic pipeline with
-//     batching, filtering and bitmask compression.
-//   - Compute: the fully distributed pipeline over the BSP runtime and the
-//     processor-grid Gram engine in internal/dist.
+// There is one pipeline: Engine.Stream (and Engine.Similarity, the same run
+// with a collecting sink) drives the batch loop of batch.go — slice, filter,
+// compact, pack, accumulate, then derive and emit tiles — against one of
+// two targets (target.go). A single process without a transport sees every
+// sample and accumulates locally; any other configuration is a rank of the
+// processor grid in internal/dist over the BSP runtime. The choice follows
+// from Procs and Transport alone, and the two produce byte-identical B, S
+// and D. ExactJaccard, a brute-force set implementation, is the semantic
+// oracle both are tested against.
 package core
 
 import (
@@ -50,8 +52,8 @@ type Dataset interface {
 // I/O with compute (see samplefile.DirDataset); in-memory implementations
 // can treat it as a no-op.
 //
-// Implementations must support concurrent SampleErr calls: the distributed
-// path reads samples from every virtual rank at once. A wrapper that embeds
+// Implementations must support concurrent SampleErr calls: an in-process
+// grid run reads samples from every rank at once. A wrapper that embeds
 // a DatasetV2 and overrides Sample must override SampleErr (and LoadRange)
 // too, or method promotion will route the pipelines around the override.
 type DatasetV2 interface {

@@ -121,7 +121,7 @@ func TestCardinalitiesAccumulatedPerBatch(t *testing.T) {
 	for _, batches := range []int{1, 2, 7, 333, 400} {
 		opts := DefaultOptions()
 		opts.BatchCount = batches
-		res, err := ComputeSequential(ds, opts)
+		res, err := run(ds, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -21,7 +21,7 @@ func TestComputeMoreRanksThanSamples(t *testing.T) {
 		opts := DefaultOptions()
 		opts.Procs = procs
 		opts.BatchCount = 2
-		res, err := Compute(ds, opts)
+		res, err := run(ds, opts)
 		if err != nil {
 			t.Fatalf("procs=%d: %v", procs, err)
 		}
@@ -36,7 +36,7 @@ func TestComputeSingleSample(t *testing.T) {
 	for _, procs := range []int{1, 3} {
 		opts := DefaultOptions()
 		opts.Procs = procs
-		res, err := Compute(ds, opts)
+		res, err := run(ds, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -55,7 +55,7 @@ func TestComputeAllSamplesIdentical(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Procs = 4
 	opts.BatchCount = 3
-	res, err := Compute(ds, opts)
+	res, err := run(ds, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestComputeBatchCountExceedsAttributes(t *testing.T) {
 	exact := ExactJaccard(ds)
 	seqOpts := DefaultOptions()
 	seqOpts.BatchCount = 10
-	seq, err := ComputeSequential(ds, seqOpts)
+	seq, err := run(ds, seqOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestComputeBatchCountExceedsAttributes(t *testing.T) {
 	distOpts := DefaultOptions()
 	distOpts.BatchCount = 10
 	distOpts.Procs = 3
-	dist, err := Compute(ds, distOpts)
+	dist, err := run(ds, distOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,9 +107,9 @@ func TestComputeMaskBitsOne(t *testing.T) {
 		var res *Result
 		var err error
 		if procs == 1 {
-			res, err = ComputeSequential(ds, opts)
+			res, err = run(ds, opts)
 		} else {
-			res, err = Compute(ds, opts)
+			res, err = run(ds, opts)
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -122,10 +122,10 @@ func TestComputeMaskBitsOne(t *testing.T) {
 
 func TestComputeRejectsHugeUniverse(t *testing.T) {
 	ds := MustInMemoryDataset(nil, [][]uint64{{1}, {2}}, uint64(1)<<63)
-	if _, err := Compute(ds, DefaultOptions()); err == nil {
+	if _, err := run(ds, DefaultOptions()); err == nil {
 		t.Error("universe beyond 2^62 should be rejected by the distributed path")
 	}
-	if _, err := ComputeSequential(ds, DefaultOptions()); err == nil {
+	if _, err := run(ds, DefaultOptions()); err == nil {
 		t.Error("universe beyond 2^62 should be rejected by the sequential path too")
 	}
 }
@@ -139,7 +139,7 @@ func TestDistributedReplicationExceedingRanks(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Procs = 4
 	opts.Replication = 64
-	res, err := Compute(ds, opts)
+	res, err := run(ds, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

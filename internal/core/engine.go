@@ -8,11 +8,8 @@ import (
 	"time"
 
 	"genomeatscale/internal/bitmat"
-	"genomeatscale/internal/bsp"
 	"genomeatscale/internal/costmodel"
-	"genomeatscale/internal/dist"
 	"genomeatscale/internal/grid"
-	"genomeatscale/internal/par"
 	"genomeatscale/internal/sparse"
 	"genomeatscale/internal/tile"
 )
@@ -26,10 +23,10 @@ type TileSink = tile.Sink
 
 // Engine is a reusable, validated SimilarityAtScale configuration. The
 // per-run fixed decisions — option validation, the √(p/c) × √(p/c) × c
-// processor-grid layout, and the shared-memory worker-pool sizing for both
-// execution paths — are made once at construction and amortised across
-// calls; Similarity and Stream are then safe to invoke repeatedly and
-// concurrently from multiple goroutines. With Options.Autotune those
+// processor-grid layout, and the shared-memory worker-pool sizing — are
+// made once at construction and amortised across calls; Similarity and
+// Stream are then safe to invoke repeatedly and concurrently from multiple
+// goroutines. With Options.Autotune those
 // decisions move to run time — they depend on the dataset — and each run
 // resolves its own configuration (configFor) against the host profile
 // probed once at construction; the engine stays safe for concurrent use.
@@ -53,38 +50,41 @@ type Engine struct {
 
 // runConfig is the resolved configuration of one run: the validated
 // options plus the decisions derived from them once per run (grid layout,
-// worker-pool sizes, streaming tile height) and, for autotuned runs, the
+// worker-pool size, streaming tile height) and, for autotuned runs, the
 // report recording how the configuration was chosen.
 type runConfig struct {
-	opts        Options
-	grid        grid.Grid
-	seqWorkers  int // resolved pool size of the sequential path
-	distWorkers int // resolved per-rank pool size of the distributed path
-	tileRows    int // resolved sequential streaming tile height
-	sketch      sketchConfig
-	tuning      *TuningReport
+	opts     Options
+	grid     grid.Grid
+	workers  int // resolved shared-memory pool size of each process of the run
+	tileRows int // resolved row-band height of the local target's tiles
+	sketch   sketchConfig
+	tuning   *TuningReport
 }
+
+// local reports which target the run accumulates into: a single process
+// with no transport sees every sample and runs the local target; anything
+// else runs the grid target over the BSP runtime.
+func (c runConfig) local() bool { return c.opts.Procs == 1 && c.opts.Transport == nil }
 
 // resolveConfig derives the per-run decisions from a validated Options.
 func resolveConfig(opts Options) runConfig {
 	cfg := runConfig{
-		opts:       opts,
-		grid:       grid.MustChoose(opts.Procs, opts.Replication),
-		seqWorkers: par.Resolve(opts.Workers),
-		tileRows:   opts.TileRows,
+		opts:     opts,
+		grid:     grid.MustChoose(opts.Procs, opts.Replication),
+		workers:  opts.Workers,
+		tileRows: opts.TileRows,
 	}
-	// All Procs virtual ranks share this machine, so the default Workers: 0
-	// resolves to a fair share of the CPUs per rank rather than a full
-	// GOMAXPROCS pool per rank (which would oversubscribe the machine
-	// Procs-fold). Over a multi-process Transport this process runs a
-	// single rank, so that rank gets the whole machine. An explicit
-	// Workers value is taken as given.
-	cfg.distWorkers = opts.Workers
-	if cfg.distWorkers == 0 {
-		if opts.Transport != nil {
-			cfg.distWorkers = runtime.GOMAXPROCS(0)
-		} else if cfg.distWorkers = runtime.GOMAXPROCS(0) / opts.Procs; cfg.distWorkers < 1 {
-			cfg.distWorkers = 1
+	// All Procs in-process ranks share this machine, so the default
+	// Workers: 0 resolves to a fair share of the CPUs per rank rather than
+	// a full GOMAXPROCS pool per rank (which would oversubscribe the
+	// machine Procs-fold); a local run is the Procs == 1 case and gets
+	// every CPU. Over a multi-process Transport this process runs a single
+	// rank, so that rank gets the whole machine. An explicit Workers value
+	// is taken as given.
+	if cfg.workers == 0 {
+		cfg.workers = runtime.GOMAXPROCS(0)
+		if opts.Transport == nil {
+			cfg.workers = max(1, cfg.workers/opts.Procs)
 		}
 	}
 	if cfg.tileRows == 0 {
@@ -131,42 +131,73 @@ func (e *Engine) putArena(a *bitmat.Arena) {
 	e.arenas = append(e.arenas, a)
 }
 
-// Similarity runs the pipeline with the legacy gathered-output semantics:
-// the full B, S and D matrices are assembled (at rank 0 for the
-// distributed path) unless Options.SkipGather is set. With Procs == 1 it
-// uses the sequential algebraic pipeline; otherwise the fully distributed
-// pipeline over the in-process BSP runtime.
+// Similarity runs the pipeline and assembles the full B, S and D matrices
+// (at rank 0 over a multi-process Transport; the other ranks return nil
+// matrices). It is the same run as Stream, driving the engine's own
+// collecting sink.
 func (e *Engine) Similarity(ctx context.Context, ds Dataset) (*Result, error) {
-	cfg, err := e.configFor(ds)
+	var c collector
+	res, err := e.run(ctx, ds, &c, true)
 	if err != nil {
 		return nil, err
 	}
-	if cfg.opts.Procs > 1 || cfg.opts.Transport != nil {
-		return e.computeDist(ctx, ds, nil, cfg)
-	}
-	return e.computeSeq(ctx, ds, nil, cfg)
+	res.B, res.S, res.D = c.b, c.s, c.d
+	return res, nil
 }
 
 // Stream runs the pipeline and delivers the result to sink as a sequence
 // of finalized tiles instead of assembling the n×n matrices: the returned
 // Result carries cardinalities and run statistics (including the streaming
-// counters) but nil B, S and D. The sequential path emits row bands of
-// Options.TileRows rows; the distributed path emits each processor-grid
-// result block as soon as rank 0 receives it. Sink calls happen on a
-// single goroutine in deterministic (RowLo, ColLo) order; a sink error
-// aborts the run and is returned.
+// counters) but nil B, S and D. The local target emits row bands of
+// Options.TileRows rows; the grid target emits each processor-grid result
+// block as soon as rank 0 receives it. Sink calls happen on a single
+// goroutine in deterministic (RowLo, ColLo) order; a sink error aborts the
+// run and is returned.
 func (e *Engine) Stream(ctx context.Context, ds Dataset, sink TileSink) (*Result, error) {
 	if sink == nil {
 		return nil, fmt.Errorf("core: Stream requires a sink (use tile.Discard to drop the output)")
+	}
+	return e.run(ctx, ds, sink, false)
+}
+
+// run is the one execution path behind both entry points: validate the
+// input, resolve the configuration, and drive the batch loop against the
+// target the configuration selects. oneBand asks the local target for a
+// single band of height n (the gathered output) instead of TileRows bands.
+func (e *Engine) run(ctx context.Context, ds Dataset, sink TileSink, oneBand bool) (*Result, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	if err := validateDataset(ds); err != nil {
+		return nil, err
 	}
 	cfg, err := e.configFor(ds)
 	if err != nil {
 		return nil, err
 	}
-	if cfg.opts.Procs > 1 || cfg.opts.Transport != nil {
-		return e.computeDist(ctx, ds, sink, cfg)
+	start := time.Now()
+	res := &Result{N: ds.NumSamples(), Names: sampleNames(ds)}
+	res.Stats.Tuning = cfg.tuning
+	r := &batchRun{ctx: ctx, ds: AsV2(ds), cfg: cfg, res: res, sink: &sinkRunner{sink: sink, stats: &res.Stats}}
+	if cfg.local() {
+		err = e.runLocal(r, oneBand)
+	} else {
+		err = runGrid(r)
 	}
-	return e.computeSeq(ctx, ds, sink, cfg)
+	if err != nil {
+		return nil, err
+	}
+	captureIngest(ds, &res.Stats)
+	res.Stats.TotalSeconds = time.Since(start).Seconds()
+	return res, nil
+}
+
+func sampleNames(ds Dataset) []string {
+	names := make([]string, ds.NumSamples())
+	for i := range names {
+		names[i] = ds.SampleName(i)
+	}
+	return names
 }
 
 // prefetchNextScan begins re-loading the samples the next batch's scan
@@ -197,7 +228,7 @@ func captureIngest(ds Dataset, stats *RunStats) {
 
 // sinkRunner funnels every sink interaction through one place so the run
 // statistics (tiles emitted, peak tile words, time spent in the consumer)
-// are recorded uniformly on both execution paths.
+// mean the same thing on every run.
 type sinkRunner struct {
 	sink  TileSink
 	stats *RunStats
@@ -231,353 +262,43 @@ func (sr *sinkRunner) flush() error {
 	return err
 }
 
-// computeSeq is the single-process pipeline: the indicator matrix is
-// processed in BatchCount row batches; each batch filters out empty rows,
-// compresses the surviving rows into MaskBits-wide masks, and accumulates
-// its Gram contribution into B with the popcount kernel (Listing 1 of the
-// paper, without the distribution). It runs the same batch stage
-// (sliceBatch → filter → packBatch) as the distributed path — every sample
-// is visible, so the filter needs no exchange. With sink == nil the
-// output is finalized into full matrices (legacy semantics); otherwise it
-// is derived band by band and streamed.
-func (e *Engine) computeSeq(ctx context.Context, ds Dataset, sink TileSink, cfg runConfig) (*Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := validateDataset(ds); err != nil {
-		return nil, err
-	}
-	v2 := AsV2(ds)
-	opts := cfg.opts
-	start := time.Now()
-	n := ds.NumSamples()
-	m := ds.NumAttributes()
-	workers := cfg.seqWorkers
-
-	res := &Result{
-		N:             n,
-		Names:         sampleNames(ds),
-		Cardinalities: make([]int64, n),
-	}
-	res.Stats.Tuning = cfg.tuning
-	b := sparse.MustDense[int64](n, n)
-
-	allCols := make([]int, n)
-	for i := 0; i < n; i++ {
-		allCols[i] = i
-	}
-
-	// MinHash prescreening tier: sketch every sample, estimate every pair,
-	// and gate the exact tier on the survivor mask. The exact tier then
-	// re-scans from sample 0, so hint the restart like any batch boundary.
-	var mask *bitmat.PairMask
-	if cfg.sketch.enabled {
-		var sstats *SketchStats
-		var err error
-		mask, sstats, err = prescreen(ctx, v2, n, m, cfg)
-		if err != nil {
-			return nil, err
-		}
-		res.Stats.Sketch = sstats
-		prefetchNextScan(v2, n)
-	}
-
-	// The batch loop's transient buffers — the packed matrix's streams and
-	// slabs, the Gram tile list and per-worker tile accumulators, the
-	// coordinate-entry scratch — cycle through one arena checked out for
-	// this run, so the steady state of a multi-batch run allocates ~nothing.
-	arena := e.getArena()
-	defer e.putArena(arena)
-	var entriesBuf []bitmat.PackedEntry
-
-	for l := 0; l < opts.BatchCount; l++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		batchStart := time.Now()
-		lo, hi := batchBounds(m, opts.BatchCount, l)
-
-		// Shared batch stage: slice, filter (Eq. 5), compact and pack
-		// (Eq. 6, Section III-B). A single process observes every write, so
-		// dist.Compact of the local rows is the whole filter vector.
-		columns, localRows, err := sliceBatch(v2, allCols, lo, hi)
-		if err != nil {
-			return nil, fmt.Errorf("batch %d: %w", l, err)
-		}
-		// The batch ranges partition [0, m), so summing each sample's
-		// in-range value counts over all batches yields the exact
-		// cardinalities (â, Eq. 4) without an up-front pass that would load
-		// every sample before the first batch — out-of-core datasets stay
-		// memory-bounded.
-		for _, c := range columns {
-			res.Cardinalities[c.col] += int64(len(c.vals))
-		}
-		if mask != nil {
-			// Prescreen column masking: samples with no surviving partner
-			// are dropped from the pack and from the empty-row filter —
-			// after the cardinality accumulation above, so â stays exact
-			// for every sample. Candidate pairs' intersection counts are
-			// unchanged: rows present only in pruned columns contribute
-			// nothing to surviving pairs.
-			columns, localRows = maskBatchColumns(columns, mask, lo)
-		}
-		nonzero := dist.Compact(localRows)
-		active := len(nonzero)
-		entries, err := packBatch(ctx, columns, nonzero, lo, opts.MaskBits, workers, entriesBuf)
-		if err != nil {
-			return nil, err
-		}
-		entriesBuf = entries[:0]
-		if l+1 < opts.BatchCount {
-			prefetchNextScan(v2, n)
-		}
-		packed := bitmat.FromEntriesThresholdArena(entries, wordRowsFor(active, opts.MaskBits), n, opts.MaskBits, active, opts.DenseThreshold, arena)
-		if l == 0 && cfg.tuning != nil {
-			cfg.tuning.MeasuredOccupancy = packed.WordOccupancy()
-		}
-		err = packed.GramAccumulateMaskedCtxArena(ctx, b, workers, arena, mask)
-		packed.Release()
-		if err != nil {
-			return nil, err
-		}
-
-		res.Stats.Batches++
-		res.Stats.BatchSeconds = append(res.Stats.BatchSeconds, time.Since(batchStart).Seconds())
-		res.Stats.ActiveRowsPerBatch = append(res.Stats.ActiveRowsPerBatch, int64(active))
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	for _, c := range res.Cardinalities {
-		res.Stats.IndicatorNonzeros += c
-	}
-	if mask != nil {
-		restoreIsolatedDiagonals(b, mask, res.Cardinalities)
-	}
-
-	if sink != nil {
-		if err := streamSeq(ctx, res, b, sink, cfg); err != nil {
-			return nil, err
-		}
-	} else if err := finalize(ctx, res, b, opts.SkipGather, workers); err != nil {
-		return nil, err
-	}
-	captureIngest(ds, &res.Stats)
-	res.Stats.TotalSeconds = time.Since(start).Seconds()
-	return res, nil
+// collector is the engine's own sink behind Engine.Similarity: it assembles
+// the emitted tiles into the n×n matrices of the Result. A tile spanning
+// the whole output is adopted, not copied: the engine is producer and
+// consumer here, and both targets derive such a tile into buffers they
+// allocate for the run and never touch again. That keeps a gathered local
+// run at three n×n matrices — B is the Gram accumulator itself, S and D
+// the single band — which matters because n² is the large output term.
+type collector struct {
+	n int
+	b *sparse.Dense[int64]
+	s *sparse.Dense[float64]
+	d *sparse.Dense[float64]
 }
 
-// streamSeq derives S and D from the accumulated B band by band (Eq. 2)
-// and emits each band as one full-width tile. The scratch buffers are
-// reused across bands, so the resident derived output never exceeds one
-// tile; B itself stays resident (the sequential path accumulates it
-// densely). The per-row derivation matches the legacy finalize bit for bit:
-// B is exactly symmetric and the Eq. 2 scalar is symmetric in (i, j), so
-// deriving every (i, j) directly equals deriving the upper triangle and
-// mirroring.
-func streamSeq(ctx context.Context, res *Result, b *sparse.Dense[int64], sink TileSink, cfg runConfig) error {
-	n := res.N
-	sr := &sinkRunner{sink: sink, stats: &res.Stats}
-	if err := sr.start(n, res.Names); err != nil {
-		return err
-	}
-	tr := cfg.tileRows
-	if tr > n {
-		tr = n
-	}
-	sbuf := make([]float64, tr*n)
-	dbuf := make([]float64, tr*n)
-	for lo := 0; lo < n; lo += tr {
-		hi := lo + tr
-		if hi > n {
-			hi = n
-		}
-		rows := hi - lo
-		err := par.ForEachCtx(ctx, cfg.seqWorkers, rows, func(i int) {
-			gi := lo + i
-			brow := b.Row(gi)
-			srow := sbuf[i*n : (i+1)*n]
-			drow := dbuf[i*n : (i+1)*n]
-			for j := 0; j < n; j++ {
-				s := dist.Jaccard(brow[j], res.Cardinalities[gi], res.Cardinalities[j])
-				srow[j] = s
-				drow[j] = 1 - s
-			}
-		})
-		if err != nil {
-			return err
-		}
-		t := &Tile{
-			RowLo: lo, ColLo: 0, Rows: rows, Cols: n,
-			B: b.Data[lo*n : hi*n], S: sbuf[:rows*n], D: dbuf[:rows*n],
-		}
-		if err := sr.emit(t); err != nil {
-			return err
-		}
-	}
-	return sr.flush()
+func (c *collector) Start(n int, _ []string) error {
+	c.n = n
+	return nil
 }
 
-// computeDist runs the fully distributed pipeline on opts.Procs virtual
-// BSP ranks arranged as the engine's processor grid. The structure follows
-// Listing 1 of the paper:
-//
-//	for each batch A(l):
-//	    each rank reads its (cyclically owned) samples' values in the batch
-//	    the distributed filter vector f(l) marks non-empty rows        (Eq. 5)
-//	    the replicated prefix sum maps rows to compacted positions      (Eq. 6)
-//	    row segments are packed into MaskBits-wide words                (Â(l))
-//	    the processor grid computes and accumulates Â(l)ᵀÂ(l)           (Eq. 7)
-//	â is accumulated per rank and combined once at the end              (Eq. 4)
-//	S and D are derived blockwise and emitted per tile at rank 0        (Eq. 2)
-//
-// The per-batch stage (sliceBatch → filter → packBatch) is the same code
-// the sequential path runs; only the filter exchange and the Gram
-// accumulation differ. All communication flows through the BSP runtime, so
-// Result.Stats.Comm reports the exact per-superstep byte volumes of the
-// run. The result blocks are never assembled into full matrices inside the
-// run: with sink == nil (legacy gather) the per-tile emission drives a
-// collecting sink whose matrices become Result.B/S/D, with SkipGather the
-// emission is skipped entirely, and with a user sink the tiles go straight
-// to it.
-func (e *Engine) computeDist(ctx context.Context, ds Dataset, sink TileSink, cfg runConfig) (*Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := validateDataset(ds); err != nil {
-		return nil, err
-	}
-	if cfg.sketch.enabled {
-		// Compute (the legacy one-shot API) runs the BSP path even for
-		// Procs == 1; refusing here beats silently ignoring the gate.
-		return nil, fmt.Errorf("core: sketch prescreening runs on the sequential path only; use Engine.Similarity or Engine.Stream with Procs = 1")
-	}
-	v2 := AsV2(ds)
-	opts := cfg.opts
-	start := time.Now()
-	n := ds.NumSamples()
-	if n == 0 {
-		return nil, fmt.Errorf("core: dataset has no samples")
-	}
-	m := ds.NumAttributes()
-
-	res := &Result{N: n, Names: sampleNames(ds)}
-	res.Stats.Tuning = cfg.tuning
-	workers := cfg.distWorkers
-
-	var collect *tile.Collect
-	emitSink := sink
-	if sink == nil && !opts.SkipGather {
-		collect = tile.NewCollect()
-		emitSink = collect
-	}
-
-	rankFn := func(p *bsp.Proc) error {
-		dctx := dist.NewContextWithGrid(p, cfg.grid)
-		engine := dist.NewGramEngine(dctx, n, workers, opts.DenseThreshold)
-
-		owned := dctx.OwnedSamples(n)
-		localCounts := make([]int64, n)
-
-		for l := 0; l < opts.BatchCount; l++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			batchStart := time.Now()
-			lo, hi := batchBounds(m, opts.BatchCount, l)
-
-			// Shared batch stage over the owned samples only; the filter
-			// vector exchange replicates the global nonzero set (Eq. 5, 6).
-			// A load failure on any rank aborts the whole BSP run: the bsp
-			// runtime wakes the peers parked at barriers and RunCtx returns
-			// the rank's error as the run failure.
-			columns, localRows, err := sliceBatch(v2, owned, lo, hi)
-			if err != nil {
-				return fmt.Errorf("batch %d: %w", l, err)
-			}
-			// Per-batch cardinality accumulation (the batch ranges
-			// partition [0, m)); each sample is owned by exactly one rank,
-			// so the final AllReduce sum assembles the exact â of Eq. 4.
-			for _, c := range columns {
-				localCounts[c.col] += int64(len(c.vals))
-			}
-			length := int64(hi) - int64(lo)
-			if length <= 0 {
-				length = 1
-			}
-			filter := dist.NewFilterVector(dctx, length)
-			filter.Write(localRows)
-			nonzero := filter.Replicate()
-			active := len(nonzero)
-
-			entries, err := packBatch(ctx, columns, nonzero, lo, opts.MaskBits, workers, nil)
-			if err != nil {
-				return fmt.Errorf("batch %d: %w", l, err)
-			}
-			if p.Rank() == 0 && l+1 < opts.BatchCount {
-				// One rank hints the restart of the scan; single-flight
-				// loading in the dataset dedups it against the peers' reads.
-				prefetchNextScan(v2, n)
-			}
-			engine.AddBatch(entries, wordRowsFor(active, opts.MaskBits), opts.MaskBits, active)
-
-			if p.Rank() == 0 {
-				res.Stats.Batches++
-				res.Stats.BatchSeconds = append(res.Stats.BatchSeconds, time.Since(batchStart).Seconds())
-				res.Stats.ActiveRowsPerBatch = append(res.Stats.ActiveRowsPerBatch, int64(active))
-			}
-		}
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-
-		// Combine the per-sample cardinalities. Each sample is owned by
-		// exactly one rank, so an elementwise sum assembles â.
-		counts := bsp.AllReduceSlice(p, localCounts, func(a, b int64) int64 { return a + b })
-		blocks := engine.Finalize(counts)
-
-		if p.Rank() == 0 {
-			res.Cardinalities = counts
-			for _, c := range counts {
-				res.Stats.IndicatorNonzeros += c
-			}
-		}
-		if emitSink != nil {
-			sr := &sinkRunner{sink: emitSink, stats: &res.Stats}
-			if p.Rank() == 0 {
-				if err := sr.start(n, res.Names); err != nil {
-					return err
-				}
-			}
-			if err := blocks.EmitTiles(0, sr.emit); err != nil {
-				return err
-			}
-			if p.Rank() == 0 {
-				if err := sr.flush(); err != nil {
-					return err
-				}
-			}
-		}
+func (c *collector) Emit(t *Tile) error {
+	n := c.n
+	if t.Rows == n && t.Cols == n {
+		c.b = &sparse.Dense[int64]{Rows: n, Cols: n, Data: t.B}
+		c.s = &sparse.Dense[float64]{Rows: n, Cols: n, Data: t.S}
+		c.d = &sparse.Dense[float64]{Rows: n, Cols: n, Data: t.D}
 		return nil
 	}
-	// With a Transport this process is ONE rank of a multi-process run;
-	// otherwise all Procs ranks are goroutines of this process.
-	var commStats *bsp.Stats
-	var err error
-	if t := opts.Transport; t != nil {
-		commStats, err = bsp.RunRank(ctx, t, rankFn)
-	} else {
-		commStats, err = bsp.RunCtx(ctx, opts.Procs, rankFn)
+	if c.b == nil {
+		c.b = sparse.MustDense[int64](n, n)
+		c.s = sparse.MustDense[float64](n, n)
+		c.d = sparse.MustDense[float64](n, n)
 	}
-	if err != nil {
-		return nil, err
+	for i := 0; i < t.Rows; i++ {
+		at := (t.RowLo+i)*n + t.ColLo
+		copy(c.b.Data[at:at+t.Cols], t.B[i*t.Cols:(i+1)*t.Cols])
+		copy(c.s.Data[at:at+t.Cols], t.S[i*t.Cols:(i+1)*t.Cols])
+		copy(c.d.Data[at:at+t.Cols], t.D[i*t.Cols:(i+1)*t.Cols])
 	}
-	res.Stats.Transport = commStats.Transport
-	if collect != nil {
-		res.B, res.S, res.D = collect.B(), collect.S(), collect.D()
-	}
-	captureIngest(ds, &res.Stats)
-	res.Stats.Comm = commStats
-	res.Stats.TotalSeconds = time.Since(start).Seconds()
-	return res, nil
+	return nil
 }

@@ -8,8 +8,8 @@ import (
 	"genomeatscale/internal/sparse"
 )
 
-// TestEquivalenceGrid cross-checks the three computation paths — Compute,
-// ComputeSequential and ExactJaccard — over the full configuration grid of
+// TestEquivalenceGrid cross-checks the grid target, the local target and
+// the ExactJaccard oracle over the full configuration grid of
 // Procs ∈ {2, 4, 8, 9, 12}, Replication ∈ {1, 2, 3}, BatchCount ∈ {1, 3, 7},
 // MaskBits ∈ {8, 32, 64}, Workers ∈ {1, 2, 4} and DenseThreshold ∈
 // {-1 (never dense), 0 (auto ≈ ¼ word rows), 1 (every non-empty column
@@ -45,7 +45,7 @@ func TestEquivalenceGrid(t *testing.T) {
 				seqOpts.MaskBits = maskBits
 				seqOpts.Workers = 1         // the serial baseline every other point must match
 				seqOpts.DenseThreshold = -1 // ... with the historical sparse-only storage
-				seq, err := ComputeSequential(ds, seqOpts)
+				seq, err := run(ds, seqOpts)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -70,7 +70,7 @@ func TestEquivalenceGrid(t *testing.T) {
 								wOpts.Autotune = true
 								wOpts.SetExplicit(FieldBatchCount | FieldMaskBits | FieldDenseThreshold | FieldWorkers)
 							}
-							seqW, err := ComputeSequential(ds, wOpts)
+							seqW, err := run(ds, wOpts)
 							if err != nil {
 								t.Fatal(err)
 							}
@@ -99,7 +99,7 @@ func TestEquivalenceGrid(t *testing.T) {
 								opts.Replication = repl
 								opts.Workers = workers
 								opts.DenseThreshold = dt
-								res, err := Compute(ds, opts)
+								res, err := run(ds, opts)
 								if err != nil {
 									t.Fatal(err)
 								}

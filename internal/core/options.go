@@ -21,9 +21,12 @@ type Options struct {
 	// (Section III-B). The paper uses 32 or 64; 64 is the default.
 	MaskBits int
 
-	// Procs is the number of virtual BSP ranks used by the distributed path.
-	// The paper runs 32 MPI processes per node; our benchmarks express node
-	// counts as Procs = 32 × nodes scaled down for in-process execution.
+	// Procs is the number of BSP ranks of the run. The paper runs 32 MPI
+	// processes per node; our benchmarks express node counts as
+	// Procs = 32 × nodes scaled down for in-process execution. With
+	// Procs == 1 and no Transport the run is a single process that sees
+	// every sample (the local target: no BSP runtime is started);
+	// otherwise the ranks form the processor grid (the grid target).
 	Procs int
 
 	// Replication is the processor-grid replication factor c of the
@@ -32,15 +35,13 @@ type Options struct {
 
 	// Workers is the number of shared-memory worker goroutines used inside
 	// one process by the tiled Gram kernel, the per-column batch packing and
-	// the Eq. 2 finalization (sequential finalize and the blockwise SBlock/
-	// DBlock derivation alike). 1 selects the exact serial kernel; n > 1
-	// uses n workers; results are identical for every value. 0 (the
-	// default) sizes the pool automatically: the sequential path uses
-	// runtime.GOMAXPROCS(0) — one worker per available CPU — while the
-	// distributed path gives each of the Procs in-process virtual ranks a
-	// fair share, max(1, GOMAXPROCS/Procs), so the default never
-	// oversubscribes the machine. An explicit value is taken as given on
-	// both paths.
+	// the Eq. 2 derivation of the result tiles. 1 selects the exact serial
+	// kernel; n > 1 uses n workers; results are identical for every value.
+	// 0 (the default) sizes the pool automatically: each of the Procs
+	// in-process ranks gets a fair share of the CPUs,
+	// max(1, GOMAXPROCS/Procs) — every CPU for a single process — so the
+	// default never oversubscribes the machine. An explicit value is taken
+	// as given.
 	Workers int
 
 	// DenseThreshold controls the hybrid dense/sparse column storage of the
@@ -56,20 +57,12 @@ type Options struct {
 	// and D are byte-identical for every value.
 	DenseThreshold int
 
-	// SkipGather, when true, leaves the similarity matrix distributed and
-	// does not assemble a full copy at rank 0. Use for large n where only
-	// timing/communication statistics are of interest. Under the Engine API
-	// this is the degenerate streaming case: Engine.Stream with a discarding
-	// sink computes the same run without materialising output, and the full
-	// gather is Engine.Stream with a collecting sink.
-	SkipGather bool
-
-	// TileRows is the row-band height of the tiles the sequential path emits
-	// when streaming through Engine.Stream: the n-column output is derived
-	// and handed to the sink TileRows rows at a time, so the peak resident
-	// S/D footprint is TileRows·n values instead of n². 0 (the default)
-	// resolves to DefaultTileRows. The distributed path ignores TileRows —
-	// its tiles are the processor grid's result blocks.
+	// TileRows is the row-band height of the tiles a single-process run
+	// emits when streaming through Engine.Stream: the n-column output is
+	// derived and handed to the sink TileRows rows at a time, so the peak
+	// resident S/D footprint is TileRows·n values instead of n². 0 (the
+	// default) resolves to DefaultTileRows. Grid runs ignore TileRows —
+	// their tiles are the processor grid's result blocks.
 	TileRows int
 
 	// Sketch configures the MinHash prescreening tier: when enabled, cheap
@@ -77,10 +70,10 @@ type Options struct {
 	// pairs whose estimate reaches Threshold − Slack run through the exact
 	// tiled Gram kernel; everything below is pruned, reported as B = 0,
 	// S = 0, D = 1. Surviving pairs are byte-identical to a non-prescreened
-	// run. Prescreening runs on the sequential path only (Procs must be 1).
+	// run. Prescreening runs in a single process only (Procs must be 1).
 	Sketch SketchOptions
 
-	// Transport, when non-nil, runs the distributed path as ONE rank of a
+	// Transport, when non-nil, runs this process as ONE rank of a
 	// multi-process BSP job over the given transport endpoint (e.g.
 	// internal/bsp/tcptransport) instead of spawning Procs in-process
 	// ranks: this process executes rank Transport.Rank() of
@@ -166,7 +159,7 @@ func (o *Options) SetExplicit(fields OptField) { o.explicit |= fields }
 // IsExplicit reports whether every given field was marked explicit.
 func (o Options) IsExplicit(fields OptField) bool { return o.explicit&fields == fields }
 
-// DefaultTileRows is the sequential streaming tile height used when
+// DefaultTileRows is the single-process streaming tile height used when
 // Options.TileRows is 0.
 const DefaultTileRows = 256
 
@@ -208,7 +201,7 @@ func (o Options) Validate() error {
 			return fmt.Errorf("core: Sketch.Slack must be in [0,1] (0 = default %v), got %v", DefaultSketchSlack, o.Sketch.Slack)
 		}
 		if o.Procs != 1 {
-			return fmt.Errorf("core: sketch prescreening runs on the sequential path only; Procs must be 1, got %d", o.Procs)
+			return fmt.Errorf("core: sketch prescreening runs in a single process only; Procs must be 1, got %d", o.Procs)
 		}
 	}
 	if o.Transport != nil {
@@ -230,7 +223,7 @@ type RunStats struct {
 	// Batches is the number of batches processed.
 	Batches int
 	// BatchSeconds holds the wall-clock duration of each batch as observed
-	// by rank 0 (sequential path: the single process).
+	// by rank 0 (the only process of a local run).
 	BatchSeconds []float64
 	// TotalSeconds is the end-to-end wall-clock duration.
 	TotalSeconds float64
@@ -239,21 +232,21 @@ type RunStats struct {
 	// ActiveRowsPerBatch is the number of nonzero rows each batch retained
 	// after filtering (|f(l)| in Eq. 5).
 	ActiveRowsPerBatch []int64
-	// Comm holds the BSP communication statistics of the distributed path
-	// (nil for the sequential path). Over a multi-process Transport the
-	// statistics are this rank's local view.
+	// Comm holds the BSP communication statistics of a grid run; nil for a
+	// single-process run, which starts no BSP runtime and communicates
+	// nothing. Over a multi-process Transport the statistics are this
+	// rank's local view.
 	Comm *bsp.Stats
 
 	// Transport holds the wire-level counters (dials, retries, bytes on
 	// the wire, max superstep exchange latency) of a run over a remote
-	// transport; nil for sequential and in-process runs.
+	// transport; nil for in-process runs.
 	Transport *bsp.TransportStats
 
-	// TilesEmitted counts the finalized tiles delivered to the run's sink:
-	// streaming runs on both paths, and distributed legacy gathers (which
-	// drive the same per-tile emission into a collecting sink). 0 when no
-	// output was produced — including the sequential legacy path, whose
-	// direct full-matrix finalize emits no tiles.
+	// TilesEmitted counts the finalized tiles delivered to the run's sink —
+	// the caller's for Engine.Stream, the engine's own collecting sink for
+	// Engine.Similarity. 0 only where no output arrives: ranks other than 0
+	// of a multi-process Transport run.
 	TilesEmitted int
 	// PeakTileWords is the largest single tile delivered to the sink, in
 	// 64-bit words across its B, S and D blocks — the peak resident output
@@ -325,9 +318,8 @@ type TuningReport struct {
 	Pinned []string
 	// MeasuredOccupancy is the nonzero-word fraction of the first batch's
 	// packed matrix (bitmat.Packed.WordOccupancy) — the measured counterpart
-	// of Plan.PredictedOccupancy. Recorded on the sequential path; zero when
-	// no batch was packed there (the distributed path packs inside its rank
-	// engines).
+	// of Plan.PredictedOccupancy. Recorded by single-process runs; zero on
+	// the grid, where the panels are packed inside the rank engines.
 	MeasuredOccupancy float64
 }
 
@@ -369,13 +361,12 @@ type Result struct {
 	Names []string
 	// Cardinalities holds |X_i| for every sample (â in Eq. 4).
 	Cardinalities []int64
-	// B is the intersection-cardinality matrix (nil if SkipGather or when
-	// the run streamed its output through a sink instead of gathering).
+	// B is the intersection-cardinality matrix (nil when the run streamed
+	// its output through a sink instead of gathering).
 	B *sparse.Dense[int64]
-	// S is the Jaccard similarity matrix (nil if SkipGather or streaming).
+	// S is the Jaccard similarity matrix (nil when streaming).
 	S *sparse.Dense[float64]
-	// D is the Jaccard distance matrix, D = 1 − S (nil if SkipGather or
-	// streaming).
+	// D is the Jaccard distance matrix, D = 1 − S (nil when streaming).
 	D *sparse.Dense[float64]
 	// Stats holds run measurements.
 	Stats RunStats
@@ -384,8 +375,8 @@ type Result struct {
 // Similarity returns S[i][j]; it panics if the matrices were not gathered.
 func (r *Result) Similarity(i, j int) float64 {
 	if r.S == nil {
-		//gas:invariant documented accessor contract: gathered matrices exist unless the caller itself set SkipGather or streamed; misuse, not input
-		panic("core: similarity matrix was not gathered (SkipGather set or streaming run)")
+		//gas:invariant documented accessor contract: gathered matrices exist unless the caller itself streamed; misuse, not input
+		panic("core: similarity matrix was not gathered (streaming run)")
 	}
 	return r.S.At(i, j)
 }
@@ -393,8 +384,8 @@ func (r *Result) Similarity(i, j int) float64 {
 // Distance returns D[i][j]; it panics if the matrices were not gathered.
 func (r *Result) Distance(i, j int) float64 {
 	if r.D == nil {
-		//gas:invariant documented accessor contract: gathered matrices exist unless the caller itself set SkipGather or streamed; misuse, not input
-		panic("core: distance matrix was not gathered (SkipGather set or streaming run)")
+		//gas:invariant documented accessor contract: gathered matrices exist unless the caller itself streamed; misuse, not input
+		panic("core: distance matrix was not gathered (streaming run)")
 	}
 	return r.D.At(i, j)
 }

@@ -106,7 +106,7 @@ func prescreen(ctx context.Context, v2 DatasetV2, n int, m uint64, cfg runConfig
 		if lo >= hi {
 			continue
 		}
-		err := par.ForEachCtx(ctx, cfg.seqWorkers, n, func(j int) {
+		err := par.ForEachCtx(ctx, cfg.workers, n, func(j int) {
 			sample, err := v2.SampleErr(j)
 			if err != nil {
 				errs[j] = fmt.Errorf("core: sketch prescreen: loading sample %d (%s): %w", j, v2.SampleName(j), err)
@@ -140,7 +140,7 @@ func prescreen(ctx context.Context, v2 DatasetV2, n int, m uint64, cfg runConfig
 	// J(∅, ∅) = 0 convention.
 	mask := bitmat.NewPairMask(n)
 	gate := sc.threshold - sc.slack
-	err := par.ForEachCtx(ctx, cfg.seqWorkers, n, func(i int) {
+	err := par.ForEachCtx(ctx, cfg.workers, n, func(i int) {
 		for j := i; j < n; j++ {
 			// EstimateAtLeast decides EstimateJaccard ≥ gate with an
 			// early-exit scan — identical decisions, but dissimilar pairs

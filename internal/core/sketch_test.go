@@ -4,7 +4,6 @@ import (
 	"context"
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"genomeatscale/internal/costmodel"
@@ -69,7 +68,7 @@ func TestSketchRecallAndScreening(t *testing.T) {
 	ctx := context.Background()
 
 	exactOpts := DefaultOptions()
-	exact, err := ComputeSequential(ds, exactOpts)
+	exact, err := run(ds, exactOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +79,7 @@ func TestSketchRecallAndScreening(t *testing.T) {
 
 	skOpts := DefaultOptions()
 	skOpts.Sketch = SketchOptions{Threshold: tau}
-	res, err := ComputeSequential(ds, skOpts)
+	res, err := run(ds, skOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +167,7 @@ func TestSketchEquivalenceGrid(t *testing.T) {
 	offOpts := DefaultOptions()
 	offOpts.Workers = 1
 	offOpts.DenseThreshold = -1
-	off, err := ComputeSequential(ds, offOpts)
+	off, err := run(ds, offOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +185,7 @@ func TestSketchEquivalenceGrid(t *testing.T) {
 					if size > 0 {
 						opts.SetExplicit(FieldSketchSize)
 					}
-					on, err := ComputeSequential(ds, opts)
+					on, err := run(ds, opts)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -234,11 +233,11 @@ func TestSketchEmptySamples(t *testing.T) {
 	ds := MustInMemoryDataset(nil, [][]uint64{{1, 2, 3}, {1, 2, 3}, nil, nil}, 10)
 	opts := DefaultOptions()
 	opts.Sketch = SketchOptions{Threshold: 0.5}
-	on, err := ComputeSequential(ds, opts)
+	on, err := run(ds, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	off, err := ComputeSequential(ds, DefaultOptions())
+	off, err := run(ds, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,15 +257,15 @@ func TestSketchEmptySamples(t *testing.T) {
 }
 
 // TestSketchValidation pins the configuration guards: prescreening is
-// sequential-only and its gate parameters must be sane; the legacy
-// distributed entry point refuses it outright.
+// single-process only — a one-rank transport selects the grid target and is
+// refused too — and its gate parameters must be sane.
 func TestSketchValidation(t *testing.T) {
-	ds := MustInMemoryDataset(nil, [][]uint64{{1}, {2}}, 10)
 	cases := []struct {
 		name string
 		opts func(*Options)
 	}{
 		{"procs", func(o *Options) { o.Procs = 4; o.Sketch = SketchOptions{Threshold: 0.8} }},
+		{"one-rank grid", func(o *Options) { *o = oneRankGrid(*o); o.Sketch = SketchOptions{Threshold: 0.8} }},
 		{"negative size", func(o *Options) { o.Sketch = SketchOptions{Size: -1, Threshold: 0.8} }},
 		{"no threshold", func(o *Options) { o.Sketch = SketchOptions{Size: 64} }},
 		{"threshold above one", func(o *Options) { o.Sketch = SketchOptions{Threshold: 1.5} }},
@@ -279,15 +278,6 @@ func TestSketchValidation(t *testing.T) {
 		if _, err := NewEngine(opts); err == nil {
 			t.Errorf("%s: NewEngine accepted invalid sketch options %+v", tc.name, opts.Sketch)
 		}
-	}
-
-	// The legacy Compute entry point always runs the BSP pipeline, which
-	// has no prescreening tier — even at Procs = 1 it must refuse rather
-	// than silently ignore the option.
-	opts := DefaultOptions()
-	opts.Sketch = SketchOptions{Threshold: 0.8}
-	if _, err := Compute(ds, opts); err == nil || !strings.Contains(err.Error(), "sequential") {
-		t.Errorf("legacy Compute with sketch options: err = %v, want sequential-path refusal", err)
 	}
 }
 
@@ -302,14 +292,14 @@ func TestSketchAutotune(t *testing.T) {
 
 	base := DefaultOptions()
 	base.Sketch = SketchOptions{Threshold: tau}
-	want, err := ComputeSequential(ds, base)
+	want, err := run(ds, base)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	auto := base
 	auto.Autotune = true
-	res, err := ComputeSequential(ds, auto)
+	res, err := run(ds, auto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +321,7 @@ func TestSketchAutotune(t *testing.T) {
 	pinned := auto
 	pinned.Sketch.Size = 128
 	pinned.SetExplicit(FieldSketchSize)
-	res2, err := ComputeSequential(ds, pinned)
+	res2, err := run(ds, pinned)
 	if err != nil {
 		t.Fatal(err)
 	}

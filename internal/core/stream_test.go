@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -240,5 +241,41 @@ func TestStreamRequiresSink(t *testing.T) {
 	ds := MustInMemoryDataset(nil, [][]uint64{{1}, {2}}, 10)
 	if _, err := e.Stream(context.Background(), ds, nil); err == nil {
 		t.Error("Stream(nil sink) must error")
+	}
+}
+
+// TestGatheredLocalRunHoldsThreeMatrices pins the output footprint of
+// Engine.Similarity on the local target: n² is the large term, and the run
+// may allocate B, S and D — the single emitted tile is the result itself —
+// but no fourth n×n buffer (a band copied into a collecting sink would).
+func TestGatheredLocalRunHoldsThreeMatrices(t *testing.T) {
+	const n = 512
+	rng := rand.New(rand.NewSource(13))
+	ds := randomDataset(rng, n, 4096, 0.002) // sparse: the batch cycle allocates little
+	opts := DefaultOptions()
+	opts.Workers = 1
+	opts.BatchCount = 2
+	e, err := NewEngine(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	res, err := e.Similarity(context.Background(), ds)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const matrices, slack = 3 * 8 * n * n, 1 << 20
+	if got := after.TotalAlloc - before.TotalAlloc; got > matrices+slack {
+		t.Errorf("gathered local run allocated %d bytes, want <= %d (three %d×%d matrices) + %d slack", got, matrices, n, n, slack)
+	}
+	if res.Stats.TilesEmitted != 1 || res.Stats.PeakTileWords != 3*n*n {
+		t.Errorf("gathered local run emitted %d tiles, peak %d words; want one tile of %d words",
+			res.Stats.TilesEmitted, res.Stats.PeakTileWords, 3*n*n)
+	}
+	if &res.S.Data[0] == &res.D.Data[0] || len(res.B.Data) != n*n {
+		t.Error("gathered matrices are not three distinct n×n buffers")
 	}
 }

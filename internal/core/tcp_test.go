@@ -69,7 +69,7 @@ func TestTCPEquivalence(t *testing.T) {
 				opts.BatchCount = batches
 				opts.Workers = 1
 
-				inProc, err := Compute(ds, opts)
+				inProc, err := run(ds, opts)
 				if err != nil {
 					t.Fatal(err)
 				}

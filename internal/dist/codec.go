@@ -12,9 +12,8 @@ import (
 
 // NewWireCodec returns the bsp.Codec for the distributed engine's traffic:
 // it serializes the SUMMA wire types this package exchanges between ranks —
-// coordinate entry slices, packed panels, positioned matrix blocks, and
-// result tiles — and delegates everything else (the collectives' primitive
-// payloads) to bsp.PlainCodec. The encoding is the PR 3 SUMMA wire form on
+// coordinate entry slices, packed panels, and result tiles — and delegates
+// everything else (the collectives' primitive payloads) to bsp.PlainCodec. The encoding is the PR 3 SUMMA wire form on
 // the wire byte for byte: a PackedEntry is the same 24-byte
 // (word row, column, mask word) triple the BSP accounting already charges.
 //
@@ -27,8 +26,6 @@ func NewWireCodec() bsp.Codec { return wireCodec{} }
 const (
 	kindEntrySlice = bsp.PlainCodecKindLimit + iota
 	kindPackedWire
-	kindBlockInt64
-	kindBlockFloat64
 	kindTile
 )
 
@@ -49,22 +46,6 @@ func (c wireCodec) Encode(v any) ([]byte, error) {
 			out = binary.LittleEndian.AppendUint64(out, uint64(d))
 		}
 		return appendEntries(out, x.Entries), nil
-	case blockWire[int64]:
-		out := make([]byte, 1, 1+32+8*len(x.Data))
-		out[0] = kindBlockInt64
-		out = appendBlockHeader(out, x.RowLo, x.ColLo, x.Rows, x.Cols)
-		for _, d := range x.Data {
-			out = binary.LittleEndian.AppendUint64(out, uint64(d))
-		}
-		return out, nil
-	case blockWire[float64]:
-		out := make([]byte, 1, 1+32+8*len(x.Data))
-		out[0] = kindBlockFloat64
-		out = appendBlockHeader(out, x.RowLo, x.ColLo, x.Rows, x.Cols)
-		for _, d := range x.Data {
-			out = binary.LittleEndian.AppendUint64(out, math.Float64bits(d))
-		}
-		return out, nil
 	case *tile.Tile:
 		out := make([]byte, 1, 1+56+8*(len(x.B)+len(x.S)+len(x.D)))
 		out[0] = kindTile
@@ -117,26 +98,6 @@ func (c wireCodec) Decode(data []byte) (any, error) {
 			ActiveRows:     dims[3],
 			DenseThreshold: dims[4],
 		}, nil
-	case kindBlockInt64:
-		hdr, words, err := parseBlockBody(body)
-		if err != nil {
-			return nil, err
-		}
-		w := blockWire[int64]{RowLo: hdr[0], ColLo: hdr[1], Rows: hdr[2], Cols: hdr[3], Data: make([]int64, len(words))}
-		for i, u := range words {
-			w.Data[i] = int64(u)
-		}
-		return w, nil
-	case kindBlockFloat64:
-		hdr, words, err := parseBlockBody(body)
-		if err != nil {
-			return nil, err
-		}
-		w := blockWire[float64]{RowLo: hdr[0], ColLo: hdr[1], Rows: hdr[2], Cols: hdr[3], Data: make([]float64, len(words))}
-		for i, u := range words {
-			w.Data[i] = math.Float64frombits(u)
-		}
-		return w, nil
 	case kindTile:
 		if len(body) < 56 {
 			return nil, fmt.Errorf("dist: wire codec: tile header %d bytes, want >= 56", len(body))
@@ -193,30 +154,4 @@ func parseEntries(body []byte) (entrySlice, error) {
 		}
 	}
 	return out, nil
-}
-
-func appendBlockHeader(out []byte, rowLo, colLo, rows, cols int) []byte {
-	for _, d := range []int{rowLo, colLo, rows, cols} {
-		out = binary.LittleEndian.AppendUint64(out, uint64(d))
-	}
-	return out
-}
-
-func parseBlockBody(body []byte) ([4]int, []uint64, error) {
-	var hdr [4]int
-	if len(body) < 32 {
-		return hdr, nil, fmt.Errorf("dist: wire codec: block header %d bytes, want >= 32", len(body))
-	}
-	for i := range hdr {
-		hdr[i] = int(binary.LittleEndian.Uint64(body[8*i:]))
-	}
-	rest := body[32:]
-	if len(rest)%8 != 0 {
-		return hdr, nil, fmt.Errorf("dist: wire codec: block payload %d bytes not a multiple of 8", len(rest))
-	}
-	words := make([]uint64, len(rest)/8)
-	for i := range words {
-		words[i] = binary.LittleEndian.Uint64(rest[8*i:])
-	}
-	return hdr, words, nil
 }

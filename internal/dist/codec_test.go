@@ -31,8 +31,6 @@ func TestWireCodecRoundTrips(t *testing.T) {
 		entries,
 		entrySlice{},
 		packedWire{Entries: entries, WordRows: 8, Cols: 4, B: 512, ActiveRows: 100, DenseThreshold: -1},
-		blockWire[int64]{RowLo: 2, ColLo: 5, Rows: 2, Cols: 3, Data: []int64{1, -2, 3, 4, 5, 6}},
-		blockWire[float64]{RowLo: 0, ColLo: 0, Rows: 1, Cols: 2, Data: []float64{0.25, -1.5}},
 		&tile.Tile{RowLo: 4, ColLo: 8, Rows: 2, Cols: 2,
 			B: []int64{1, 2, 3, 4}, S: []float64{0.1, 0.2, 0.3, 0.4}, D: []float64{0.9, 0.8, 0.7, 0.6}},
 		// Primitive payloads fall through to PlainCodec.
@@ -81,7 +79,6 @@ func TestWireCodecRejectsCorruptPayloads(t *testing.T) {
 		{},
 		{kindEntrySlice, 1, 2, 3}, // not a multiple of 24
 		{kindPackedWire, 0},       // truncated header
-		{kindBlockInt64, 9},       // truncated header
 		{kindTile},                // truncated header
 		append([]byte{kindPackedWire}, make([]byte, 48)...)[:40], // short
 	}

@@ -6,11 +6,11 @@
 // over the BSP runtime (Eq. 4, 7) before deriving S and D blockwise
 // (Eq. 2).
 //
-// The package is consumed by internal/core: both the distributed Compute
-// path and the single-process ComputeSequential path share the compaction
-// primitive (Compact) and the Eq. 2 scalar (Jaccard), so the
-// two execution modes are algebraically the same pipeline and differ only
-// in where the data lives.
+// The package is consumed by internal/core, whose one batch loop runs
+// against either a local or a grid target: both share the compaction
+// primitive (Compact) and the Eq. 2 row derivation (JaccardRow), so the two
+// are algebraically the same pipeline and differ only in where the data
+// lives.
 package dist
 
 import (
@@ -80,13 +80,25 @@ func (c *Context) LayerWordRows(wordRows int) (lo, hi int) {
 // the J(∅, ∅) = 0 convention when the union is empty — an empty sample
 // shares nothing with anything, so it must not pair as a perfect match in
 // thresholded runs (the same convention minhash.EstimateJaccard uses, so
-// the sketch prescreen and the exact tier agree on degenerate pairs). It
-// is the single Eq. 2 implementation shared by the sequential
-// finalization in internal/core and the blockwise derivation in Blocks.
+// the sketch prescreen and the exact tier agree on degenerate pairs).
 func Jaccard(bij, ci, cj int64) float64 {
 	union := ci + cj - bij
 	if union == 0 {
 		return 0
 	}
 	return float64(bij) / float64(union)
+}
+
+// JaccardRow derives one row of S and of D = 1 − S from the matching row
+// of B (Eq. 2): ci is the row sample's cardinality and cj[k] the
+// cardinality of the sample in column k. It is the one derivation behind
+// every result tile — the local target's row bands in internal/core and
+// the grid's result blocks (Blocks) — which is what keeps their outputs
+// byte-identical.
+func JaccardRow(srow, drow []float64, brow []int64, ci int64, cj []int64) {
+	for k, b := range brow {
+		s := Jaccard(b, ci, cj[k])
+		srow[k] = s
+		drow[k] = 1 - s
+	}
 }

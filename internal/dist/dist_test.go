@@ -11,6 +11,7 @@ import (
 	"genomeatscale/internal/bsp"
 	"genomeatscale/internal/semiring"
 	"genomeatscale/internal/sparse"
+	"genomeatscale/internal/tile"
 )
 
 func TestContextGridAndOwnership(t *testing.T) {
@@ -156,6 +157,22 @@ func randomPacked(rng *rand.Rand, activeRows, cols, maskBits int) *bitmat.Packed
 	return bitmat.PackColumns(rowsPerCol, activeRows, maskBits)
 }
 
+// collectTiles gathers a run's result the way the engine does: every rank
+// joins the EmitTiles collective and rank 0 assembles the tiles in a
+// collecting sink (nil elsewhere).
+func collectTiles(p *bsp.Proc, blocks *Blocks, n int) (*tile.Collect, error) {
+	var c *tile.Collect
+	emit := func(*tile.Tile) error { return nil }
+	if p.Rank() == 0 {
+		c = tile.NewCollect()
+		if err := c.Start(n, nil); err != nil {
+			return nil, err
+		}
+		emit = c.Emit
+	}
+	return c, blocks.EmitTiles(0, emit)
+}
+
 // TestGramEngineMatchesLocalGram feeds the engine a random batch (entries
 // distributed by cyclic column ownership, as core does) and checks the
 // gathered B against the single-process Gram of the same packed matrix,
@@ -195,12 +212,11 @@ func TestGramEngineMatchesLocalGram(t *testing.T) {
 				}
 				engine.AddBatch(mine, packed.WordRows, cfg.maskBits, activeRows)
 				blocks := engine.Finalize(counts)
-				b := blocks.GatherB(0)
-				s := blocks.GatherS(0)
+				c, err := collectTiles(p, blocks, cfg.cols)
 				if p.Rank() == 0 {
-					got, gotS = b, s
+					got, gotS = c.B(), c.S()
 				}
-				return nil
+				return err
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -259,11 +275,11 @@ func TestGramEngineAccumulatesBatches(t *testing.T) {
 			engine.AddBatch(mine, batch.WordRows, maskBits, batch.ActiveRows)
 		}
 		blocks := engine.Finalize(counts)
-		res := blocks.GatherB(0)
+		c, err := collectTiles(p, blocks, cols)
 		if p.Rank() == 0 {
-			got = res
+			got = c.B()
 		}
-		return nil
+		return err
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -283,11 +299,11 @@ func TestGramEngineEmptyBatch(t *testing.T) {
 			engine := NewGramEngine(ctx, 5, 1, bitmat.DenseAuto)
 			engine.AddBatch(nil, 0, 64, 0)
 			blocks := engine.Finalize(make([]int64, 5))
-			res := blocks.GatherB(0)
+			c, err := collectTiles(p, blocks, 5)
 			if p.Rank() == 0 {
-				got = res
+				got = c.B()
 			}
-			return nil
+			return err
 		})
 		if err != nil {
 			t.Fatalf("procs=%d: %v", procs, err)

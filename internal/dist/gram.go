@@ -221,7 +221,7 @@ func (e *GramEngine) Finalize(counts []int64) *Blocks {
 	}
 	p.Sync()
 	bl := &Blocks{
-		ctx: e.ctx, n: e.n, counts: counts, workers: e.workers,
+		ctx: e.ctx, counts: counts, workers: e.workers,
 		rowLo: e.rowLo, rowHi: e.rowHi, colLo: e.colLo, colHi: e.colHi,
 	}
 	if e.ctx.Layer != 0 {
@@ -247,7 +247,6 @@ func (e *GramEngine) Finalize(counts []int64) *Blocks {
 // without further communication (Eq. 2).
 type Blocks struct {
 	ctx     *Context
-	n       int
 	counts  []int64
 	workers int // shared-memory workers for the blockwise Eq. 2 derivation
 
@@ -256,78 +255,26 @@ type Blocks struct {
 	b *sparse.Dense[int64] // nil on layers > 0
 }
 
-// BBlock returns this rank's block of B (nil on layers > 0) and its row and
-// column offsets in the global matrix.
-func (bl *Blocks) BBlock() (block *sparse.Dense[int64], rowLo, colLo int) {
-	return bl.b, bl.rowLo, bl.colLo
-}
-
-// SBlock derives this rank's block of the similarity matrix S from its B
-// block via the shared Eq. 2 scalar (nil on layers > 0). The derivation is
-// row-parallel on the rank's worker pool: each output row is owned by one
-// index, so the writes are disjoint.
-func (bl *Blocks) SBlock() *sparse.Dense[float64] {
-	if bl.b == nil {
-		return nil
-	}
-	out := sparse.MustDense[float64](bl.rowHi-bl.rowLo, bl.colHi-bl.colLo)
-	par.ForEach(bl.workers, bl.rowHi-bl.rowLo, func(i int) {
-		brow := bl.b.Row(i)
-		srow := out.Row(i)
-		for j := bl.colLo; j < bl.colHi; j++ {
-			srow[j-bl.colLo] = Jaccard(brow[j-bl.colLo], bl.counts[bl.rowLo+i], bl.counts[j])
-		}
+// tile derives this rank's block of S and D from its B block (Eq. 2) and
+// returns the three as one positioned tile. The derivation is row-parallel
+// on the rank's worker pool: each output row is owned by one index, so the
+// writes are disjoint.
+func (bl *Blocks) tile() *tile.Tile {
+	rows, cols := bl.rowHi-bl.rowLo, bl.colHi-bl.colLo
+	s := make([]float64, rows*cols)
+	d := make([]float64, rows*cols)
+	par.ForEach(bl.workers, rows, func(i int) {
+		JaccardRow(s[i*cols:(i+1)*cols], d[i*cols:(i+1)*cols], bl.b.Row(i), bl.counts[bl.rowLo+i], bl.counts[bl.colLo:bl.colHi])
 	})
-	return out
+	return &tile.Tile{RowLo: bl.rowLo, ColLo: bl.colLo, Rows: rows, Cols: cols, B: bl.b.Data, S: s, D: d}
 }
 
-// DBlock derives this rank's block of the distance matrix D = 1 − S (nil on
-// layers > 0).
-func (bl *Blocks) DBlock() *sparse.Dense[float64] {
-	s := bl.SBlock()
-	if s == nil {
-		return nil
-	}
-	return sparse.Map(s, func(v float64) float64 { return 1 - v })
-}
-
-// blockWire carries one positioned dense block to the gathering root.
-type blockWire[T int64 | float64] struct {
-	RowLo, ColLo, Rows, Cols int
-	Data                     []T
-}
-
-// ByteSize implements bsp.ByteSizer: the payload plus four position words.
-func (w blockWire[T]) ByteSize() int { return 8*len(w.Data) + 32 }
-
-// gatherBlocks assembles positioned blocks into the full n×n matrix at
-// root; every rank must call it (it is a collective), non-root ranks and
-// non-zero layers contribute empty blocks and receive nil.
-func gatherBlocks[T int64 | float64](ctx *Context, n int, root int, block *sparse.Dense[T], rowLo, colLo int) *sparse.Dense[T] {
-	var w blockWire[T]
-	if block != nil {
-		w = blockWire[T]{RowLo: rowLo, ColLo: colLo, Rows: block.Rows, Cols: block.Cols, Data: block.Data}
-	}
-	parts := bsp.Gather(ctx.P, root, w)
-	if ctx.P.Rank() != root {
-		return nil
-	}
-	out := sparse.MustDense[T](n, n)
-	for _, part := range parts {
-		for i := 0; i < part.Rows; i++ {
-			copy(out.Row(part.RowLo + i)[part.ColLo:part.ColLo+part.Cols], part.Data[i*part.Cols:(i+1)*part.Cols])
-		}
-	}
-	return out
-}
-
-// EmitTiles is the streaming counterpart of the full gathers: every
-// layer-0 rank finalizes its block of the result — deriving S and D from B
-// via Eq. 2 — and ships it to root as one positioned tile carrying all
-// three matrices; root invokes emit once per non-empty tile without ever
-// assembling the n×n matrices. The legacy full gather is this collective
-// driving a tile-collecting sink, and SkipGather is this collective never
-// invoked.
+// EmitTiles is how the result leaves the grid: every layer-0 rank
+// finalizes its block of the result — deriving S and D from B via Eq. 2 —
+// and ships it to root as one positioned tile carrying all three matrices;
+// root invokes emit once per non-empty tile without ever assembling the
+// n×n matrices. A full gather is this collective driving a tile-collecting
+// sink.
 //
 // Emission is staggered one grid block per superstep, in (RowLo, ColLo)
 // order: a block's S and D are derived lazily on its owner just before its
@@ -349,13 +296,7 @@ func (bl *Blocks) EmitTiles(root int, emit func(*tile.Tile) error) error {
 			owner := g.Rank(s, t, 0)
 			var local *tile.Tile
 			if p.Rank() == owner && bl.b != nil && bl.rowHi > bl.rowLo && bl.colHi > bl.colLo {
-				sb := bl.SBlock()
-				db := sparse.Map(sb, func(v float64) float64 { return 1 - v })
-				local = &tile.Tile{
-					RowLo: bl.rowLo, ColLo: bl.colLo,
-					Rows: bl.rowHi - bl.rowLo, Cols: bl.colHi - bl.colLo,
-					B: bl.b.Data, S: sb.Data, D: db.Data,
-				}
+				local = bl.tile()
 				if p.Rank() != root {
 					p.Send(root, tagTileEmit, local)
 					local = nil
@@ -380,20 +321,4 @@ func (bl *Blocks) EmitTiles(root int, emit func(*tile.Tile) error) error {
 		}
 	}
 	return nil
-}
-
-// GatherB assembles the full intersection matrix B at root (nil elsewhere).
-// Like all gathers, it must be called by every rank.
-func (bl *Blocks) GatherB(root int) *sparse.Dense[int64] {
-	return gatherBlocks(bl.ctx, bl.n, root, bl.b, bl.rowLo, bl.colLo)
-}
-
-// GatherS assembles the full similarity matrix S at root (nil elsewhere).
-func (bl *Blocks) GatherS(root int) *sparse.Dense[float64] {
-	return gatherBlocks(bl.ctx, bl.n, root, bl.SBlock(), bl.rowLo, bl.colLo)
-}
-
-// GatherD assembles the full distance matrix D at root (nil elsewhere).
-func (bl *Blocks) GatherD(root int) *sparse.Dense[float64] {
-	return gatherBlocks(bl.ctx, bl.n, root, bl.DBlock(), bl.rowLo, bl.colLo)
 }

@@ -7,6 +7,7 @@
 package docsim
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"unicode"
@@ -107,10 +108,11 @@ func (c *Corpus) Similarity(opts core.Options) (*core.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if opts.Procs > 1 {
-		return core.Compute(ds, opts)
+	e, err := core.NewEngine(opts)
+	if err != nil {
+		return nil, err
 	}
-	return core.ComputeSequential(ds, opts)
+	return e.Similarity(context.TODO(), ds)
 }
 
 // MostSimilar returns, for document index i, the index of the most similar

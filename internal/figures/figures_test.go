@@ -104,6 +104,36 @@ func TestFig2aShape(t *testing.T) {
 	}
 }
 
+// TestMeasuredRunOneRankRow: a one-rank run is a single process with no BSP
+// runtime (Stats.Comm is nil); its row reports 0 bytes in 0 supersteps
+// instead of dereferencing the missing statistics.
+func TestMeasuredRunOneRankRow(t *testing.T) {
+	ds, err := kingsfordProxy(Small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	row, res, err := measuredRun(ds, 1, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.Comm != nil {
+		t.Fatal("one-rank run started a BSP runtime")
+	}
+	if len(row) != len(measuredHeader) {
+		t.Fatalf("row has %d cells, header %d", len(row), len(measuredHeader))
+	}
+	if parseLeadingFloat(t, row[5]) != 0 || row[6] != "0" {
+		t.Errorf("one-rank row reports comm %q in %q supersteps, want 0 and 0", row[5], row[6])
+	}
+	multi, _, err := measuredRun(ds, 4, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if parseLeadingFloat(t, multi[5]) <= 0 || multi[6] == "0" {
+		t.Errorf("four-rank row reports no communication: %v", multi)
+	}
+}
+
 func TestFig2bShape(t *testing.T) {
 	tables, err := Fig2bBIGSIStrongScaling(Small)
 	if err != nil {

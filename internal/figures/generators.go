@@ -1,14 +1,17 @@
 package figures
 
 import (
+	"context"
 	"fmt"
 
+	"genomeatscale/internal/bsp"
 	"genomeatscale/internal/core"
 	"genomeatscale/internal/costmodel"
 	"genomeatscale/internal/dataset"
 	"genomeatscale/internal/minhash"
 	"genomeatscale/internal/stats"
 	"genomeatscale/internal/synth"
+	"genomeatscale/internal/tile"
 )
 
 // Table2 reproduces Table II: the scale comparison of alignment-free
@@ -50,32 +53,41 @@ func projectionTable(title string, points []costmodel.ScalingPoint, longRun bool
 	return t
 }
 
-// measuredRun executes the distributed pipeline on ds with the given
-// configuration and returns a formatted row plus the result.
+// measuredRun executes the pipeline on ds with the given configuration,
+// discarding the output, and returns a formatted row plus the result. A
+// one-rank run is a single process that starts no BSP runtime, so its row
+// reports the true communication of one process: 0 bytes in 0 supersteps.
 func measuredRun(ds core.Dataset, ranks, batches, replication int) ([]string, *core.Result, error) {
 	opts := core.DefaultOptions()
 	opts.Procs = ranks
 	opts.BatchCount = batches
 	opts.Replication = replication
-	opts.SkipGather = true
-	res, err := core.Compute(ds, opts)
+	e, err := core.NewEngine(opts)
 	if err != nil {
 		return nil, nil, err
+	}
+	res, err := e.Stream(context.TODO(), ds, tile.Discard)
+	if err != nil {
+		return nil, nil, err
+	}
+	comm := res.Stats.Comm
+	if comm == nil {
+		comm = &bsp.Stats{}
 	}
 	warmup := 0
 	if batches > 2 {
 		warmup = 1
 	}
 	batchSummary := stats.BatchSummary(res.Stats.BatchSeconds, warmup)
-	projected := costmodel.TimeFromStats(costmodel.Stampede2KNL(), res.Stats.Comm)
+	projected := costmodel.TimeFromStats(costmodel.Stampede2KNL(), comm)
 	row := []string{
 		itoa(ranks),
 		itoa(replication),
 		itoa(batches),
 		seconds(batchSummary.Mean),
 		seconds(res.Stats.TotalSeconds),
-		mb(float64(res.Stats.Comm.TotalBytes)),
-		itoa(res.Stats.Comm.Supersteps),
+		mb(float64(comm.TotalBytes)),
+		itoa(comm.Supersteps),
 		seconds(projected),
 	}
 	return row, res, nil
@@ -365,7 +377,7 @@ func AccuracyExactVsMinHash(scale Scale) (Table, error) {
 		if err != nil {
 			return Table{}, err
 		}
-		res, err := core.ComputeSequential(ds, core.DefaultOptions())
+		res, err := gathered(ds, core.DefaultOptions())
 		if err != nil {
 			return Table{}, err
 		}
@@ -425,7 +437,16 @@ func runWithMask(ds core.Dataset, maskBits int) (*core.Result, error) {
 	opts.Procs = 4
 	opts.BatchCount = 2
 	opts.MaskBits = maskBits
-	return core.Compute(ds, opts)
+	return gathered(ds, opts)
+}
+
+// gathered runs the pipeline once and assembles the full matrices.
+func gathered(ds core.Dataset, opts core.Options) (*core.Result, error) {
+	e, err := core.NewEngine(opts)
+	if err != nil {
+		return nil, err
+	}
+	return e.Similarity(context.TODO(), ds)
 }
 
 func sameSimilarity(a, b *core.Result) bool {

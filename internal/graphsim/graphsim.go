@@ -8,6 +8,7 @@
 package graphsim
 
 import (
+	"context"
 	"fmt"
 	"slices"
 
@@ -90,10 +91,11 @@ func VertexSimilarity(g *Graph, opts core.Options) (*core.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if opts.Procs > 1 {
-		return core.Compute(ds, opts)
+	e, err := core.NewEngine(opts)
+	if err != nil {
+		return nil, err
 	}
-	return core.ComputeSequential(ds, opts)
+	return e.Similarity(context.TODO(), ds)
 }
 
 // JarvisPatrick clusters vertices with the Jarvis–Patrick rule the paper

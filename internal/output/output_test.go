@@ -2,6 +2,7 @@ package output
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"path/filepath"
 	"strings"
@@ -18,7 +19,11 @@ func sampleResult(t *testing.T) ([]string, *sparse.Dense[float64], *sparse.Dense
 		[][]uint64{{1, 2, 3}, {2, 3, 4}, {50}},
 		100,
 	)
-	res, err := core.ComputeSequential(ds, core.DefaultOptions())
+	e, err := core.NewEngine(core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := e.Similarity(context.Background(), ds)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package samplefile
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"os"
@@ -195,7 +196,7 @@ func TestPrefetchEvictionBound(t *testing.T) {
 
 	opts := core.DefaultOptions()
 	opts.BatchCount = 3
-	res, err := core.ComputeSequential(ds, opts)
+	res, err := similarity(ds, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +219,7 @@ func TestPrefetchEvictionBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	memRes, err := core.ComputeSequential(mem, opts)
+	memRes, err := similarity(mem, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +241,7 @@ func TestPrefetchEvictionBound(t *testing.T) {
 	}
 	dopts := opts
 	dopts.Procs = procs
-	dres, err := core.Compute(dds, dopts)
+	dres, err := similarity(dds, dopts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +261,7 @@ func TestDirDatasetMatchesInMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := core.ComputeSequential(mem, core.DefaultOptions())
+	ref, err := similarity(mem, core.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,12 +274,7 @@ func TestDirDatasetMatchesInMemory(t *testing.T) {
 			opts := core.DefaultOptions()
 			opts.Procs = procs
 			opts.BatchCount = 2
-			var res *core.Result
-			if procs > 1 {
-				res, err = core.Compute(ds, opts)
-			} else {
-				res, err = core.ComputeSequential(ds, opts)
-			}
+			res, err := similarity(ds, opts)
 			if err != nil {
 				t.Fatalf("prefetch=%d procs=%d: %v", prefetch, procs, err)
 			}
@@ -383,4 +379,13 @@ func TestLoadRange(t *testing.T) {
 	if err := ds2.LoadRange(0, n); err == nil {
 		t.Error("LoadRange over a corrupt file should report the error")
 	}
+}
+
+// similarity runs the pipeline once over ds and gathers the result.
+func similarity(ds core.Dataset, opts core.Options) (*core.Result, error) {
+	e, err := core.NewEngine(opts)
+	if err != nil {
+		return nil, err
+	}
+	return e.Similarity(context.Background(), ds)
 }

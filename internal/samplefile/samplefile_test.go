@@ -185,7 +185,7 @@ func TestOpenDirAsDataset(t *testing.T) {
 
 	// The directory-backed dataset must plug straight into the pipeline and
 	// agree with the exact reference.
-	res, err := core.ComputeSequential(ds, core.DefaultOptions())
+	res, err := similarity(ds, core.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func TestOpenDirAsDataset(t *testing.T) {
 	opts := core.DefaultOptions()
 	opts.Procs = 3
 	opts.BatchCount = 2
-	dres, err := core.Compute(ds, opts)
+	dres, err := similarity(ds, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

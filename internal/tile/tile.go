@@ -84,10 +84,8 @@ func Flush(s Sink) error {
 // --- Collect -----------------------------------------------------------------
 
 // Collect reassembles the emitted tiles into full dense B, S and D
-// matrices. It is the streaming equivalent of the legacy rank-0 gather:
-// running Engine.Stream with a Collect sink produces matrices
-// byte-identical to the ones Engine.Similarity returns, and the legacy
-// full-gather path is implemented as exactly this sink.
+// matrices: running Engine.Stream with a Collect sink produces matrices
+// byte-identical to the ones Engine.Similarity returns.
 type Collect struct {
 	n     int
 	names []string
@@ -296,8 +294,7 @@ func (s *ThresholdSink) Pairs() []Pair {
 }
 
 // DiscardSink drops every tile. Streaming into it computes the run (and its
-// statistics) without materialising any output — the degenerate sink the
-// legacy SkipGather option reduces to.
+// statistics) without materialising any output.
 type DiscardSink struct{}
 
 // Emit drops the tile.

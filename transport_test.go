@@ -21,10 +21,7 @@ func TestFacadeTCPTransport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := Similarity(ds, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	seq := gather(t, ds)
 
 	peers := make([]string, 2)
 	for i := range peers {
