@@ -56,7 +56,7 @@ func BindCompute(fs *flag.FlagSet) *ComputeFlags {
 		Replication:    fs.Int("replication", 1, "processor-grid replication factor c"),
 		Workers:        fs.Int("workers", 0, "shared-memory worker goroutines per process for the Gram kernel, packing and finalization (0 = one per CPU, 1 = serial)"),
 		DenseThreshold: fs.Int("dense-threshold", 0, "stored-word count at which a packed column is held as a dense slab (0 = auto ≈ ¼ of the word rows, negative = always sparse)"),
-		TileRows:       fs.Int("tile-rows", 0, "row-band height of streamed output tiles on the sequential path (0 = default)"),
+		TileRows:       fs.Int("tile-rows", 0, "row-band height of streamed output tiles on a local (-procs 1) run (0 = default)"),
 		TopK:           fs.Int("top-k", 0, "stream only the k most similar sample pairs instead of gathering the full matrix (0 = off)"),
 		Threshold:      fs.Float64("threshold", -1, "stream only the sample pairs with similarity at or above this value instead of gathering the full matrix (negative = off)"),
 		SketchK:        fs.Int("sketch-k", 0, "MinHash-prescreen -threshold runs with bottom-k sketches of this size: pairs estimated below threshold-slack skip the exact kernel (0 = off, negative = auto-sized from threshold and slack)"),

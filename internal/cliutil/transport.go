@@ -88,7 +88,7 @@ func (f *TransportFlags) Setup(opts *core.Options) (func() error, error) {
 
 // PrintComm reports a run's BSP communication accounting and — for runs
 // over a remote transport — the wire-level counters beneath it. It prints
-// nothing for sequential runs.
+// nothing for local (single-process, no transport) runs.
 func PrintComm(w io.Writer, s *core.RunStats) {
 	if s.Comm != nil {
 		fmt.Fprintf(w, "communication: %d supersteps, %.2f MiB total\n",

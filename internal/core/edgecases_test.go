@@ -33,18 +33,18 @@ func TestComputeMoreRanksThanSamples(t *testing.T) {
 
 func TestComputeSingleSample(t *testing.T) {
 	ds := MustInMemoryDataset([]string{"only"}, [][]uint64{{5, 7, 9}}, 20)
-	for _, procs := range []int{1, 3} {
-		opts := DefaultOptions()
-		opts.Procs = procs
+	grid := DefaultOptions()
+	grid.Procs = 3
+	for name, opts := range map[string]Options{"local": DefaultOptions(), "one-rank grid": oneRankGrid(DefaultOptions()), "grid": grid} {
 		res, err := run(ds, opts)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", name, err)
 		}
 		if res.N != 1 || !approxEqual(res.Similarity(0, 0), 1) {
-			t.Fatalf("procs=%d: self-similarity must be 1", procs)
+			t.Fatalf("%s: self-similarity must be 1", name)
 		}
 		if res.Cardinalities[0] != 3 {
-			t.Fatalf("cardinality = %d", res.Cardinalities[0])
+			t.Fatalf("%s: cardinality = %d", name, res.Cardinalities[0])
 		}
 	}
 }
@@ -96,7 +96,7 @@ func TestComputeBatchCountExceedsAttributes(t *testing.T) {
 
 func TestComputeMaskBitsOne(t *testing.T) {
 	// b = 1 disables the packing benefit entirely (one row per word) but the
-	// algorithm must still be correct on both paths.
+	// algorithm must still be correct on both targets.
 	rng := rand.New(rand.NewSource(55))
 	ds := randomDataset(rng, 6, 300, 0.05)
 	exact := ExactJaccard(ds)
@@ -104,13 +104,7 @@ func TestComputeMaskBitsOne(t *testing.T) {
 		opts := DefaultOptions()
 		opts.MaskBits = 1
 		opts.Procs = procs
-		var res *Result
-		var err error
-		if procs == 1 {
-			res, err = run(ds, opts)
-		} else {
-			res, err = run(ds, opts)
-		}
+		res, err := run(ds, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,11 +116,12 @@ func TestComputeMaskBitsOne(t *testing.T) {
 
 func TestComputeRejectsHugeUniverse(t *testing.T) {
 	ds := MustInMemoryDataset(nil, [][]uint64{{1}, {2}}, uint64(1)<<63)
-	if _, err := run(ds, DefaultOptions()); err == nil {
-		t.Error("universe beyond 2^62 should be rejected by the distributed path")
-	}
-	if _, err := run(ds, DefaultOptions()); err == nil {
-		t.Error("universe beyond 2^62 should be rejected by the sequential path too")
+	grid := DefaultOptions()
+	grid.Procs = 4
+	for name, opts := range map[string]Options{"local": DefaultOptions(), "one-rank grid": oneRankGrid(DefaultOptions()), "grid": grid} {
+		if _, err := run(ds, opts); err == nil {
+			t.Errorf("%s: universe beyond 2^62 should be rejected", name)
+		}
 	}
 }
 

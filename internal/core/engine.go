@@ -270,10 +270,10 @@ func (sr *sinkRunner) flush() error {
 // run at three n×n matrices — B is the Gram accumulator itself, S and D
 // the single band — which matters because n² is the large output term.
 type collector struct {
-	n int
-	b *sparse.Dense[int64]
-	s *sparse.Dense[float64]
-	d *sparse.Dense[float64]
+	n       int
+	b       *sparse.Dense[int64]
+	s, d    *sparse.Dense[float64]
+	partial *tile.Collect // assembles tiles smaller than the output
 }
 
 func (c *collector) Start(n int, _ []string) error {
@@ -289,16 +289,12 @@ func (c *collector) Emit(t *Tile) error {
 		c.d = &sparse.Dense[float64]{Rows: n, Cols: n, Data: t.D}
 		return nil
 	}
-	if c.b == nil {
-		c.b = sparse.MustDense[int64](n, n)
-		c.s = sparse.MustDense[float64](n, n)
-		c.d = sparse.MustDense[float64](n, n)
+	if c.partial == nil {
+		c.partial = tile.NewCollect()
+		if err := c.partial.Start(n, nil); err != nil {
+			return err
+		}
+		c.b, c.s, c.d = c.partial.B(), c.partial.S(), c.partial.D()
 	}
-	for i := 0; i < t.Rows; i++ {
-		at := (t.RowLo+i)*n + t.ColLo
-		copy(c.b.Data[at:at+t.Cols], t.B[i*t.Cols:(i+1)*t.Cols])
-		copy(c.s.Data[at:at+t.Cols], t.S[i*t.Cols:(i+1)*t.Cols])
-		copy(c.d.Data[at:at+t.Cols], t.D[i*t.Cols:(i+1)*t.Cols])
-	}
-	return nil
+	return c.partial.Emit(t)
 }

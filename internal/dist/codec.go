@@ -13,9 +13,9 @@ import (
 // NewWireCodec returns the bsp.Codec for the distributed engine's traffic:
 // it serializes the SUMMA wire types this package exchanges between ranks —
 // coordinate entry slices, packed panels, and result tiles — and delegates
-// everything else (the collectives' primitive payloads) to bsp.PlainCodec. The encoding is the PR 3 SUMMA wire form on
-// the wire byte for byte: a PackedEntry is the same 24-byte
-// (word row, column, mask word) triple the BSP accounting already charges.
+// everything else (the collectives' primitive payloads) to bsp.PlainCodec.
+// A PackedEntry travels as the same 24-byte (word row, column, mask word)
+// triple the BSP accounting charges.
 //
 // Kind bytes at and above bsp.PlainCodecKindLimit identify the dist types;
 // the layout is fixed little-endian with explicit lengths, so equal values
@@ -26,6 +26,10 @@ func NewWireCodec() bsp.Codec { return wireCodec{} }
 const (
 	kindEntrySlice = bsp.PlainCodecKindLimit + iota
 	kindPackedWire
+	// Two retired block kinds: their slots stay reserved so kindTile keeps
+	// its byte and a peer from an older build cannot take a tile for a block.
+	_
+	_
 	kindTile
 )
 

@@ -71,6 +71,11 @@ func TestWireCodecDeterministic(t *testing.T) {
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("equal values encoded differently")
 	}
+	// The kind bytes are the wire format: retiring a kind must not renumber
+	// the ones after it, or ranks built from different commits misdecode.
+	if kindEntrySlice != 0x40 || kindPackedWire != 0x41 || kindTile != 0x44 {
+		t.Fatalf("wire kinds moved: entries %#x, panel %#x, tile %#x", kindEntrySlice, kindPackedWire, kindTile)
+	}
 }
 
 func TestWireCodecRejectsCorruptPayloads(t *testing.T) {

@@ -71,7 +71,7 @@ func (f *FilterVector) Replicate() []int64 {
 
 // Compact sorts a copy of rows and removes duplicates. It is the local
 // (communication-free) form of the filter construction, used by Replicate
-// on each rank's writes and by the sequential path in internal/core, which
+// on each rank's writes and by the local target in internal/core, which
 // sees every sample and therefore needs no exchange.
 func Compact(rows []int64) []int64 {
 	if len(rows) == 0 {

@@ -112,7 +112,7 @@ func (c *Corpus) Similarity(opts core.Options) (*core.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return e.Similarity(context.TODO(), ds)
+	return e.Similarity(context.Background(), ds)
 }
 
 // MostSimilar returns, for document index i, the index of the most similar

@@ -66,7 +66,7 @@ func measuredRun(ds core.Dataset, ranks, batches, replication int) ([]string, *c
 	if err != nil {
 		return nil, nil, err
 	}
-	res, err := e.Stream(context.TODO(), ds, tile.Discard)
+	res, err := e.Stream(context.Background(), ds, tile.Discard)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -446,7 +446,7 @@ func gathered(ds core.Dataset, opts core.Options) (*core.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return e.Similarity(context.TODO(), ds)
+	return e.Similarity(context.Background(), ds)
 }
 
 func sameSimilarity(a, b *core.Result) bool {

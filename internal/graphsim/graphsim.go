@@ -95,7 +95,7 @@ func VertexSimilarity(g *Graph, opts core.Options) (*core.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return e.Similarity(context.TODO(), ds)
+	return e.Similarity(context.Background(), ds)
 }
 
 // JarvisPatrick clusters vertices with the Jarvis–Patrick rule the paper

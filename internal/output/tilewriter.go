@@ -37,9 +37,9 @@ const (
 
 // TileWriter is a tile sink that serialises one matrix of a streaming run
 // as CSV, TSV or PHYLIP, writing each output row as soon as it is
-// complete. Rows arrive in order on both execution paths (the sequential
-// path emits full-width row bands, the distributed path emits grid blocks
-// sorted by position), so the writer holds only the rows of the current
+// complete. Rows arrive in order from both targets (a local run emits
+// full-width row bands, a grid run emits grid blocks sorted by
+// position), so the writer holds only the rows of the current
 // row band — never the full n×n matrix. The byte output is identical to
 // running WriteTSV / WritePHYLIP on the gathered matrix.
 type TileWriter struct {

@@ -271,7 +271,7 @@ type DirOptions struct {
 // DirDataset is a core.DatasetV2 backed by a directory of sample files,
 // one file per sample, loaded lazily. Loads are deduplicated per sample
 // (single-flight) and run outside the metadata lock, so concurrent readers
-// — the virtual ranks of the distributed path — load different files in
+// — the virtual ranks of a grid run — load different files in
 // parallel instead of serializing on one mutex. Load failures are cached
 // and returned from SampleErr; they propagate through the engine as run
 // errors. See DirOptions for the prefetch/eviction behavior that keeps
