@@ -38,14 +38,16 @@ benchmark-check:
 
 # fuzz replays the checked-in seed corpora (always, via go test) and then
 # fuzzes each target briefly — enough for CI to catch regressions in the
-# untrusted-input parsers and the dispatched popcount kernels without
-# burning minutes.
+# untrusted-input parsers (files, frames, HTTP bodies) and the dispatched
+# popcount kernels without burning minutes.
 fuzz:
 	go test -run=^$$ -fuzz=FuzzReadBinary -fuzztime=10s ./internal/samplefile
 	go test -run=^$$ -fuzz=FuzzFromEntries -fuzztime=10s ./internal/bitmat
 	go test -run=^$$ -fuzz=FuzzPopcountAndSlice -fuzztime=10s ./internal/bitutil
 	go test -run=^$$ -fuzz=FuzzReadFrame -fuzztime=10s ./internal/bsp/tcptransport
 	go test -run=^$$ -fuzz=FuzzReadIndex -fuzztime=10s ./internal/index/indexfile
+	go test -run=^$$ -fuzz=FuzzQueryBody -fuzztime=10s ./cmd/similarityd
+	go test -run=^$$ -fuzz=FuzzAppendBody -fuzztime=10s ./cmd/similarityd
 
 # bench writes kernel-level benchmark results (density sweep × storage
 # policy × workers, asm-vs-portable dispatch, arena allocations,

@@ -2,7 +2,9 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"sort"
@@ -112,13 +114,30 @@ type queryResponse struct {
 	ElapsedSeconds float64          `json:"elapsed_seconds"`
 }
 
+// maxBodyBytes bounds a request body: decoding stops with an error once a
+// client has sent more.
+const maxBodyBytes = 64 << 20
+
+// decodeBody reads the request body as exactly one JSON value into v.
+// Unknown fields, a body past maxBodyBytes and anything but white space
+// after the value are errors.
+func decodeBody(r *http.Request, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, maxBodyBytes))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("data after the JSON value")
+	}
+	return nil
+}
+
 func (s *server) parseQueryRequest(r *http.Request) (queryRequest, error) {
 	var req queryRequest
 	switch r.Method {
 	case http.MethodPost:
-		dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, 64<<20))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil {
+		if err := decodeBody(r, &req); err != nil {
 			return req, fmt.Errorf("decoding body: %w", err)
 		}
 	case http.MethodGet:
@@ -227,9 +246,7 @@ func (s *server) handleAppend(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req appendRequest
-	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, 64<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := decodeBody(r, &req); err != nil {
 		s.fail(w, http.StatusBadRequest, "decoding body: %v", err)
 		return
 	}

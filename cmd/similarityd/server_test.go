@@ -20,7 +20,7 @@ import (
 
 // testCorpus builds a small random corpus and returns the source samples
 // alongside it.
-func testCorpus(t *testing.T, n, space int, sketchK int) ([]string, [][]uint64, *index.Corpus) {
+func testCorpus(t testing.TB, n, space int, sketchK int) ([]string, [][]uint64, *index.Corpus) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(int64(n)*1000 + int64(sketchK)))
 	names := make([]string, n)

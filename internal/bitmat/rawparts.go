@@ -161,17 +161,21 @@ func FromRaw(r RawParts) (*Packed, error) {
 	}, nil
 }
 
-// PairPopcountBetween returns Σ_w popcount(a[w][i] ∧ b[w][j]) for one
-// column of each of two packed matrices sharing a row space — the
-// query-vs-corpus kernel of the persistent index, dispatched by the two
-// columns' storage layouts exactly like a Gram cell. The matrices must
-// agree on WordRows and B (callers construct the query column against the
-// corpus segment's row space, so the check only guards misuse).
-func PairPopcountBetween(a *Packed, i int, b *Packed, j int) int {
-	if a.WordRows != b.WordRows || a.B != b.B {
-		//gas:invariant the query column is constructed against the corpus segment's row space by the index layer; a mismatch is API misuse of an internal kernel
-		panic(fmt.Sprintf("bitmat: PairPopcountBetween row-space mismatch (%d,%d) vs (%d,%d)",
-			a.WordRows, a.B, b.WordRows, b.B))
+// ColPopcountAnd returns Σ_w popcount(bitmap[w] ∧ p[w][j]): the exact
+// intersection of column j with a row set given as a full word-row bitmap
+// over p's row space (row r is bit r%B of bitmap[r/B]) — the
+// query-vs-corpus kernel of the persistent index. Because the query side
+// is always dense, a dense column runs the dispatched slab AND+popcount
+// kernel and a sparse column gathers its partners by direct indexing; no
+// pairing ever takes the index merge.
+func (p *Packed) ColPopcountAnd(j int, bitmap []uint64) int {
+	if len(bitmap) != p.WordRows {
+		//gas:invariant the bitmap is sized from this matrix's WordRows by the index layer; a mismatch is API misuse of an internal kernel
+		panic(fmt.Sprintf("bitmat: ColPopcountAnd bitmap of %d words against %d word rows", len(bitmap), p.WordRows))
 	}
-	return pairPopcount(a.view(i), b.view(j))
+	v := p.view(j)
+	if v.dense != nil {
+		return bitutil.PopcountAndSlice(bitmap, v.dense)
+	}
+	return gatherPopcountAnd(bitmap, v.wr, v.ws)
 }

@@ -175,32 +175,54 @@ func TestFromRawDenseOffAllSparse(t *testing.T) {
 	}
 }
 
-func TestPairPopcountBetween(t *testing.T) {
+// rowBitmap packs sorted row indices into a full word-row bitmap — the
+// form the index builds its query column in.
+func rowBitmap(rows []int, activeRows, b int) []uint64 {
+	bitmap := make([]uint64, (activeRows+b-1)/b)
+	for _, r := range rows {
+		bitmap[r/b] |= 1 << uint(r%b)
+	}
+	return bitmap
+}
+
+// TestColPopcountAnd pins the dense-bitmap kernel to the pairwise kernels
+// it replaced on the serve path: against dense and sparse columns, at full
+// and narrow packing widths, the gather/slab result equals both the
+// sparse×sparse merge of the same two columns and the Gram block cell.
+func TestColPopcountAnd(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	colsA := randomColumns(rng, 5, 150)
-	colsB := randomColumns(rng, 7, 150)
-	// Different threshold specs force mixed layout pairings: dense×dense,
-	// dense×sparse, sparse×sparse.
-	a := PackColumnsThreshold(colsA, 150, 64, 1)
-	b := PackColumnsThreshold(colsB, 150, 64, DenseNever)
-	want := GramBlock(a, b)
-	for i := 0; i < a.Cols; i++ {
-		for j := 0; j < b.Cols; j++ {
-			got := PairPopcountBetween(a, i, b, j)
-			if int64(got) != want.At(i, j) {
-				t.Fatalf("pair (%d,%d) = %d, want %d", i, j, got, want.At(i, j))
+	for _, b := range []int{64, 13} {
+		colsA := randomColumns(rng, 5, 150)
+		colsB := randomColumns(rng, 7, 150)
+		a := PackColumnsThreshold(colsA, 150, b, DenseNever)
+		for _, spec := range []int{1, DenseAuto, DenseNever} {
+			p := PackColumnsThreshold(colsB, 150, b, spec)
+			sparse := PackColumnsThreshold(colsB, 150, b, DenseNever)
+			want := GramBlock(a, p)
+			for i := 0; i < a.Cols; i++ {
+				bitmap := rowBitmap(colsA[i], 150, b)
+				ai := a.view(i)
+				for j := 0; j < p.Cols; j++ {
+					got := p.ColPopcountAnd(j, bitmap)
+					sj := sparse.view(j)
+					if merged := mergePopcount(ai.wr, ai.ws, sj.wr, sj.ws); got != merged {
+						t.Fatalf("b=%d spec=%d pair (%d,%d) = %d, merge kernel gives %d", b, spec, i, j, got, merged)
+					}
+					if int64(got) != want.At(i, j) {
+						t.Fatalf("b=%d spec=%d pair (%d,%d) = %d, want %d", b, spec, i, j, got, want.At(i, j))
+					}
+				}
 			}
 		}
 	}
 }
 
-func TestPairPopcountBetweenMismatchPanics(t *testing.T) {
-	a := PackColumns([][]int{{0}}, 10, 64)
-	b := PackColumns([][]int{{0}}, 200, 64)
+func TestColPopcountAndMismatchPanics(t *testing.T) {
+	p := PackColumns([][]int{{0}}, 200, 64)
 	defer func() {
 		if recover() == nil {
-			t.Fatal("row-space mismatch did not panic")
+			t.Fatal("bitmap length mismatch did not panic")
 		}
 	}()
-	PairPopcountBetween(a, 0, b, 0)
+	p.ColPopcountAnd(0, make([]uint64, 1))
 }

@@ -71,11 +71,12 @@ type Transport struct {
 	rules     []Rule
 	rng       *rand.Rand
 	maxJitter time.Duration
+	sleep     func(time.Duration) // time.Sleep; tests record the requested delays instead
 }
 
 // Wrap returns a transport that applies the given rules on top of inner.
 func Wrap(inner bsp.Transport, rules ...Rule) *Transport {
-	return &Transport{inner: inner, rules: rules}
+	return &Transport{inner: inner, rules: rules, sleep: time.Sleep}
 }
 
 // WrapSeeded is Wrap plus a seeded pseudo-random extra delay in
@@ -87,6 +88,7 @@ func WrapSeeded(inner bsp.Transport, seed int64, maxJitter time.Duration, rules 
 		rules:     rules,
 		rng:       rand.New(rand.NewSource(seed)),
 		maxJitter: maxJitter,
+		sleep:     time.Sleep,
 	}
 }
 
@@ -101,7 +103,7 @@ func (t *Transport) NProcs() int { return t.inner.NProcs() }
 // the inner transport.
 func (t *Transport) Exchange(step int, outgoing []bsp.Message) ([]bsp.Message, error) {
 	if t.rng != nil && t.maxJitter > 0 {
-		time.Sleep(time.Duration(t.rng.Int63n(int64(t.maxJitter))))
+		t.sleep(time.Duration(t.rng.Int63n(int64(t.maxJitter))))
 	}
 	for _, r := range t.rules {
 		if !r.matchesStep(step) {
@@ -109,7 +111,7 @@ func (t *Transport) Exchange(step int, outgoing []bsp.Message) ([]bsp.Message, e
 		}
 		switch r.Mode {
 		case Delay:
-			time.Sleep(r.Delay)
+			t.sleep(r.Delay)
 		case Sever:
 			t.inner.Close()
 			return nil, fmt.Errorf("faultinject: rank %d severed at superstep %d", t.Rank(), step)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -190,23 +191,36 @@ func TestDuplicateDelivery(t *testing.T) {
 	}
 }
 
-// TestSeededJitterIsDeterministic: the same seed yields the same delay
-// schedule.
+// TestSeededJitterIsDeterministic: the same seed requests the same delay
+// schedule, step for step, and another seed a different one. The requested
+// delays are recorded through the transport's sleep hook — measuring the
+// sleeps themselves would test the host's scheduler.
 func TestSeededJitterIsDeterministic(t *testing.T) {
-	sample := func(seed int64) []time.Duration {
-		tr := WrapSeeded(bsp.MemCluster(1)[0], seed, 50*time.Millisecond)
+	const maxJitter = 50 * time.Millisecond
+	schedule := func(seed int64) []time.Duration {
+		tr := WrapSeeded(bsp.MemCluster(1)[0], seed, maxJitter)
 		var out []time.Duration
-		for i := 0; i < 5; i++ {
-			t0 := time.Now()
-			tr.Exchange(i, nil)
-			out = append(out, time.Since(t0).Round(5*time.Millisecond))
+		tr.sleep = func(d time.Duration) { out = append(out, d) }
+		for step := 0; step < 5; step++ {
+			if _, err := tr.Exchange(step, nil); err != nil {
+				t.Fatalf("seed %d step %d: %v", seed, step, err)
+			}
 		}
 		return out
 	}
-	a, b := sample(42), sample(42)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Errorf("step %d: %v vs %v for the same seed", i, a[i], b[i])
+	a, b, other := schedule(42), schedule(42), schedule(43)
+	if len(a) != 5 {
+		t.Fatalf("%d delays requested over five steps: %v", len(a), a)
+	}
+	if !slices.Equal(a, b) {
+		t.Errorf("same seed, different schedules:\n%v\n%v", a, b)
+	}
+	if slices.Equal(a, other) {
+		t.Errorf("seeds 42 and 43 request the same schedule: %v", a)
+	}
+	for _, d := range a {
+		if d < 0 || d >= maxJitter {
+			t.Errorf("jitter %v outside [0, %v)", d, maxJitter)
 		}
 	}
 }

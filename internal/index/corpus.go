@@ -6,11 +6,13 @@
 //
 // The corpus is segmented LSM-style. The base segment holds the batch-built
 // samples over a row map covering their attribute union; every Append adds
-// a one-sample segment with its own row map. A query translates its values
-// through each segment's row map (binary search — a value absent from the
-// map cannot intersect any of that segment's samples), packs them into a
-// one-column bitmat matrix over the segment's row space and popcounts it
-// against every resident column. Appending therefore extends the Gram
+// a one-sample segment with its own row map. A query translates its sorted
+// values through each segment's sorted row map in one galloping walk (a
+// value absent from the map cannot intersect any of that segment's
+// samples), setting one bit per hit in a word-row bitmap over the segment's
+// row space, and popcounts that bitmap against every resident column — the
+// query side is always dense, so every candidate runs the slab or gather
+// kernel, never an index merge. Appending therefore extends the Gram
 // product by exactly one row band: the new column is packed once, and its
 // intersections against the resident packed columns are computed by the
 // same kernel a query uses — no rebuild, and append-then-query is
@@ -21,7 +23,8 @@ package index
 import (
 	"context"
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -112,6 +115,8 @@ type Corpus struct {
 	path   string       // backing file ("" = unbacked)
 	mapped *indexfile.Mapped
 
+	scratch sync.Pool // *queryScratch, one checked out per in-flight query
+
 	queries      atomic.Int64
 	appends      atomic.Int64
 	popcounts    atomic.Int64
@@ -128,17 +133,12 @@ func Build(src Source, opts Options) (*Corpus, error) {
 		return nil, err
 	}
 	n := src.NumSamples()
-	union := make(map[uint64]struct{})
+	var rowMap []uint64
 	for i := 0; i < n; i++ {
-		for _, v := range src.Sample(i) {
-			union[v] = struct{}{}
-		}
+		rowMap = append(rowMap, src.Sample(i)...)
 	}
-	rowMap := make([]uint64, 0, len(union))
-	for v := range union {
-		rowMap = append(rowMap, v)
-	}
-	sort.Slice(rowMap, func(i, j int) bool { return rowMap[i] < rowMap[j] })
+	slices.Sort(rowMap)
+	rowMap = slices.Compact(rowMap)
 
 	rowsPerCol := make([][]int, n)
 	cards := make([]int64, n)
@@ -150,20 +150,18 @@ func Build(src Source, opts Options) (*Corpus, error) {
 	for i := 0; i < n; i++ {
 		vals := src.Sample(i)
 		rows := make([]int, len(vals))
+		r := 0
 		for k, v := range vals {
-			r := findRow(rowMap, v)
-			if r < 0 {
-				return nil, fmt.Errorf("index: sample %d value %d missing from row map (unsorted input?)", i, v)
+			if k > 0 && v == vals[k-1] {
+				return nil, fmt.Errorf("index: sample %d has duplicate value %d", i, v)
 			}
+			if k > 0 && v < vals[k-1] {
+				return nil, fmt.Errorf("index: sample %d values not sorted", i)
+			}
+			// Ascending values are a subset of the union in union order, so
+			// each is found at or after the row of the one before.
+			r = gallop(rowMap, r, v)
 			rows[k] = r
-		}
-		if !sort.IntsAreSorted(rows) {
-			return nil, fmt.Errorf("index: sample %d values not sorted", i)
-		}
-		for k := 1; k < len(rows); k++ {
-			if rows[k] == rows[k-1] {
-				return nil, fmt.Errorf("index: sample %d has duplicate value %d", i, vals[k])
-			}
 		}
 		rowsPerCol[i] = rows
 		cards[i] = int64(len(vals))
@@ -197,18 +195,85 @@ func newCorpus(opts Options) (*Corpus, error) {
 		return nil, fmt.Errorf("index: negative sketch size %d", opts.SketchK)
 	}
 	c := &Corpus{b: b, sketchK: opts.SketchK, denseThreshold: opts.DenseThreshold}
+	c.scratch.New = func() any { return new(queryScratch) }
 	empty := []*indexfile.Segment{}
 	c.segs.Store(&empty)
 	return c, nil
 }
 
-// findRow locates v in the sorted row map, or -1.
-func findRow(rowMap []uint64, v uint64) int {
-	r := sort.Search(len(rowMap), func(i int) bool { return rowMap[i] >= v })
-	if r < len(rowMap) && rowMap[r] == v {
-		return r
+// gallop returns the first index i ≥ lo with a[i] ≥ v, or len(a): an
+// exponential probe forward from lo, then a bisection of the bracket it
+// found. Walking two sorted lists with it costs O(log gap) per step rather
+// than a binary search of the whole list per value, and touches memory in
+// order.
+func gallop(a []uint64, lo int, v uint64) int {
+	if lo >= len(a) || a[lo] >= v {
+		return lo
 	}
-	return -1
+	// Invariant: a[lo] < v, and hi == len(a) or a[hi] ≥ v once the probe stops.
+	hi := lo + 1
+	for step := 1; hi < len(a) && a[hi] < v; step <<= 1 {
+		lo = hi
+		hi += step
+	}
+	hi = min(hi, len(a))
+	for lo+1 < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if a[mid] < v {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return hi
+}
+
+// gallopRatio is the length ratio of the two sorted lists from which
+// galloping beats stepping through both: below it the branch-free step
+// costs less than the probes (5 µs against 9 µs for two 768-value lists,
+// level at 1:8, 78 µs against 41 µs at 1:32 on the host in the README).
+const gallopRatio = 8
+
+// setRows translates the sorted query values through a segment's sorted
+// row map in one two-pointer walk and sets bit r%b of bitmap[r/b] for every
+// row r whose value the query holds. Values outside the row map set
+// nothing: they cannot intersect any resident column.
+//
+// The walk picks its step from the two lengths. Lists of comparable length
+// — a query against an appended sample's own row map — interleave too
+// finely for a search to skip anything, so both pointers advance by a
+// compare with no data-dependent branch. When one list is far longer — a
+// query against the base segment's attribute union — whichever pointer is
+// behind gallops to the other's value.
+func setRows(bitmap []uint64, rowMap, vals []uint64, b int) {
+	i, r := 0, 0
+	if len(vals) < gallopRatio*len(rowMap) && len(rowMap) < gallopRatio*len(vals) {
+		for i < len(vals) && r < len(rowMap) {
+			v, m := vals[i], rowMap[r]
+			if v == m {
+				bitmap[r/b] |= 1 << uint(r%b)
+			}
+			// The borrow of m−v is 1 exactly when v > m: each pointer
+			// advances unless its value is the larger one.
+			_, vLarger := bits.Sub64(m, v, 0)
+			_, mLarger := bits.Sub64(v, m, 0)
+			i += int(1 - vLarger)
+			r += int(1 - mLarger)
+		}
+		return
+	}
+	for i < len(vals) && r < len(rowMap) {
+		switch {
+		case vals[i] < rowMap[r]:
+			i = gallop(vals, i, rowMap[r])
+		case vals[i] > rowMap[r]:
+			r = gallop(rowMap, r, vals[i])
+		default:
+			bitmap[r/b] |= 1 << uint(r%b)
+			i++
+			r++
+		}
+	}
 }
 
 // WriteFile persists the corpus to path and binds it as the backing file:
@@ -333,23 +398,151 @@ func (c *Corpus) MemoryWords() int64 {
 	return words
 }
 
-// normalize sorts and deduplicates query values without modifying the
-// caller's slice.
+// normalize returns the values sorted and duplicate-free without
+// modifying the caller's slice. Input that is already strictly ascending —
+// what every client that read a sample file sends — is returned as is, not
+// copied.
 func normalize(values []uint64) []uint64 {
-	vals := append([]uint64(nil), values...)
-	sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
-	out := vals[:0]
-	for i, v := range vals {
-		if i == 0 || v != vals[i-1] {
-			out = append(out, v)
-		}
+	sorted := true
+	for i := 1; i < len(values) && sorted; i++ {
+		sorted = values[i-1] < values[i]
 	}
-	return out
+	if sorted {
+		return values
+	}
+	vals := slices.Clone(values)
+	slices.Sort(vals)
+	return slices.Compact(vals)
 }
 
 // queryChunk is the number of corpus columns one parallel task scans —
 // coarse enough that task handout does not dominate the popcounts.
 const queryChunk = 256
+
+// queryScratch is the working memory of one in-flight query, reused from
+// segment to segment and, through Corpus.scratch, from query to query.
+type queryScratch struct {
+	bitmap []uint64 // the query's rows in the current segment, one bit each
+	inter  []int64  // per column of the current segment: |query ∩ sample|, or gated
+}
+
+// gated marks a column the sketch gate ruled out in queryScratch.inter.
+const gated = -1
+
+// segment returns the scratch sized for one segment: a zeroed bitmap of
+// wordRows words and an intersection slot for each of n columns.
+func (s *queryScratch) segment(wordRows, n int) ([]uint64, []int64) {
+	if cap(s.bitmap) < wordRows {
+		s.bitmap = make([]uint64, wordRows)
+	}
+	if cap(s.inter) < n {
+		s.inter = make([]int64, n)
+	}
+	bitmap := s.bitmap[:wordRows]
+	clear(bitmap)
+	return bitmap, s.inter[:n]
+}
+
+// sketchGate is the MinHash prescreen of one thresholded query.
+type sketchGate struct {
+	query minhash.Sketch
+	tau   float64
+}
+
+// gateFor returns the gate of a thresholded query over a corpus with
+// sketches, or nil when nothing is to be ruled out: no threshold, no
+// sketches, NoSketch set, or a margin that reaches zero.
+func (c *Corpus) gateFor(vals []uint64, opts QueryOptions) *sketchGate {
+	if opts.Threshold <= 0 || c.sketchK == 0 || opts.NoSketch {
+		return nil
+	}
+	slack := opts.SketchSlack
+	if slack == 0 {
+		slack = DefaultSketchSlack
+	}
+	tau := opts.Threshold - slack
+	if tau <= 0 {
+		return nil
+	}
+	return &sketchGate{query: minhash.MustNew(vals, c.sketchK), tau: tau}
+}
+
+// scan fills inter[lo:hi] with each column's exact intersection with the
+// query bitmap, or gated where the sketch estimate rules the sample out.
+// It writes only those slots, so chunks of one segment may run concurrently.
+func scan(seg *indexfile.Segment, bitmap []uint64, gate *sketchGate, inter []int64, lo, hi int) {
+	for j := lo; j < hi; j++ {
+		if gate != nil {
+			if ok, err := minhash.EstimateAtLeast(gate.query, seg.Sketches[j], gate.tau); err == nil && !ok {
+				inter[j] = gated
+				continue
+			}
+		}
+		inter[j] = int64(seg.Pack.ColPopcountAnd(j, bitmap))
+	}
+}
+
+// compareNeighbors orders results: similarity descending, ties by
+// ascending sample index — a total order, samples being distinct.
+func compareNeighbors(a, b Neighbor) int {
+	switch {
+	case a.Similarity > b.Similarity:
+		return -1
+	case a.Similarity < b.Similarity:
+		return 1
+	default:
+		return a.Sample - b.Sample
+	}
+}
+
+// selection collects a query's neighbors, keeping only the k best when k
+// is positive: once k are held they form a heap with the worst at the
+// root, and a later candidate either displaces the root or is dropped.
+// Because compareNeighbors is a total order the survivors are exactly the
+// first k of the fully sorted candidate list.
+type selection struct {
+	k     int
+	items []Neighbor
+}
+
+func (s *selection) push(nb Neighbor) {
+	if s.k <= 0 || len(s.items) < s.k {
+		s.items = append(s.items, nb)
+		if len(s.items) == s.k {
+			for i := s.k/2 - 1; i >= 0; i-- {
+				s.siftDown(i)
+			}
+		}
+		return
+	}
+	if compareNeighbors(nb, s.items[0]) < 0 {
+		s.items[0] = nb
+		s.siftDown(0)
+	}
+}
+
+// siftDown restores the worst-at-root heap below position i.
+func (s *selection) siftDown(i int) {
+	for {
+		worst := i
+		for child := 2*i + 1; child <= 2*i+2 && child < len(s.items); child++ {
+			if compareNeighbors(s.items[child], s.items[worst]) > 0 {
+				worst = child
+			}
+		}
+		if worst == i {
+			return
+		}
+		s.items[i], s.items[worst] = s.items[worst], s.items[i]
+		i = worst
+	}
+}
+
+// sorted returns the collected neighbors in result order.
+func (s *selection) sorted() []Neighbor {
+	slices.SortFunc(s.items, compareNeighbors)
+	return s.items
+}
 
 // Query returns the samples most similar to the given value set, exactly:
 // every similarity is derived from an exact packed intersection via Eq. 2.
@@ -372,95 +565,61 @@ func (c *Corpus) Query(ctx context.Context, values []uint64, opts QueryOptions) 
 	vals := normalize(values)
 	qCard := int64(len(vals))
 
-	var qSketch minhash.Sketch
-	gate := opts.Threshold > 0 && c.sketchK > 0 && !opts.NoSketch
-	slack := opts.SketchSlack
-	if slack == 0 {
-		slack = DefaultSketchSlack
-	}
-	gateTau := opts.Threshold - slack
-	if gate {
-		qSketch = minhash.MustNew(vals, c.sketchK)
-	}
+	gate := c.gateFor(vals, opts)
 
 	segs := *c.segs.Load()
-	var (
-		resMu sync.Mutex
-		res   []Neighbor
-	)
+	total := 0
+	for _, seg := range segs {
+		total += seg.Samples()
+	}
+	sel := selection{k: opts.TopK}
+	if sel.k > 0 {
+		sel.items = make([]Neighbor, 0, min(sel.k, total))
+	}
+	scratch := c.scratch.Get().(*queryScratch)
+	defer c.scratch.Put(scratch)
+
+	var pops, skips int64
 	base := 0
 	for _, seg := range segs {
 		n := seg.Samples()
 		if n == 0 {
 			continue
 		}
-		qPack := c.packQuery(seg, vals)
-		segBase := base
-		chunks := (n + queryChunk - 1) / queryChunk
-		err := par.ForEachCtx(ctx, opts.Workers, chunks, func(chunk int) {
+		bitmap, inter := scratch.segment(seg.Pack.WordRows, n)
+		setRows(bitmap, seg.RowMap, vals, c.b)
+		if n <= queryChunk {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+			scan(seg, bitmap, gate, inter, 0, n)
+		} else if err := par.ForEachCtx(ctx, opts.Workers, (n+queryChunk-1)/queryChunk, func(chunk int) {
 			lo := chunk * queryChunk
-			hi := min(lo+queryChunk, n)
-			local := make([]Neighbor, 0, hi-lo)
-			var pops, skips int64
-			for j := lo; j < hi; j++ {
-				if gate && gateTau > 0 {
-					ok, err := minhash.EstimateAtLeast(qSketch, seg.Sketches[j], gateTau)
-					if err == nil && !ok {
-						skips++
-						continue
-					}
-				}
-				pops++
-				b := int64(bitmat.PairPopcountBetween(qPack, 0, seg.Pack, j))
-				sim := dist.Jaccard(b, qCard, seg.Cards[j])
-				if sim < opts.Threshold {
-					continue
-				}
-				local = append(local, Neighbor{
-					Sample:       segBase + j,
-					Name:         seg.Names[j],
-					Intersection: b,
-					Similarity:   sim,
-				})
-			}
-			c.popcounts.Add(pops)
-			c.sketchSkips.Add(skips)
-			if len(local) > 0 {
-				resMu.Lock()
-				res = append(res, local...)
-				resMu.Unlock()
-			}
-		})
-		if err != nil {
+			scan(seg, bitmap, gate, inter, lo, min(lo+queryChunk, n))
+		}); err != nil {
 			return nil, err
+		}
+		for j, b := range inter {
+			if b == gated {
+				skips++
+				continue
+			}
+			pops++
+			sim := dist.Jaccard(b, qCard, seg.Cards[j])
+			if sim < opts.Threshold {
+				continue
+			}
+			sel.push(Neighbor{Sample: base + j, Name: seg.Names[j], Intersection: b, Similarity: sim})
 		}
 		base += n
 	}
-	c.querySamples.Add(int64(base))
-
-	sort.Slice(res, func(i, j int) bool {
-		if res[i].Similarity != res[j].Similarity {
-			return res[i].Similarity > res[j].Similarity
-		}
-		return res[i].Sample < res[j].Sample
-	})
-	if opts.TopK > 0 && len(res) > opts.TopK {
-		res = res[:opts.TopK]
+	c.popcounts.Add(pops)
+	c.sketchSkips.Add(skips)
+	c.querySamples.Add(int64(total))
+	if len(sel.items) == 0 {
+		return nil, nil
 	}
-	return res, nil
-}
-
-// packQuery packs the query values into a one-column matrix over the
-// segment's row space. Values outside the segment's row map are dropped:
-// they cannot intersect any resident column.
-func (c *Corpus) packQuery(seg *indexfile.Segment, vals []uint64) *bitmat.Packed {
-	rows := make([]int, 0, len(vals))
-	for _, v := range vals {
-		if r := findRow(seg.RowMap, v); r >= 0 {
-			rows = append(rows, r)
-		}
-	}
-	return bitmat.PackColumnsThreshold([][]int{rows}, len(seg.RowMap), c.b, c.denseThreshold)
+	return sel.sorted(), nil
 }
 
 // TopPairs adapts a query result to the batch tile.Pair convention for a
@@ -490,7 +649,7 @@ func TopPairs(q int, neighbors []Neighbor) []tile.Pair {
 // file-backed the segment is durably appended (fsync'd data, then a
 // published segment count) before it becomes visible to queries.
 func (c *Corpus) Append(name string, values []uint64) (int, error) {
-	vals := normalize(values)
+	vals := slices.Clone(normalize(values)) // the segment keeps them as its row map
 	rows := make([]int, len(vals))
 	for i := range rows {
 		rows[i] = i

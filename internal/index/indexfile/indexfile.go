@@ -46,6 +46,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 
 	"genomeatscale/internal/bitmat"
 	"genomeatscale/internal/minhash"
@@ -83,7 +84,8 @@ type File struct {
 type Segment struct {
 	// RowMap maps the segment's local row space to attribute values:
 	// local row r represents attribute RowMap[r]. Sorted strictly
-	// ascending, so queries translate values by binary search.
+	// ascending, so queries translate their sorted values in one
+	// two-pointer walk.
 	RowMap []uint64
 	// Cards[j] is the exact cardinality (number of attribute values) of
 	// the segment's j-th sample.
@@ -351,27 +353,50 @@ func decodeSegment(r *reader, b, sketchK int) (*Segment, error) {
 	return seg, nil
 }
 
-// writer counts bytes and keeps the first error, so encoding reads as a
-// straight-line section list.
+// writerBufSize is the writer's fixed buffer. Sections are encoded into it
+// and leave in writes of this size, so encoding never holds more than one
+// buffer of the file in memory whatever the index size, and an appended
+// one-sample segment goes out in a single write.
+const writerBufSize = 64 << 10
+
+// writer encodes through a fixed buffer, counts the bytes the destination
+// took and keeps the first error, so encoding reads as a straight-line
+// section list. The zero value with w set is ready; flush ends a use.
 type writer struct {
-	w   io.Writer
-	n   int64
-	err error
-	buf [8]byte
+	w    io.Writer
+	n    int64
+	err  error
+	used int
+	buf  [writerBufSize]byte
+}
+
+// flush hands the buffered bytes to the destination.
+func (w *writer) flush() {
+	if w.err == nil && w.used > 0 {
+		n, err := w.w.Write(w.buf[:w.used])
+		w.n += int64(n)
+		w.err = err
+	}
+	w.used = 0
 }
 
 func (w *writer) bytes(b []byte) {
-	if w.err != nil {
-		return
+	for len(b) > 0 {
+		if w.used == len(w.buf) {
+			w.flush()
+		}
+		n := copy(w.buf[w.used:], b)
+		w.used += n
+		b = b[n:]
 	}
-	n, err := w.w.Write(b)
-	w.n += int64(n)
-	w.err = err
 }
 
 func (w *writer) u64(v uint64) {
-	binary.LittleEndian.PutUint64(w.buf[:], v)
-	w.bytes(w.buf[:])
+	if len(w.buf)-w.used < 8 {
+		w.flush()
+	}
+	binary.LittleEndian.PutUint64(w.buf[w.used:], v)
+	w.used += 8
 }
 
 func (w *writer) u64s(vs []uint64) {
@@ -408,6 +433,7 @@ func (f *File) WriteTo(dst io.Writer) (int64, error) {
 	for _, seg := range f.Segments {
 		writeSegment(w, seg, f.SketchK)
 	}
+	w.flush()
 	return w.n, w.err
 }
 
@@ -466,13 +492,68 @@ func writeSegment(w *writer, seg *Segment, sketchK int) {
 	w.bytes(make([]byte, pad8(nameBytes)-nameBytes))
 }
 
-// WriteFile writes the index to path and syncs it to stable storage.
-func WriteFile(path string, f *File) error {
-	out, err := os.Create(path)
+// filesystem is what WriteFile and AppendSegment ask of the operating
+// system. The crash-point tests substitute one that fails, or loses what
+// was not yet synced, at a chosen operation.
+type filesystem interface {
+	OpenFile(name string, flag int, perm os.FileMode) (file, error)
+	Rename(oldpath, newpath string) error
+	Remove(name string) error
+	// SyncDir makes the directory's entries — a rename into it — durable.
+	SyncDir(dir string) error
+}
+
+// file is the part of *os.File the writers use. Every write is positioned,
+// so a file carries no offset state for a failed operation to leave behind.
+type file interface {
+	io.ReaderAt
+	io.WriterAt
+	io.Seeker // only to learn the size: Seek(0, io.SeekEnd)
+	Truncate(size int64) error
+	Sync() error
+	Close() error
+}
+
+type osFS struct{}
+
+func (osFS) OpenFile(name string, flag int, perm os.FileMode) (file, error) {
+	f, err := os.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+func (osFS) Rename(oldpath, newpath string) error { return os.Rename(oldpath, newpath) }
+func (osFS) Remove(name string) error             { return os.Remove(name) }
+func (osFS) SyncDir(dir string) error             { return syncDir(dir) }
+
+// WriteFile writes the index to path atomically: the bytes go to path.tmp,
+// are synced, and only then renamed over path, with the directory synced
+// after — a crash at any point leaves either the previous file or the new
+// one, never a truncated mix. A path.tmp left behind by such a crash is
+// overwritten by the next call.
+func WriteFile(path string, f *File) error { return writeFile(osFS{}, path, f) }
+
+func writeFile(fsys filesystem, path string, f *File) error {
+	tmp := path + ".tmp"
+	err := writeSynced(fsys, tmp, f)
+	if err == nil {
+		err = fsys.Rename(tmp, path)
+	}
+	if err != nil {
+		_ = fsys.Remove(tmp) // best effort: the next call overwrites a leftover
+		return err
+	}
+	return fsys.SyncDir(filepath.Dir(path))
+}
+
+// writeSynced creates or truncates name, encodes f into it and syncs it.
+func writeSynced(fsys filesystem, name string, f *File) error {
+	out, err := fsys.OpenFile(name, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o666)
 	if err != nil {
 		return err
 	}
-	if _, err := f.WriteTo(out); err != nil {
+	if _, err := f.WriteTo(io.NewOffsetWriter(out, 0)); err != nil {
 		return errors.Join(err, out.Close())
 	}
 	if err := out.Sync(); err != nil {
@@ -489,8 +570,12 @@ func WriteFile(path string, f *File) error {
 // segment, or with it fully published. sketchK must match the file's (the
 // caller owns the corpus-wide sketch configuration); the file header is
 // read back to enforce agreement.
-func AppendSegment(path string, seg *Segment, b, sketchK int) (err error) {
-	fd, err := os.OpenFile(path, os.O_RDWR, 0)
+func AppendSegment(path string, seg *Segment, b, sketchK int) error {
+	return appendSegment(osFS{}, path, seg, b, sketchK)
+}
+
+func appendSegment(fsys filesystem, path string, seg *Segment, b, sketchK int) (err error) {
+	fd, err := fsys.OpenFile(path, os.O_RDWR, 0)
 	if err != nil {
 		return err
 	}
@@ -500,7 +585,7 @@ func AppendSegment(path string, seg *Segment, b, sketchK int) (err error) {
 		}
 	}()
 	h := make([]byte, fileHeaderSize)
-	if _, err := io.ReadFull(fd, h); err != nil {
+	if _, err := fd.ReadAt(h, 0); err != nil {
 		return fmt.Errorf("indexfile: reading header: %w", err)
 	}
 	if string(h[:8]) != magic {
@@ -520,26 +605,30 @@ func AppendSegment(path string, seg *Segment, b, sketchK int) (err error) {
 	// where segment parsing expects it — publishing the bumped count would
 	// then corrupt the index permanently. Reconcile by computing the
 	// consistent end from the published segment headers and truncating the
-	// orphan before writing.
-	end, err := dataEnd(fd, segCount, sketchK)
+	// orphan before writing; a file that already ends there needs nothing.
+	size, err := fd.Seek(0, io.SeekEnd)
 	if err != nil {
 		return err
 	}
-	if err := fd.Truncate(end); err != nil {
+	end, err := dataEnd(fd, size, segCount, sketchK)
+	if err != nil {
 		return err
 	}
-	if _, err := fd.Seek(end, io.SeekStart); err != nil {
-		return err
+	if size != end {
+		if err := fd.Truncate(end); err != nil {
+			return err
+		}
 	}
-	w := &writer{w: fd}
+	w := &writer{w: io.NewOffsetWriter(fd, end)}
 	writeSegment(w, seg, sketchK)
+	w.flush()
 	if w.err == nil {
 		w.err = fd.Sync()
 	}
 	if w.err != nil {
 		// Drop the partial tail (best effort — dataEnd reconciles again on
 		// retry even if this truncate fails too, e.g. on a full disk).
-		fd.Truncate(end)
+		_ = fd.Truncate(end)
 		return w.err
 	}
 	binary.LittleEndian.PutUint64(h[:8], segCount+1)
@@ -552,13 +641,9 @@ func AppendSegment(path string, seg *Segment, b, sketchK int) (err error) {
 // dataEnd returns the byte offset one past the last published segment —
 // the consistent end of the file. Bytes beyond it are an orphaned tail
 // left by an append that crashed or failed before publishing. The walk
-// touches only the segCount segment headers, never the payloads.
-func dataEnd(fd *os.File, segCount uint64, sketchK int) (int64, error) {
-	st, err := fd.Stat()
-	if err != nil {
-		return 0, err
-	}
-	size := st.Size()
+// touches only the segCount segment headers of the size-byte file, never
+// the payloads.
+func dataEnd(fd io.ReaderAt, size int64, segCount uint64, sketchK int) (int64, error) {
 	off := int64(fileHeaderSize)
 	h := make([]byte, segHeaderSize)
 	for i := uint64(0); i < segCount; i++ {

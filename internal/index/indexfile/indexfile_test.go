@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"genomeatscale/internal/bitmat"
@@ -39,13 +40,7 @@ func buildSegment(t *testing.T, samples [][]uint64, names []string, sketchK, spe
 	for v := range union {
 		rowMap = append(rowMap, v)
 	}
-	for i := 0; i < len(rowMap); i++ {
-		for j := i + 1; j < len(rowMap); j++ {
-			if rowMap[j] < rowMap[i] {
-				rowMap[i], rowMap[j] = rowMap[j], rowMap[i]
-			}
-		}
-	}
+	slices.Sort(rowMap)
 	for i, v := range rowMap {
 		union[v] = i
 	}
@@ -222,6 +217,7 @@ func TestAppendSegmentReconcilesOrphanTail(t *testing.T) {
 		var orphanBytes bytes.Buffer
 		ow := &writer{w: &orphanBytes}
 		writeSegment(ow, orphan, sketchK)
+		ow.flush()
 		if ow.err != nil {
 			t.Fatalf("writeSegment: %v", ow.err)
 		}

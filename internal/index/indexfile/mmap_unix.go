@@ -3,6 +3,7 @@
 package indexfile
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"syscall"
@@ -40,4 +41,16 @@ func munmap(data []byte) error {
 		return nil
 	}
 	return syscall.Munmap(data)
+}
+
+// syncDir fsyncs a directory, making a rename into it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	if err := d.Sync(); err != nil {
+		return errors.Join(err, d.Close())
+	}
+	return d.Close()
 }
