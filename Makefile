@@ -1,4 +1,4 @@
-.PHONY: build test race bench benchcheck benchmark-check examples fuzz lint
+.PHONY: build test race benchmark-check examples fuzz lint
 
 build:
 	go build ./...
@@ -38,28 +38,14 @@ benchmark-check:
 
 # fuzz replays the checked-in seed corpora (always, via go test) and then
 # fuzzes each target briefly — enough for CI to catch regressions in the
-# untrusted-input parsers (files, frames, HTTP bodies) and the dispatched
-# popcount kernels without burning minutes.
+# untrusted-input parsers (files, frames, wire payloads, HTTP bodies) and
+# the dispatched popcount kernels without burning minutes.
 fuzz:
 	go test -run=^$$ -fuzz=FuzzReadBinary -fuzztime=10s ./internal/samplefile
 	go test -run=^$$ -fuzz=FuzzFromEntries -fuzztime=10s ./internal/bitmat
 	go test -run=^$$ -fuzz=FuzzPopcountAndSlice -fuzztime=10s ./internal/bitutil
 	go test -run=^$$ -fuzz=FuzzReadFrame -fuzztime=10s ./internal/bsp/tcptransport
+	go test -run=^$$ -fuzz=FuzzWireDecode -fuzztime=10s ./internal/dist
 	go test -run=^$$ -fuzz=FuzzReadIndex -fuzztime=10s ./internal/index/indexfile
 	go test -run=^$$ -fuzz=FuzzQueryBody -fuzztime=10s ./cmd/similarityd
 	go test -run=^$$ -fuzz=FuzzAppendBody -fuzztime=10s ./cmd/similarityd
-
-# bench writes kernel-level benchmark results (density sweep × storage
-# policy × workers, asm-vs-portable dispatch, arena allocations,
-# autotuned-vs-manual) to BENCH_kernels.json; CI uploads the file as an
-# artifact. Drop -quick for the full sweep on a quiet machine.
-bench:
-	go run ./cmd/benchkernels -quick -out BENCH_kernels.json
-
-# benchcheck regenerates BENCH_kernels.json and compares its dimensionless
-# ratios (kernel speedups, dispatch speedup, arena reduction, autotune
-# ratio) against the committed baseline, failing on a >15% regression.
-# Refresh the baseline deliberately with:
-#   go run ./cmd/benchkernels -quick -out BENCH_baseline.json
-benchcheck: bench
-	go run ./cmd/benchcheck -baseline BENCH_baseline.json -current BENCH_kernels.json

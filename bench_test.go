@@ -26,7 +26,6 @@ import (
 	"genomeatscale/internal/figures"
 	"genomeatscale/internal/genome"
 	"genomeatscale/internal/minhash"
-	"genomeatscale/internal/semiring"
 	"genomeatscale/internal/sparse"
 	"genomeatscale/internal/synth"
 )
@@ -253,8 +252,8 @@ func benchDiscard(b *testing.B, ds Dataset, options ...Option) {
 // BenchmarkStreamingVsGatherPeakOutput runs the distributed pipeline once
 // per iteration in streaming TopK mode and reports the peak resident
 // output footprint against the 3n² words a full gather holds at rank 0 —
-// the memory claim of the Engine.Stream API, also recorded in the
-// BENCH_kernels.json artifact by cmd/benchkernels.
+// the memory claim of the Engine.Stream API, which
+// TestStreamCollectMatchesLegacy (internal/core) pins as a tier-1 check.
 func BenchmarkStreamingVsGatherPeakOutput(b *testing.B) {
 	ds := benchmarkProxy(b)
 	engine, err := NewEngine(WithProcs(8), WithReplication(2), WithBatches(4))
@@ -375,9 +374,7 @@ func BenchmarkGramKernelSpeedupWorkers4(b *testing.B) {
 // roughly `occupancy` of the word rows (the quantity the dense threshold
 // and the kernel dispatch act on — at b=64 even 2% row occupancy fills
 // ~70% of the word rows, so the sweep controls word occupancy directly),
-// with the given dense-threshold spec. cmd/benchkernels sweeps the same
-// synth.WordOccupancyRows fixture, so its JSON artifact and these
-// benchmarks stay comparable.
+// with the given dense-threshold spec.
 func kernelProxyOccupancy(seed uint64, rows, cols int, occupancy float64, threshold int) *bitmat.Packed {
 	rowsPerCol := synth.WordOccupancyRows(synth.NewRNG(seed), rows, cols, occupancy)
 	return bitmat.PackColumnsThreshold(rowsPerCol, rows, 64, threshold)
@@ -391,9 +388,9 @@ func kernelProxyOccupancy(seed uint64, rows, cols int, occupancy float64, thresh
 // sub-benchmark reports allocs/op: with the arena the warm cycle must
 // allocate ~zero, the ≥10× headline of the arena rung. Compare the
 // arena=off/on pairs for the allocation delta and the storage policies at
-// a fixed occupancy for the kernel dispatch payoff; `cmd/benchkernels`
-// writes the same sweep (and the allocation comparison) as a JSON
-// artifact.
+// a fixed occupancy for the kernel dispatch payoff.
+// TestArenaSteadyStateAllocations (internal/bitmat) pins the zero-allocation
+// warm cycle as a test.
 func BenchmarkHybridGramDensitySweep(b *testing.B) {
 	modes := []struct {
 		name      string
@@ -469,21 +466,6 @@ func BenchmarkDenseKernelSpeedup90(b *testing.B) {
 	b.StopTimer()
 	if denseT > 0 {
 		b.ReportMetric(sparseT.Seconds()/denseT.Seconds(), "speedup-dense")
-	}
-}
-
-func BenchmarkUncompressedGramReference(b *testing.B) {
-	rng := synth.NewRNG(2)
-	coo := sparse.MustCOO[int64](4000, 160)
-	for j := 0; j < 160; j++ {
-		for k := 0; k < 200; k++ {
-			coo.Append(rng.Intn(4000), j, 1)
-		}
-	}
-	csc := sparse.CSCFromCOO(coo, semiring.PlusInt64())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sparse.GramT(csc, semiring.PlusTimesInt64())
 	}
 }
 

@@ -22,8 +22,6 @@ import (
 	"fmt"
 
 	"genomeatscale/internal/bitutil"
-	"genomeatscale/internal/semiring"
-	"genomeatscale/internal/sparse"
 )
 
 // Dense-threshold specs. The spec is a per-matrix setting, inherited by
@@ -307,37 +305,4 @@ func PackColumnsThreshold(rowsPerCol [][]int, activeRows, b, denseThreshold int)
 	}
 	p.densify()
 	return p
-}
-
-// PackCSC packs a boolean CSC matrix (a filtered batch Ā(l)) into a Packed
-// matrix with word width b. Stored entries are treated as 1-bits regardless
-// of value type.
-func PackCSC[T any](a *sparse.CSC[T], b int) *Packed {
-	rowsPerCol := make([][]int, a.NumCols)
-	for j := 0; j < a.NumCols; j++ {
-		rows, _ := a.Col(j)
-		rowsPerCol[j] = rows
-	}
-	return PackColumns(rowsPerCol, a.NumRows, b)
-}
-
-// Unpack expands the packed matrix back to a boolean CSC matrix with
-// ActiveRows rows; used by tests to verify the packing is lossless.
-func (p *Packed) Unpack() *sparse.CSC[bool] {
-	coo := sparse.MustCOO[bool](p.ActiveRows, p.Cols)
-	for j := 0; j < p.Cols; j++ {
-		wordRows, words := p.Col(j)
-		for k, w := range wordRows {
-			word := words[k]
-			for bit := 0; bit < p.B; bit++ {
-				if word&(1<<uint(bit)) != 0 {
-					r := w*p.B + bit
-					if r < p.ActiveRows {
-						coo.Append(r, j, true)
-					}
-				}
-			}
-		}
-	}
-	return sparse.CSCFromCOO(coo, semiring.OrBool())
 }

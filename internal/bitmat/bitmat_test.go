@@ -2,25 +2,67 @@ package bitmat
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
 
-	"genomeatscale/internal/semiring"
 	"genomeatscale/internal/sparse"
 )
 
-// randomIndicator builds a random boolean indicator matrix in CSC form.
-func randomIndicator(rng *rand.Rand, rows, cols int, density float64) *sparse.CSC[bool] {
-	coo := sparse.MustCOO[bool](rows, cols)
+// randomIndicatorRows builds a random indicator matrix as the per-column
+// sorted row lists PackColumns takes, drawing each cell row-major.
+func randomIndicatorRows(rng *rand.Rand, rows, cols int, density float64) [][]int {
+	out := make([][]int, cols)
 	for i := 0; i < rows; i++ {
 		for j := 0; j < cols; j++ {
 			if rng.Float64() < density {
-				coo.Append(i, j, true)
+				out[j] = append(out[j], i)
 			}
 		}
 	}
-	return sparse.CSCFromCOO(coo, semiring.OrBool())
+	return out
+}
+
+// unpackRows decodes a packed matrix back to per-column sorted row lists,
+// one row per set bit.
+func unpackRows(p *Packed) [][]int {
+	out := make([][]int, p.Cols)
+	for j := range out {
+		wordRows, words := p.Col(j)
+		for k, w := range wordRows {
+			for bit := 0; bit < p.B; bit++ {
+				if words[k]&(1<<uint(bit)) != 0 {
+					out[j] = append(out[j], w*p.B+bit)
+				}
+			}
+		}
+	}
+	return out
+}
+
+// directGram is the oracle for the packed Gram product: B[i][j] =
+// |col_i ∩ col_j|, counted straight from the row lists, the definition
+// core.ExactJaccard's intersections use.
+func directGram(rowsPerCol [][]int) *sparse.Dense[int64] {
+	n := len(rowsPerCol)
+	out := sparse.MustDense[int64](n, n)
+	for i, x := range rowsPerCol {
+		in := make(map[int]bool, len(x))
+		for _, r := range x {
+			in[r] = true
+		}
+		for j, y := range rowsPerCol {
+			var c int64
+			for _, r := range y {
+				if in[r] {
+					c++
+				}
+			}
+			out.Set(i, j, c)
+		}
+	}
+	return out
 }
 
 func TestPackColumnsBasic(t *testing.T) {
@@ -86,49 +128,28 @@ func TestPackUnpackRoundTrip(t *testing.T) {
 		for trial := 0; trial < 8; trial++ {
 			rows := 1 + rng.Intn(200)
 			cols := 1 + rng.Intn(10)
-			csc := randomIndicator(rng, rows, cols, 0.15)
-			p := PackCSC(csc, b)
-			back := p.Unpack()
-			if back.NNZ() != csc.NNZ() {
-				t.Fatalf("b=%d: nnz %d after round trip, want %d", b, back.NNZ(), csc.NNZ())
-			}
+			want := randomIndicatorRows(rng, rows, cols, 0.15)
+			back := unpackRows(PackColumns(want, rows, b))
 			for j := 0; j < cols; j++ {
-				wantRows, _ := csc.Col(j)
-				gotRows, _ := back.Col(j)
-				if len(wantRows) != len(gotRows) {
-					t.Fatalf("b=%d col %d: row count mismatch", b, j)
-				}
-				for k := range wantRows {
-					if wantRows[k] != gotRows[k] {
-						t.Fatalf("b=%d col %d: row %d vs %d", b, j, gotRows[k], wantRows[k])
-					}
+				if !slices.Equal(want[j], back[j]) {
+					t.Fatalf("b=%d col %d: rows %v after round trip, want %v", b, j, back[j], want[j])
 				}
 			}
 		}
 	}
 }
 
-// The packed Gram product must agree with the uncompressed reference GramT
-// over the (+,×) semiring — the equivalence that justifies Eq. 7.
+// The packed Gram product must agree with intersection sizes counted on
+// the uncompressed row lists — the equivalence that justifies Eq. 7.
 func TestGramMatchesUncompressedReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for _, b := range []int{16, 32, 64} {
 		for trial := 0; trial < 10; trial++ {
 			rows := 1 + rng.Intn(150)
 			cols := 1 + rng.Intn(12)
-			coo := sparse.MustCOO[int64](rows, cols)
-			booCoo := sparse.MustCOO[bool](rows, cols)
-			for i := 0; i < rows; i++ {
-				for j := 0; j < cols; j++ {
-					if rng.Float64() < 0.2 {
-						coo.Append(i, j, 1)
-						booCoo.Append(i, j, true)
-					}
-				}
-			}
-			want := sparse.GramT(sparse.CSCFromCOO(coo, semiring.PlusInt64()), semiring.PlusTimesInt64())
-			p := PackCSC(sparse.CSCFromCOO(booCoo, semiring.OrBool()), b)
-			got := p.Gram()
+			rowsPerCol := randomIndicatorRows(rng, rows, cols, 0.2)
+			want := directGram(rowsPerCol)
+			got := PackColumns(rowsPerCol, rows, b).Gram()
 			if !sparse.Equal(want, got, func(a, c int64) bool { return a == c }) {
 				t.Fatalf("b=%d trial %d: packed Gram differs from reference", b, trial)
 			}
@@ -157,8 +178,7 @@ func TestColPopcounts(t *testing.T) {
 func TestGramBlockMatchesFullGram(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	rows, cols := 120, 9
-	csc := randomIndicator(rng, rows, cols, 0.2)
-	p := PackCSC(csc, 64)
+	p := PackColumns(randomIndicatorRows(rng, rows, cols, 0.2), rows, 64)
 	full := p.Gram()
 	// Split columns into two blocks and recompose the Gram matrix from
 	// GramBlock calls.
@@ -197,8 +217,7 @@ func TestWordRowRangeSplitsGram(t *testing.T) {
 	// algorithm's reduction step).
 	rng := rand.New(rand.NewSource(17))
 	rows, cols := 300, 7
-	csc := randomIndicator(rng, rows, cols, 0.1)
-	p := PackCSC(csc, 64)
+	p := PackColumns(randomIndicatorRows(rng, rows, cols, 0.1), rows, 64)
 	full := p.Gram()
 	acc := sparse.MustDense[int64](cols, cols)
 	layers := 3
@@ -242,8 +261,7 @@ func TestWordRowRangePanics(t *testing.T) {
 
 func TestEntriesFromEntriesRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
-	csc := randomIndicator(rng, 150, 6, 0.15)
-	p := PackCSC(csc, 64)
+	p := PackColumns(randomIndicatorRows(rng, 150, 6, 0.15), 150, 64)
 	entries := p.Entries()
 	q := FromEntries(entries, p.WordRows, p.Cols, p.B, p.ActiveRows)
 	if !sparse.Equal(p.Gram(), q.Gram(), func(a, b int64) bool { return a == b }) {
@@ -256,8 +274,7 @@ func TestEntriesFromEntriesRoundTrip(t *testing.T) {
 
 func TestFromEntriesUnsortedMatchesSorted(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
-	csc := randomIndicator(rng, 150, 6, 0.15)
-	p := PackCSC(csc, 32)
+	p := PackColumns(randomIndicatorRows(rng, 150, 6, 0.15), 150, 32)
 	entries := p.Entries()
 	shuffled := append([]PackedEntry(nil), entries...)
 	rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })

@@ -33,9 +33,17 @@ func TestGramAccumulateWorkersMatchesSerial(t *testing.T) {
 		for trial := 0; trial < 6; trial++ {
 			rows := 1 + rng.Intn(400)
 			cols := 1 + rng.Intn(90)
-			p := PackCSC(randomIndicator(rng, rows, cols, 0.1), maskBits)
+			rowsPerCol := randomIndicatorRows(rng, rows, cols, 0.1)
+			p := PackColumns(rowsPerCol, rows, maskBits)
 			want, seed := seededAccumulator(rng, cols)
 			p.GramAccumulate(want)
+			direct := directGram(rowsPerCol)
+			for k, v := range seed.Data {
+				if want.Data[k]-v != direct.Data[k] {
+					t.Fatalf("b=%d trial=%d: serial Gram cell %d adds %d, direct count %d",
+						maskBits, trial, k, want.Data[k]-v, direct.Data[k])
+				}
+			}
 			for _, workers := range []int{0, 2, 3, 4, 7} {
 				got := seed.Clone()
 				p.GramAccumulateWorkers(got, workers)
@@ -55,7 +63,7 @@ func TestGramBlockWorkersMatchesSerial(t *testing.T) {
 	for trial := 0; trial < 8; trial++ {
 		rows := 1 + rng.Intn(300)
 		cols := 2 + rng.Intn(80)
-		p := PackCSC(randomIndicator(rng, rows, cols, 0.12), 64)
+		p := PackColumns(randomIndicatorRows(rng, rows, cols, 0.12), rows, 64)
 		split := 1 + rng.Intn(cols-1)
 		a, b := p.ColRange(0, split), p.ColRange(split, cols)
 		want := GramBlock(a, b)
@@ -76,8 +84,9 @@ func TestGramBlockWorkersMatchesSerial(t *testing.T) {
 func TestConcurrentGramAccumulateDisjointAccumulators(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	const cols = 60
-	p := PackCSC(randomIndicator(rng, 500, cols, 0.1), 64)
-	want := p.Gram()
+	rowsPerCol := randomIndicatorRows(rng, 500, cols, 0.1)
+	p := PackColumns(rowsPerCol, 500, 64)
+	want := directGram(rowsPerCol)
 
 	const callers = 6
 	accs := make([]*sparse.Dense[int64], callers)
@@ -202,7 +211,7 @@ func FuzzFromEntries(f *testing.F) {
 // ctx.Err() on both the serial and the tiled route.
 func TestGramAccumulateCtx(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
-	p := PackCSC(randomIndicator(rng, 300, 60, 0.1), 64)
+	p := PackColumns(randomIndicatorRows(rng, 300, 60, 0.1), 300, 64)
 	want, seed := seededAccumulator(rng, 60)
 	p.GramAccumulate(want)
 

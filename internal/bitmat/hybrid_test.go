@@ -3,6 +3,7 @@ package bitmat
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"genomeatscale/internal/sparse"
@@ -10,7 +11,7 @@ import (
 
 // hybrid_test.go pins down the tentpole property of the adaptive storage
 // layout: the dense-threshold spec selects storage and kernels only — every
-// observable result (Gram, GramBlock, ColPopcounts, Unpack, Entries,
+// observable result (Gram, GramBlock, ColPopcounts, unpacked rows, Entries,
 // NNZWords, PopcountTotal, the ColRange/WordRowRange splits) is identical
 // to the sparse-only layout for every threshold.
 
@@ -55,20 +56,10 @@ func assertPackedEquivalent(t *testing.T, p, q *Packed, label string) {
 			t.Fatalf("%s: ColPopcounts[%d] = %d, want %d", label, j, gotPC[j], wantPC[j])
 		}
 	}
-	wantU, gotU := p.Unpack(), q.Unpack()
-	if wantU.NNZ() != gotU.NNZ() {
-		t.Fatalf("%s: Unpack nnz %d, want %d", label, gotU.NNZ(), wantU.NNZ())
-	}
-	for j := 0; j < p.Cols; j++ {
-		wr, _ := wantU.Col(j)
-		gr, _ := gotU.Col(j)
-		if len(wr) != len(gr) {
-			t.Fatalf("%s: Unpack col %d row count %d, want %d", label, j, len(gr), len(wr))
-		}
-		for k := range wr {
-			if wr[k] != gr[k] {
-				t.Fatalf("%s: Unpack col %d row %d, want %d", label, j, gr[k], wr[k])
-			}
+	wantU, gotU := unpackRows(p), unpackRows(q)
+	for j := range wantU {
+		if !slices.Equal(wantU[j], gotU[j]) {
+			t.Fatalf("%s: unpacked col %d rows %v, want %v", label, j, gotU[j], wantU[j])
 		}
 	}
 	wantE, gotE := p.Entries(), q.Entries()
@@ -94,6 +85,14 @@ func TestHybridLayoutEquivalenceSweep(t *testing.T) {
 			cols := 3 + rng.Intn(10)
 			rowsPerCol := randomRowsPerCol(rng, rows, cols, occupancy)
 			ref := PackColumnsThreshold(rowsPerCol, rows, b, DenseNever)
+			// The sparse-only reference itself is pinned to the row lists
+			// it was packed from.
+			if !slices.EqualFunc(rowsPerCol, unpackRows(ref), slices.Equal[[]int]) {
+				t.Fatalf("b=%d occ=%.3f: packing is not lossless", b, occupancy)
+			}
+			if !sparse.Equal(directGram(rowsPerCol), ref.Gram(), int64Eq) {
+				t.Fatalf("b=%d occ=%.3f: Gram differs from direct intersection counts", b, occupancy)
+			}
 			for _, spec := range thresholdSweep {
 				label := fmt.Sprintf("b=%d occ=%.3f spec=%d", b, occupancy, spec)
 				q := PackColumnsThreshold(rowsPerCol, rows, b, spec)

@@ -56,14 +56,14 @@ func init() {
 func Kernel() string { return activeImpl.Load().name }
 
 // ForcePortable switches the dispatched entry points to the portable 8-way
-// kernel, regardless of CPU capabilities. Benchmarks use it to measure the
-// portable baseline on hosts where the assembly kernel was auto-installed;
+// kernel, regardless of CPU capabilities, so the portable baseline can be
+// exercised on hosts where the assembly kernel was auto-installed;
 // EnableBestKernel restores the auto-detected choice.
 func ForcePortable() { activeImpl.Store(portableImpl) }
 
 // PopcountAndSlice4 is the previous-generation 4-way unrolled
-// AND+popcount kernel, retained as the benchmark baseline the dispatched
-// kernels are compared against (cmd/benchkernels records the speedup).
+// AND+popcount kernel, retained as the reference baseline the differential
+// kernel tests check every dispatched kernel against.
 // Slices of unequal length are handled by treating missing words as zero.
 func PopcountAndSlice4(a, b []uint64) int {
 	n := len(a)

@@ -12,6 +12,18 @@ import (
 	"genomeatscale/internal/tile"
 )
 
+// peakSink is a Collect that also records the largest tile, in cells, the
+// engine delivered to it.
+type peakSink struct {
+	*tile.Collect
+	maxCells int64
+}
+
+func (s *peakSink) Emit(t *tile.Tile) error {
+	s.maxCells = max(s.maxCells, int64(t.Rows)*int64(t.Cols))
+	return s.Collect.Emit(t)
+}
+
 // TestStreamCollectMatchesLegacy drives Engine.Stream with a collecting
 // sink across the Procs × BatchCount × Workers × DenseThreshold
 // equivalence grid (sequential points included as Procs = 1, with a tile
@@ -19,7 +31,8 @@ import (
 // B, S and D to be byte-identical — exact int64/float64 equality, not
 // tolerance — to the legacy gathered Result of Engine.Similarity at the
 // same point. It also checks the streaming Result carries no matrices and
-// records the streaming stats.
+// records the streaming stats, including that a run split into several
+// tiles holds less than the 3n² words of a full gather.
 func TestStreamCollectMatchesLegacy(t *testing.T) {
 	rng := rand.New(rand.NewSource(2027))
 	intEq := func(a, b int64) bool { return a == b }
@@ -55,7 +68,7 @@ func TestStreamCollectMatchesLegacy(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						collect := tile.NewCollect()
+						collect := &peakSink{Collect: tile.NewCollect()}
 						streamed, err := e.Stream(ctx, ds, collect)
 						if err != nil {
 							t.Fatal(err)
@@ -82,8 +95,12 @@ func TestStreamCollectMatchesLegacy(t *testing.T) {
 							t.Errorf("sequential TileRows=3 over n=%d emitted %d tiles, want %d",
 								n, streamed.Stats.TilesEmitted, (n+2)/3)
 						}
-						if streamed.Stats.PeakTileWords <= 0 {
-							t.Error("streaming run must record the peak tile footprint")
+						if peak := streamed.Stats.PeakTileWords; peak <= 0 || peak != 3*collect.maxCells {
+							t.Errorf("PeakTileWords = %d, want 3 × %d cells of the largest emitted tile", peak, collect.maxCells)
+						}
+						if gather := 3 * int64(n) * int64(n); streamed.Stats.TilesEmitted > 1 && streamed.Stats.PeakTileWords >= gather {
+							t.Errorf("%d tiles peaked at %d words, not below the %d of a full gather",
+								streamed.Stats.TilesEmitted, streamed.Stats.PeakTileWords, gather)
 						}
 						for i := 0; i < n; i++ {
 							if streamed.Cardinalities[i] != legacy.Cardinalities[i] {

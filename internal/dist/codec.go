@@ -112,8 +112,11 @@ func (c wireCodec) Decode(data []byte) (any, error) {
 		}
 		nb, ns, nd := hdr[4], hdr[5], hdr[6]
 		rest := body[56:]
-		if nb < 0 || ns < 0 || nd < 0 || len(rest) != 8*(nb+ns+nd) {
-			return nil, fmt.Errorf("dist: wire codec: tile payload %d bytes, want %d", len(rest), 8*(nb+ns+nd))
+		// Bound each count by the payload before summing: near 2⁶¹,
+		// 8*(nb+ns+nd) wraps and a bare header would pass for a huge tile.
+		words := len(rest) / 8
+		if nb < 0 || ns < 0 || nd < 0 || nb > words || ns > words || nd > words || len(rest) != 8*(nb+ns+nd) {
+			return nil, fmt.Errorf("dist: wire codec: tile payload %d bytes, header announces %d+%d+%d words", len(rest), nb, ns, nd)
 		}
 		tl := &tile.Tile{
 			RowLo: hdr[0], ColLo: hdr[1], Rows: hdr[2], Cols: hdr[3],

@@ -1,10 +1,13 @@
 package dist
 
 import (
+	"bytes"
+	"encoding/binary"
 	"reflect"
 	"testing"
 
 	"genomeatscale/internal/bitmat"
+	"genomeatscale/internal/bsp"
 	"genomeatscale/internal/tile"
 )
 
@@ -102,6 +105,79 @@ func TestWireCodecRejectsCorruptPayloads(t *testing.T) {
 	if _, err := c.Decode(data); err == nil {
 		t.Error("panel with missing entries decoded without error")
 	}
+	// Tile headers whose counts sum to a multiple of 2⁶¹ words: 8× the sum
+	// wraps to 0, the empty body's length, so only a per-count bound keeps
+	// them from reaching make.
+	for _, counts := range [][3]uint64{
+		{1 << 61, 0, 0},
+		{0, 0, 1 << 61},
+		{1<<61 - 1, 1, 0},
+		{1<<61 + 1, 0, 1<<63 - 1},
+	} {
+		if _, err := c.Decode(tileHeader(counts)); err == nil {
+			t.Errorf("tile header announcing %v words decoded from an empty body", counts)
+		}
+	}
+}
+
+// tileHeader encodes a bare kindTile header for a 1×1 tile at the origin
+// announcing the given B, S and D counts, with no payload after it.
+func tileHeader(counts [3]uint64) []byte {
+	out := []byte{kindTile}
+	for _, d := range []uint64{0, 0, 1, 1, counts[0], counts[1], counts[2]} {
+		out = binary.LittleEndian.AppendUint64(out, d)
+	}
+	return out
+}
+
+// FuzzWireDecode feeds arbitrary bytes to both codecs a rank decodes with,
+// the dist wire codec and the bsp.PlainCodec it delegates to. Decode must
+// return an error or a value, never panic or allocate past the payload, and
+// a decoded value must re-encode to a canonical form that decodes back to
+// the same bytes.
+func FuzzWireDecode(f *testing.F) {
+	wire := NewWireCodec()
+	for _, v := range []any{
+		entrySlice{{WordRow: 7, Col: 1, Word: ^uint64(0)}},
+		packedWire{Entries: entrySlice{{WordRow: 0, Col: 3, Word: 5}}, WordRows: 8, Cols: 4, B: 64, ActiveRows: 100, DenseThreshold: -1},
+		&tile.Tile{Rows: 1, Cols: 2, B: []int64{1, 2}, S: []float64{0.5, 1}, D: []float64{0.5, 0}},
+		[]int64{10, 20},
+		[]bool{true, false},
+		"hello",
+		nil,
+	} {
+		data, err := wire.Encode(v)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Add(tileHeader([3]uint64{1 << 61, 0, 0}))
+	f.Add([]byte{kindPackedWire, 1, 2, 3})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, c := range []bsp.Codec{wire, bsp.PlainCodec{}} {
+			v, err := c.Decode(data)
+			if err != nil {
+				continue
+			}
+			canon, err := c.Encode(v)
+			if err != nil {
+				t.Fatalf("%T: decoded %T does not re-encode: %v", c, v, err)
+			}
+			if len(canon) > len(data) {
+				t.Fatalf("%T: %d input bytes decoded to a %d-byte value", c, len(data), len(canon))
+			}
+			back, err := c.Decode(canon)
+			if err != nil {
+				t.Fatalf("%T: canonical encoding does not decode: %v", c, err)
+			}
+			again, err := c.Encode(back)
+			if err != nil || !bytes.Equal(again, canon) {
+				t.Fatalf("%T: canonical encoding not stable: %x vs %x", c, again, canon)
+			}
+		}
+	})
 }
 
 // TestWireCodecEncodesRealPacked: a panel built by bitmat survives the

@@ -1,377 +1,16 @@
-// Package sparse implements the sparse-matrix substrate of
-// SimilarityAtScale: coordinate (COO), compressed-sparse-row (CSR) and
-// compressed-sparse-column (CSC) formats with generic value types, a dense
-// matrix type used for the (generally dense) similarity output, sparse
-// vectors, and generalized matrix products over user semirings.
+// Package sparse holds Dense, the row-major matrix the similarity output
+// lives in: the intersection counts B, the similarities S and the distances
+// D of every tile, and the oracles and sinks that consume them. The paper
+// notes (Section VI) that the Jaccard output is generally dense even when
+// the indicator matrix is hypersparse.
 //
-// The indicator matrix A of the paper (Section III-A) is hypersparse: most
-// of its rows are entirely empty. The conversions here preserve explicit
-// knowledge of which rows are non-empty so the filtering step (Eq. 5, 6)
-// can drop them before compression.
+// The product B = AᵀA itself runs only through internal/bitmat's packed
+// popcount kernels (Eq. 7); this package holds storage, not algebra.
 package sparse
 
-import (
-	"fmt"
-	"sort"
+import "fmt"
 
-	"genomeatscale/internal/semiring"
-)
-
-// Entry is a single nonzero of a matrix in coordinate form.
-type Entry[T any] struct {
-	Row, Col int
-	Val      T
-}
-
-// --- COO ---------------------------------------------------------------------
-
-// COO is a coordinate-format sparse matrix. Entries may be unsorted and may
-// contain duplicates until Compact is called.
-type COO[T any] struct {
-	NumRows, NumCols int
-	Entries          []Entry[T]
-}
-
-// NewCOO returns an empty COO matrix with the given dimensions. Dimensions
-// may be user-derived (parsed file headers, CLI flags), so a negative shape
-// is reported as an error; use MustCOO when the shape is structurally
-// non-negative.
-func NewCOO[T any](rows, cols int) (*COO[T], error) {
-	if rows < 0 || cols < 0 {
-		return nil, fmt.Errorf("sparse: negative dimensions %dx%d", rows, cols)
-	}
-	return &COO[T]{NumRows: rows, NumCols: cols}, nil
-}
-
-// MustCOO is NewCOO for shapes derived from existing matrices or slice
-// lengths, which cannot be negative. It panics on the error NewCOO would
-// return.
-func MustCOO[T any](rows, cols int) *COO[T] {
-	m, err := NewCOO[T](rows, cols)
-	if err != nil {
-		//gas:invariant callers pass shapes derived from existing matrices or len(); see NewCOO for the error-returning form
-		panic(err)
-	}
-	return m
-}
-
-// Append adds a nonzero entry. Bounds are checked.
-func (m *COO[T]) Append(row, col int, val T) {
-	if row < 0 || row >= m.NumRows || col < 0 || col >= m.NumCols {
-		//gas:invariant entry coordinates are produced by the builders (hashing, slicing, conversion loops) against this matrix's own shape; out-of-bounds is a builder bug, and input layers validate coordinates before appending
-		panic(fmt.Sprintf("sparse: entry (%d,%d) out of bounds %dx%d", row, col, m.NumRows, m.NumCols))
-	}
-	m.Entries = append(m.Entries, Entry[T]{Row: row, Col: col, Val: val})
-}
-
-// NNZ returns the number of stored entries (including duplicates).
-func (m *COO[T]) NNZ() int { return len(m.Entries) }
-
-// Sort orders entries by (row, col).
-func (m *COO[T]) Sort() {
-	sort.Slice(m.Entries, func(i, j int) bool {
-		a, b := m.Entries[i], m.Entries[j]
-		if a.Row != b.Row {
-			return a.Row < b.Row
-		}
-		return a.Col < b.Col
-	})
-}
-
-// SortColMajor orders entries by (col, row); this is the order used when
-// building per-column packed representations (the paper's implementation
-// iterates in column-major order).
-func (m *COO[T]) SortColMajor() {
-	sort.Slice(m.Entries, func(i, j int) bool {
-		a, b := m.Entries[i], m.Entries[j]
-		if a.Col != b.Col {
-			return a.Col < b.Col
-		}
-		return a.Row < b.Row
-	})
-}
-
-// Compact sorts entries and merges duplicates at the same (row, col) using
-// the provided monoid.
-func (m *COO[T]) Compact(combine semiring.Monoid[T]) {
-	if len(m.Entries) == 0 {
-		return
-	}
-	m.Sort()
-	out := m.Entries[:1]
-	for _, e := range m.Entries[1:] {
-		last := &out[len(out)-1]
-		if e.Row == last.Row && e.Col == last.Col {
-			last.Val = combine.Op(last.Val, e.Val)
-		} else {
-			out = append(out, e)
-		}
-	}
-	m.Entries = out
-}
-
-// Transpose returns a new COO matrix with rows and columns swapped.
-func (m *COO[T]) Transpose() *COO[T] {
-	t := MustCOO[T](m.NumCols, m.NumRows)
-	t.Entries = make([]Entry[T], len(m.Entries))
-	for i, e := range m.Entries {
-		t.Entries[i] = Entry[T]{Row: e.Col, Col: e.Row, Val: e.Val}
-	}
-	return t
-}
-
-// Clone returns a deep copy.
-func (m *COO[T]) Clone() *COO[T] {
-	c := MustCOO[T](m.NumRows, m.NumCols)
-	c.Entries = append([]Entry[T](nil), m.Entries...)
-	return c
-}
-
-// Density returns nnz / (rows*cols), or 0 for an empty shape.
-func (m *COO[T]) Density() float64 {
-	if m.NumRows == 0 || m.NumCols == 0 {
-		return 0
-	}
-	return float64(len(m.Entries)) / (float64(m.NumRows) * float64(m.NumCols))
-}
-
-// NonEmptyRows returns the sorted list of row indices that hold at least one
-// entry. For hypersparse indicator matrices this is far smaller than
-// NumRows, which is what the filter vector of Eq. 5 exploits.
-func (m *COO[T]) NonEmptyRows() []int {
-	seen := make(map[int]struct{})
-	for _, e := range m.Entries {
-		seen[e.Row] = struct{}{}
-	}
-	rows := make([]int, 0, len(seen))
-	for r := range seen {
-		rows = append(rows, r)
-	}
-	sort.Ints(rows)
-	return rows
-}
-
-// --- CSR ---------------------------------------------------------------------
-
-// CSR is a compressed-sparse-row matrix.
-type CSR[T any] struct {
-	NumRows, NumCols int
-	RowPtr           []int // length NumRows+1
-	ColIdx           []int // length NNZ
-	Val              []T   // length NNZ
-}
-
-// NNZ returns the number of stored entries.
-func (m *CSR[T]) NNZ() int { return len(m.ColIdx) }
-
-// Row returns the column indices and values of row i (views, do not modify).
-func (m *CSR[T]) Row(i int) ([]int, []T) {
-	lo, hi := m.RowPtr[i], m.RowPtr[i+1]
-	return m.ColIdx[lo:hi], m.Val[lo:hi]
-}
-
-// At returns the value at (i, j) and whether it is stored.
-func (m *CSR[T]) At(i, j int) (T, bool) {
-	cols, vals := m.Row(i)
-	k := sort.SearchInts(cols, j)
-	if k < len(cols) && cols[k] == j {
-		return vals[k], true
-	}
-	var zero T
-	return zero, false
-}
-
-// ToCOO converts back to coordinate form.
-func (m *CSR[T]) ToCOO() *COO[T] {
-	out := MustCOO[T](m.NumRows, m.NumCols)
-	out.Entries = make([]Entry[T], 0, m.NNZ())
-	for i := 0; i < m.NumRows; i++ {
-		cols, vals := m.Row(i)
-		for k, j := range cols {
-			out.Entries = append(out.Entries, Entry[T]{Row: i, Col: j, Val: vals[k]})
-		}
-	}
-	return out
-}
-
-// --- CSC ---------------------------------------------------------------------
-
-// CSC is a compressed-sparse-column matrix. Column-oriented access is the
-// natural layout for SimilarityAtScale because one column of the indicator
-// matrix is one data sample.
-type CSC[T any] struct {
-	NumRows, NumCols int
-	ColPtr           []int // length NumCols+1
-	RowIdx           []int // length NNZ
-	Val              []T   // length NNZ
-}
-
-// NNZ returns the number of stored entries.
-func (m *CSC[T]) NNZ() int { return len(m.RowIdx) }
-
-// Col returns the row indices and values of column j (views, do not modify).
-func (m *CSC[T]) Col(j int) ([]int, []T) {
-	lo, hi := m.ColPtr[j], m.ColPtr[j+1]
-	return m.RowIdx[lo:hi], m.Val[lo:hi]
-}
-
-// At returns the value at (i, j) and whether it is stored.
-func (m *CSC[T]) At(i, j int) (T, bool) {
-	rows, vals := m.Col(j)
-	k := sort.SearchInts(rows, i)
-	if k < len(rows) && rows[k] == i {
-		return vals[k], true
-	}
-	var zero T
-	return zero, false
-}
-
-// ToCOO converts back to coordinate form.
-func (m *CSC[T]) ToCOO() *COO[T] {
-	out := MustCOO[T](m.NumRows, m.NumCols)
-	out.Entries = make([]Entry[T], 0, m.NNZ())
-	for j := 0; j < m.NumCols; j++ {
-		rows, vals := m.Col(j)
-		for k, i := range rows {
-			out.Entries = append(out.Entries, Entry[T]{Row: i, Col: j, Val: vals[k]})
-		}
-	}
-	return out
-}
-
-// ColNNZ returns the number of nonzeros in each column (the per-sample
-// cardinalities |X_j| when the values are indicator bits).
-func (m *CSC[T]) ColNNZ() []int {
-	out := make([]int, m.NumCols)
-	for j := 0; j < m.NumCols; j++ {
-		out[j] = m.ColPtr[j+1] - m.ColPtr[j]
-	}
-	return out
-}
-
-// --- Conversions ---------------------------------------------------------------
-
-// CSRFromCOO builds a CSR matrix. Duplicate entries are combined with the
-// monoid.
-func CSRFromCOO[T any](m *COO[T], combine semiring.Monoid[T]) *CSR[T] {
-	c := m.Clone()
-	c.Compact(combine)
-	out := &CSR[T]{
-		NumRows: c.NumRows,
-		NumCols: c.NumCols,
-		RowPtr:  make([]int, c.NumRows+1),
-		ColIdx:  make([]int, 0, len(c.Entries)),
-		Val:     make([]T, 0, len(c.Entries)),
-	}
-	for _, e := range c.Entries {
-		out.RowPtr[e.Row+1]++
-	}
-	for i := 0; i < c.NumRows; i++ {
-		out.RowPtr[i+1] += out.RowPtr[i]
-	}
-	for _, e := range c.Entries {
-		out.ColIdx = append(out.ColIdx, e.Col)
-		out.Val = append(out.Val, e.Val)
-	}
-	return out
-}
-
-// CSCFromCOO builds a CSC matrix. Duplicate entries are combined with the
-// monoid.
-func CSCFromCOO[T any](m *COO[T], combine semiring.Monoid[T]) *CSC[T] {
-	c := m.Clone()
-	c.Compact(combine)
-	// Re-sort column-major after dedup.
-	sort.Slice(c.Entries, func(i, j int) bool {
-		a, b := c.Entries[i], c.Entries[j]
-		if a.Col != b.Col {
-			return a.Col < b.Col
-		}
-		return a.Row < b.Row
-	})
-	out := &CSC[T]{
-		NumRows: c.NumRows,
-		NumCols: c.NumCols,
-		ColPtr:  make([]int, c.NumCols+1),
-		RowIdx:  make([]int, 0, len(c.Entries)),
-		Val:     make([]T, 0, len(c.Entries)),
-	}
-	for _, e := range c.Entries {
-		out.ColPtr[e.Col+1]++
-	}
-	for j := 0; j < c.NumCols; j++ {
-		out.ColPtr[j+1] += out.ColPtr[j]
-	}
-	for _, e := range c.Entries {
-		out.RowIdx = append(out.RowIdx, e.Row)
-		out.Val = append(out.Val, e.Val)
-	}
-	return out
-}
-
-// CSCFromCSR converts row- to column-compressed form.
-func CSCFromCSR[T any](m *CSR[T]) *CSC[T] {
-	colCount := make([]int, m.NumCols+1)
-	for _, j := range m.ColIdx {
-		colCount[j+1]++
-	}
-	for j := 0; j < m.NumCols; j++ {
-		colCount[j+1] += colCount[j]
-	}
-	out := &CSC[T]{
-		NumRows: m.NumRows,
-		NumCols: m.NumCols,
-		ColPtr:  colCount,
-		RowIdx:  make([]int, m.NNZ()),
-		Val:     make([]T, m.NNZ()),
-	}
-	next := append([]int(nil), out.ColPtr[:m.NumCols]...)
-	for i := 0; i < m.NumRows; i++ {
-		cols, vals := m.Row(i)
-		for k, j := range cols {
-			pos := next[j]
-			out.RowIdx[pos] = i
-			out.Val[pos] = vals[k]
-			next[j]++
-		}
-	}
-	return out
-}
-
-// CSRFromCSC converts column- to row-compressed form.
-func CSRFromCSC[T any](m *CSC[T]) *CSR[T] {
-	rowCount := make([]int, m.NumRows+1)
-	for _, i := range m.RowIdx {
-		rowCount[i+1]++
-	}
-	for i := 0; i < m.NumRows; i++ {
-		rowCount[i+1] += rowCount[i]
-	}
-	out := &CSR[T]{
-		NumRows: m.NumRows,
-		NumCols: m.NumCols,
-		RowPtr:  rowCount,
-		ColIdx:  make([]int, m.NNZ()),
-		Val:     make([]T, m.NNZ()),
-	}
-	next := append([]int(nil), out.RowPtr[:m.NumRows]...)
-	for j := 0; j < m.NumCols; j++ {
-		rows, vals := m.Col(j)
-		for k, i := range rows {
-			pos := next[i]
-			out.ColIdx[pos] = j
-			out.Val[pos] = vals[k]
-			next[i]++
-		}
-	}
-	return out
-}
-
-// --- Dense ---------------------------------------------------------------------
-
-// Dense is a row-major dense matrix. The similarity matrix S and the
-// intermediate intersection matrix B are dense in the paper's setting
-// (Section VI notes that the Jaccard output is generally dense).
+// Dense is a row-major dense matrix.
 type Dense[T any] struct {
 	Rows, Cols int
 	Data       []T
@@ -405,11 +44,6 @@ func (d *Dense[T]) At(i, j int) T { return d.Data[i*d.Cols+j] }
 // Set stores v at (i, j).
 func (d *Dense[T]) Set(i, j int, v T) { d.Data[i*d.Cols+j] = v }
 
-// Update applies f to the element at (i, j).
-func (d *Dense[T]) Update(i, j int, f func(T) T) {
-	d.Data[i*d.Cols+j] = f(d.Data[i*d.Cols+j])
-}
-
 // Row returns a view of row i.
 func (d *Dense[T]) Row(i int) []T { return d.Data[i*d.Cols : (i+1)*d.Cols] }
 
@@ -418,17 +52,6 @@ func (d *Dense[T]) Clone() *Dense[T] {
 	out := MustDense[T](d.Rows, d.Cols)
 	copy(out.Data, d.Data)
 	return out
-}
-
-// AddInto accumulates other into d elementwise using the monoid.
-func (d *Dense[T]) AddInto(other *Dense[T], add semiring.Monoid[T]) {
-	if d.Rows != other.Rows || d.Cols != other.Cols {
-		//gas:invariant both operands are built by the same pipeline stage from one shape; a mismatch is an accumulation bug, not reachable from input
-		panic(fmt.Sprintf("sparse: dense shape mismatch %dx%d vs %dx%d", d.Rows, d.Cols, other.Rows, other.Cols))
-	}
-	for i := range d.Data {
-		d.Data[i] = add.Op(d.Data[i], other.Data[i])
-	}
 }
 
 // Map returns a new dense matrix with f applied elementwise.
@@ -440,105 +63,15 @@ func Map[T, U any](d *Dense[T], f func(T) U) *Dense[U] {
 	return out
 }
 
-// Zip returns a new dense matrix combining a and b elementwise.
-func Zip[A, B, C any](a *Dense[A], b *Dense[B], f func(A, B) C) *Dense[C] {
+// Equal reports whether two dense matrices are elementwise equal under eq.
+func Equal[T any](a, b *Dense[T], eq func(T, T) bool) bool {
 	if a.Rows != b.Rows || a.Cols != b.Cols {
-		//gas:invariant Zip combines matrices produced pairwise by the same derivation (e.g. S and D over one B); a mismatch is a pipeline bug
-		panic("sparse: Zip shape mismatch")
+		return false
 	}
-	out := MustDense[C](a.Rows, a.Cols)
 	for i := range a.Data {
-		out.Data[i] = f(a.Data[i], b.Data[i])
-	}
-	return out
-}
-
-// --- Sparse vector ---------------------------------------------------------------
-
-// Vector is a sparse vector holding (index, value) pairs in increasing
-// index order after Compact.
-type Vector[T any] struct {
-	Len int
-	Idx []int
-	Val []T
-}
-
-// NewVector returns an empty sparse vector of logical length n. A negative
-// user-derived length is reported as an error; use MustVector when the
-// length is structurally non-negative.
-func NewVector[T any](n int) (*Vector[T], error) {
-	if n < 0 {
-		return nil, fmt.Errorf("sparse: negative vector length %d", n)
-	}
-	return &Vector[T]{Len: n}, nil
-}
-
-// MustVector is NewVector for lengths derived from existing shapes, which
-// cannot be negative. It panics on the error NewVector would return.
-func MustVector[T any](n int) *Vector[T] {
-	v, err := NewVector[T](n)
-	if err != nil {
-		//gas:invariant callers pass lengths derived from existing matrix shapes; see NewVector for the error-returning form
-		panic(err)
-	}
-	return v
-}
-
-// Append adds an (index, value) pair; duplicates are merged by Compact.
-func (v *Vector[T]) Append(i int, val T) {
-	if i < 0 || i >= v.Len {
-		//gas:invariant vector indices come from iteration over a matrix of the same logical length; out-of-range is a builder bug
-		panic(fmt.Sprintf("sparse: vector index %d out of range [0,%d)", i, v.Len))
-	}
-	v.Idx = append(v.Idx, i)
-	v.Val = append(v.Val, val)
-}
-
-// NNZ returns the number of stored entries.
-func (v *Vector[T]) NNZ() int { return len(v.Idx) }
-
-// Compact sorts by index and merges duplicates using the monoid.
-func (v *Vector[T]) Compact(combine semiring.Monoid[T]) {
-	if len(v.Idx) == 0 {
-		return
-	}
-	perm := make([]int, len(v.Idx))
-	for i := range perm {
-		perm[i] = i
-	}
-	sort.Slice(perm, func(a, b int) bool { return v.Idx[perm[a]] < v.Idx[perm[b]] })
-	newIdx := make([]int, 0, len(v.Idx))
-	newVal := make([]T, 0, len(v.Val))
-	for _, p := range perm {
-		if n := len(newIdx); n > 0 && newIdx[n-1] == v.Idx[p] {
-			newVal[n-1] = combine.Op(newVal[n-1], v.Val[p])
-		} else {
-			newIdx = append(newIdx, v.Idx[p])
-			newVal = append(newVal, v.Val[p])
+		if !eq(a.Data[i], b.Data[i]) {
+			return false
 		}
 	}
-	v.Idx, v.Val = newIdx, newVal
-}
-
-// Get returns the value at index i and whether it is stored. The vector
-// must be compacted first.
-func (v *Vector[T]) Get(i int) (T, bool) {
-	k := sort.SearchInts(v.Idx, i)
-	if k < len(v.Idx) && v.Idx[k] == i {
-		return v.Val[k], true
-	}
-	var zero T
-	return zero, false
-}
-
-// PrefixCounts returns, for a compacted vector, a map from stored index to
-// the number of stored indices strictly before it. This is the prefix sum
-// p(l) of the filter vector f(l) in Eq. 6: it assigns each nonzero row its
-// compacted row position.
-func (v *Vector[T]) PrefixCounts() map[int]int {
-	out := make(map[int]int, len(v.Idx))
-	for rank, i := range v.Idx {
-		out[i] = rank
-	}
-	return out
+	return true
 }

@@ -219,9 +219,9 @@ func PairWithJaccard(rng *RNG, attributes uint64, size int, target float64) ([]u
 // WordOccupancyRows generates per-column sorted row-index lists whose
 // packed form (64-bit masks) stores roughly `occupancy` of the word rows
 // per column: each occupied 64-row segment receives three ascending bits.
-// It is the shared fixture of the hybrid popcount-kernel benchmarks
-// (bench_test.go and cmd/benchkernels), which sweep exactly this word-level
-// occupancy — the quantity the dense-storage threshold acts on.
+// It is the fixture of the hybrid popcount-kernel benchmarks in
+// bench_test.go, which sweep exactly this word-level occupancy — the
+// quantity the dense-storage threshold acts on.
 func WordOccupancyRows(r *RNG, rows, cols int, occupancy float64) [][]int {
 	rowsPerCol := make([][]int, cols)
 	wordRows := rows / 64
