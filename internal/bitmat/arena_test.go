@@ -75,8 +75,8 @@ func TestFromEntriesArenaMatchesPlain(t *testing.T) {
 	}
 }
 
-// TestFromEntriesArenaUnsorted covers the map-based unsorted construction
-// path with arena buffers.
+// TestFromEntriesArenaUnsorted covers the unsorted construction path (sort
+// a copy, then the linear pass) with arena buffers.
 func TestFromEntriesArenaUnsorted(t *testing.T) {
 	rng := rand.New(rand.NewSource(62))
 	arena := NewArena()

@@ -199,9 +199,10 @@ func (p *Packed) MemoryWords() int {
 }
 
 // densify converts columns whose stored-word count reaches the resolved
-// dense threshold from the sparse stream to the contiguous slab layout. It
-// is the shared post-pass of every construction path, so the layout
-// decision is identical no matter how a matrix was built.
+// dense threshold from the sparse stream to the contiguous slab layout: the
+// post-pass of PackColumnsThreshold. FromEntriesThresholdArena applies the
+// same rule in its count pass, so the layout decision is identical no
+// matter how a matrix was built.
 func (p *Packed) densify() {
 	t := resolveDenseThreshold(p.threshold, p.WordRows)
 	if t < 0 || p.WordRows == 0 {

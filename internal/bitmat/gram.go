@@ -1,9 +1,10 @@
 package bitmat
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"genomeatscale/internal/bitutil"
 	"genomeatscale/internal/par"
@@ -345,168 +346,6 @@ func (p *Packed) ColPopcounts() []int64 {
 	return out
 }
 
-// ColRange extracts the packed sub-matrix of columns [lo, hi), sharing the
-// same row space and the dense-threshold spec. Used to build per-processor
-// column blocks for the distributed Gram product. Because neither WordRows
-// nor any column's stored-word count changes, each column keeps its layout
-// and is copied directly — dense slabs as slabs, sparse streams into
-// exactly presized streams.
-func (p *Packed) ColRange(lo, hi int) *Packed {
-	if lo < 0 || hi > p.Cols || lo > hi {
-		//gas:invariant column ranges come from grid.BlockRange over this matrix's own Cols
-		panic(fmt.Sprintf("bitmat: ColRange [%d,%d) out of range for %d columns", lo, hi, p.Cols))
-	}
-	out := &Packed{
-		WordRows:   p.WordRows,
-		Cols:       hi - lo,
-		B:          p.B,
-		ActiveRows: p.ActiveRows,
-		threshold:  p.threshold,
-		colPtr:     make([]int, hi-lo+1),
-	}
-	sparseWords, numDense := 0, 0
-	for j := lo; j < hi; j++ {
-		if p.IsDense(j) {
-			numDense++
-		} else {
-			sparseWords += p.colPtr[j+1] - p.colPtr[j]
-		}
-	}
-	out.wordRow = make([]int, 0, sparseWords)
-	out.words = make([]uint64, 0, sparseWords)
-	if numDense > 0 {
-		out.denseOff = make([]int, hi-lo)
-		out.slab = make([]uint64, 0, numDense*p.WordRows)
-	}
-	for j := lo; j < hi; j++ {
-		if p.IsDense(j) {
-			out.denseOff[j-lo] = len(out.slab)
-			out.slab = append(out.slab, p.denseColWords(j)...)
-		} else {
-			if out.denseOff != nil {
-				out.denseOff[j-lo] = -1
-			}
-			clo, chi := p.colPtr[j], p.colPtr[j+1]
-			out.wordRow = append(out.wordRow, p.wordRow[clo:chi]...)
-			out.words = append(out.words, p.words[clo:chi]...)
-		}
-		out.colPtr[j-lo+1] = len(out.words)
-	}
-	for _, w := range out.slab {
-		if w != 0 {
-			out.slabNNZ++
-		}
-	}
-	return out
-}
-
-// WordRowRange extracts the packed sub-matrix restricted to word rows
-// [lo, hi), with word-row indices shifted to start at zero. Used to split
-// the contraction (row) dimension across the c replication layers of the
-// 3D processor grid. A count pass sizes the output exactly, and each
-// column's layout is re-decided against the threshold resolved at the new
-// (smaller) word-row height, so a column dense over the full batch may
-// return to the sparse stream in a thin layer slice and vice versa never
-// (slicing cannot increase a column's stored-word count beyond the height).
-func (p *Packed) WordRowRange(lo, hi int) *Packed {
-	if lo < 0 || hi > p.WordRows || lo > hi {
-		//gas:invariant word-row ranges come from grid.BlockRange over this matrix's own WordRows
-		panic(fmt.Sprintf("bitmat: WordRowRange [%d,%d) out of range for %d word rows", lo, hi, p.WordRows))
-	}
-	active := (hi - lo) * p.B
-	if rem := p.ActiveRows - lo*p.B; hi == p.WordRows && rem < active {
-		active = rem
-	}
-	if active < 0 {
-		active = 0
-	}
-	out := &Packed{
-		WordRows:   hi - lo,
-		Cols:       p.Cols,
-		B:          p.B,
-		ActiveRows: active,
-		threshold:  p.threshold,
-		colPtr:     make([]int, p.Cols+1),
-	}
-	t := resolveDenseThreshold(p.threshold, out.WordRows)
-
-	// Count pass: stored words of each column inside [lo, hi). Sparse
-	// streams are sorted by word row, so the range is two binary searches;
-	// dense slabs count their nonzero words in the slice.
-	counts := make([]int, p.Cols)
-	starts := make([]int, p.Cols) // sparse columns: stream index of first word in range
-	sparseWords, numDense := 0, 0
-	for j := 0; j < p.Cols; j++ {
-		var cnt int
-		if p.IsDense(j) {
-			for _, w := range p.denseColWords(j)[lo:hi] {
-				if w != 0 {
-					cnt++
-				}
-			}
-		} else {
-			clo, chi := p.colPtr[j], p.colPtr[j+1]
-			wr := p.wordRow[clo:chi]
-			s := sort.SearchInts(wr, lo)
-			e := sort.SearchInts(wr, hi)
-			starts[j] = clo + s
-			cnt = e - s
-		}
-		counts[j] = cnt
-		if t >= 0 && cnt >= t {
-			numDense++
-		} else {
-			sparseWords += cnt
-		}
-	}
-
-	out.wordRow = make([]int, 0, sparseWords)
-	out.words = make([]uint64, 0, sparseWords)
-	if numDense > 0 {
-		out.denseOff = make([]int, p.Cols)
-		out.slab = make([]uint64, numDense*out.WordRows)
-	}
-	off := 0
-	for j := 0; j < p.Cols; j++ {
-		dense := t >= 0 && counts[j] >= t
-		if out.denseOff != nil && !dense {
-			out.denseOff[j] = -1
-		}
-		switch {
-		case dense && p.IsDense(j):
-			out.denseOff[j] = off
-			copy(out.slab[off:off+out.WordRows], p.denseColWords(j)[lo:hi])
-			off += out.WordRows
-		case dense:
-			out.denseOff[j] = off
-			row := out.slab[off : off+out.WordRows]
-			for k := starts[j]; k < starts[j]+counts[j]; k++ {
-				row[p.wordRow[k]-lo] = p.words[k]
-			}
-			off += out.WordRows
-		case p.IsDense(j):
-			for k, w := range p.denseColWords(j)[lo:hi] {
-				if w != 0 {
-					out.wordRow = append(out.wordRow, k)
-					out.words = append(out.words, w)
-				}
-			}
-		default:
-			for k := starts[j]; k < starts[j]+counts[j]; k++ {
-				out.wordRow = append(out.wordRow, p.wordRow[k]-lo)
-				out.words = append(out.words, p.words[k])
-			}
-		}
-		out.colPtr[j+1] = len(out.words)
-	}
-	for _, w := range out.slab {
-		if w != 0 {
-			out.slabNNZ++
-		}
-	}
-	return out
-}
-
 // Entries returns the packed matrix as coordinate triples
 // (wordRow, col, word), sorted by (col, wordRow) regardless of the storage
 // layout; used to move packed blocks through the BSP runtime. The output
@@ -538,9 +377,10 @@ type PackedEntry struct {
 
 // FromEntries rebuilds a Packed matrix from coordinate packed entries with
 // the DenseAuto layout. Entries for the same (wordRow, col) are
-// OR-combined. Entries already sorted by (col, wordRow) — the order
-// Packed.Entries and the batch packing in internal/core emit — are
-// assembled in a single linear pass.
+// OR-combined. Entries sorted by (col, wordRow) — the order Packed.Entries,
+// the batch packing in internal/core and the grid's panel merge emit — are
+// assembled in a single linear pass; any other order is first sorted in a
+// copy.
 func FromEntries(entries []PackedEntry, wordRows, cols, b, activeRows int) *Packed {
 	return FromEntriesThreshold(entries, wordRows, cols, b, activeRows, DenseAuto)
 }
@@ -560,13 +400,16 @@ func FromEntriesThresholdArena(entries []PackedEntry, wordRows, cols, b, activeR
 	sorted := true
 	for i, e := range entries {
 		if e.Col < 0 || e.Col >= cols || e.WordRow < 0 || e.WordRow >= wordRows {
-			//gas:invariant entries are re-packed from an existing Packed's Entries() against the same dimensions
+			//gas:invariant entries are packed locally or checked against these dimensions on receipt (internal/dist validates every peer's panel)
 			panic(fmt.Sprintf("bitmat: entry (%d,%d) out of range %dx%d", e.WordRow, e.Col, wordRows, cols))
 		}
-		if i > 0 && (e.Col < entries[i-1].Col ||
-			(e.Col == entries[i-1].Col && e.WordRow < entries[i-1].WordRow)) {
+		if i > 0 && compareEntries(e, entries[i-1]) < 0 {
 			sorted = false
 		}
+	}
+	if !sorted {
+		entries = slices.Clone(entries)
+		slices.SortFunc(entries, compareEntries)
 	}
 	out := arena.getPacked()
 	out.WordRows = wordRows
@@ -576,49 +419,62 @@ func FromEntriesThresholdArena(entries []PackedEntry, wordRows, cols, b, activeR
 	out.threshold = denseThreshold
 	out.colPtr = arena.getInts(cols + 1)
 	out.arena = arena
-	if sorted {
-		out.wordRow = arena.getIntsCap(len(entries))
-		out.words = arena.getWordsCap(len(entries))
-		for i := 0; i < len(entries); {
-			e := entries[i]
-			word := e.Word
-			for i++; i < len(entries) && entries[i].Col == e.Col && entries[i].WordRow == e.WordRow; i++ {
-				word |= entries[i].Word
-			}
+
+	// Count pass: each column's stored words (duplicates are adjacent) pick
+	// its layout by the same rule densify applies, so every buffer is sized
+	// exactly and the sparse streams never hold a dense column's words.
+	for i, e := range entries {
+		if i == 0 || e.Col != entries[i-1].Col || e.WordRow != entries[i-1].WordRow {
+			out.colPtr[e.Col+1]++
+		}
+	}
+	t := resolveDenseThreshold(denseThreshold, wordRows)
+	numDense := 0
+	for j := 1; j <= cols; j++ {
+		if t >= 0 && out.colPtr[j] >= t {
+			numDense++
+		}
+	}
+	if numDense > 0 {
+		out.denseOff = arena.getInts(cols)
+		out.slab = arena.getWords(numDense * wordRows)
+	}
+	off := 0
+	for j := 0; j < cols; j++ {
+		count := out.colPtr[j+1]
+		if t >= 0 && count >= t {
+			out.denseOff[j] = off
+			off += wordRows
+			count = 0
+		} else if out.denseOff != nil {
+			out.denseOff[j] = -1
+		}
+		out.colPtr[j+1] = out.colPtr[j] + count
+	}
+	out.wordRow = arena.getIntsCap(out.colPtr[cols])
+	out.words = arena.getWordsCap(out.colPtr[cols])
+	for i := 0; i < len(entries); {
+		e := entries[i]
+		word := e.Word
+		for i++; i < len(entries) && entries[i].Col == e.Col && entries[i].WordRow == e.WordRow; i++ {
+			word |= entries[i].Word
+		}
+		switch {
+		case !out.IsDense(e.Col):
 			out.wordRow = append(out.wordRow, e.WordRow)
 			out.words = append(out.words, word)
-			out.colPtr[e.Col+1] = len(out.words)
+		case word != 0:
+			out.slab[out.denseOff[e.Col]+e.WordRow] = word
+			out.slabNNZ++
 		}
-		for j := 1; j <= cols; j++ {
-			if out.colPtr[j] < out.colPtr[j-1] {
-				out.colPtr[j] = out.colPtr[j-1]
-			}
-		}
-		out.densify()
-		return out
 	}
-	out.wordRow = arena.getIntsCap(len(entries))
-	out.words = arena.getWordsCap(len(entries))
-	perCol := make([]map[int]uint64, cols)
-	for _, e := range entries {
-		if perCol[e.Col] == nil {
-			perCol[e.Col] = make(map[int]uint64)
-		}
-		perCol[e.Col][e.WordRow] |= e.Word
-	}
-	for j := 0; j < cols; j++ {
-		m := perCol[j]
-		keys := make([]int, 0, len(m))
-		for k := range m {
-			keys = append(keys, k)
-		}
-		sort.Ints(keys)
-		for _, k := range keys {
-			out.wordRow = append(out.wordRow, k)
-			out.words = append(out.words, m[k])
-		}
-		out.colPtr[j+1] = len(out.words)
-	}
-	out.densify()
 	return out
+}
+
+// compareEntries orders packed entries by (col, wordRow).
+func compareEntries(a, b PackedEntry) int {
+	if c := cmp.Compare(a.Col, b.Col); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.WordRow, b.WordRow)
 }

@@ -1,9 +1,6 @@
 package bsp
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // The collectives below mirror the MPI operations the paper's Cyclops
 // backend relies on (broadcast, reduction, all-to-all redistribution,
@@ -135,8 +132,6 @@ func ReduceSlice[T any](p *Proc, root int, xs []T, op func(T, T) T) ([]T, bool) 
 
 // ExScan returns the exclusive prefix fold of x across ranks:
 // rank r receives op(x_0, ..., x_{r-1}), and rank 0 receives identity.
-// This is the distributed prefix sum used to place nonzero filter entries
-// (Section III-C, "a prefix sum of the nonzero entries of f(l)").
 func ExScan[T any](p *Proc, x T, op func(T, T) T, identity T) T {
 	vals := AllGather(p, x)
 	acc := identity
@@ -148,8 +143,8 @@ func ExScan[T any](p *Proc, x T, op func(T, T) T, identity T) T {
 
 // AllToAll delivers out[r] to rank r and returns the slice of values this
 // rank received, indexed by sender. out must have length NProcs. One
-// superstep; this is the transposition/redistribution primitive used by the
-// filter construction and by distributed matrix Write.
+// superstep; this is the redistribution primitive the grid engine routes
+// packed words to their panel homes with.
 func AllToAll[T any](p *Proc, out []T) []T {
 	if len(out) != p.NProcs() {
 		//gas:invariant callers build the bucket slice with make(..., NProcs) from this same world; a mismatch is a caller bug
@@ -193,12 +188,4 @@ func AllGatherVariable[T any](p *Proc, xs []T) []T {
 		out = append(out, part...)
 	}
 	return out
-}
-
-// SortedAllGatherKeys is a convenience for tests and protocols that need a
-// deterministic global ordering of per-rank integer keys.
-func SortedAllGatherKeys(p *Proc, keys []int) []int {
-	all := AllGatherVariable(p, keys)
-	sort.Ints(all)
-	return all
 }

@@ -2,6 +2,7 @@ package bsp
 
 import (
 	"fmt"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -220,6 +221,14 @@ func TestGatherVariableAndAllGatherVariable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// SortedAllGatherKeys all-gathers per-rank integer keys into one sorted
+// list on every rank: a deterministic global ordering for tests.
+func SortedAllGatherKeys(p *Proc, keys []int) []int {
+	all := AllGatherVariable(p, keys)
+	sort.Ints(all)
+	return all
 }
 
 func TestSortedAllGatherKeys(t *testing.T) {

@@ -8,6 +8,7 @@ import (
 
 	"genomeatscale/internal/bitmat"
 	"genomeatscale/internal/bitutil"
+	"genomeatscale/internal/dist"
 	"genomeatscale/internal/par"
 )
 
@@ -16,9 +17,12 @@ import (
 //
 //	sliceBatch    — range-slice each of its samples' attributes (Eq. 3)
 //	              — accumulate the per-sample cardinalities â (Eq. 4)
-//	target.filter — sorted distinct nonzero rows f(l) of the batch (Eq. 5)
-//	packBatch     — compact rows against f(l) with a two-pointer merge
-//	                (Eq. 6) and pack them into MaskBits-wide words (Â(l),
+//	target.filter — mark the batch's nonzero rows into f(l) (Eq. 5), a
+//	                bitset with a per-word prefix popcount or, for a
+//	                hypersparse batch, a sorted row list (dist.RowRank),
+//	                and complete it across processes
+//	packBatch     — compact each value to its row's rank in f(l) (Eq. 6)
+//	                and pack the ranks into MaskBits-wide words (Â(l),
 //	                Section III-B)
 //	target.gram   — accumulate Â(l)ᵀÂ(l) (Eq. 7)
 //
@@ -44,10 +48,10 @@ type batchRun struct {
 // implementation depends on the processor grid, plus the final derivation
 // that reads the accumulated Gram.
 type target interface {
-	// filter completes the batch's filter vector from the rows this process
-	// observed in columns and returns the columns to pack with the sorted
-	// distinct nonzero rows of the whole batch [lo, hi).
-	filter(columns []batchColumn, rows []int64, lo, hi uint64) ([]batchColumn, []int64)
+	// filter builds the batch's filter vector from the values of columns,
+	// completes it over the whole batch [lo, hi), and returns the columns
+	// to pack with it. The filter is valid until the next call.
+	filter(columns []batchColumn, lo, hi uint64) ([]batchColumn, *dist.RowRank, error)
 	// gram folds one packed batch of `active` compacted rows into the
 	// accumulated Gram.
 	gram(ctx context.Context, entries []bitmat.PackedEntry, active int) error
@@ -78,7 +82,7 @@ func (r *batchRun) loop(cols []int, lead bool, tg target) error {
 
 		// A load failure aborts the run; on the grid the BSP runtime wakes
 		// the peers parked at barriers and surfaces this rank's error.
-		columns, rows, err := sliceBatch(r.ds, cols, lo, hi)
+		columns, err := sliceBatch(r.ds, cols, lo, hi)
 		if err != nil {
 			return fmt.Errorf("batch %d: %w", l, err)
 		}
@@ -90,9 +94,12 @@ func (r *batchRun) loop(cols []int, lead bool, tg target) error {
 		for _, c := range columns {
 			counts[c.col] += int64(len(c.vals))
 		}
-		columns, nonzero := tg.filter(columns, rows, lo, hi)
-		active := len(nonzero)
-		if entries, err = packBatch(ctx, columns, nonzero, lo, opts.MaskBits, r.cfg.workers, entries); err != nil {
+		columns, f, err := tg.filter(columns, lo, hi)
+		if err != nil {
+			return fmt.Errorf("batch %d: %w", l, err)
+		}
+		active := f.Count()
+		if entries, err = packBatch(ctx, columns, f, lo, opts.MaskBits, r.cfg.workers, entries); err != nil {
 			return err
 		}
 		if lead && l+1 < opts.BatchCount {
@@ -150,33 +157,30 @@ type batchColumn struct {
 	vals []uint64
 }
 
-// sliceBatch extracts the batch range [lo, hi) of the listed samples. It
-// returns the non-empty columns and the flattened batch-rebased row list
-// (the rows this process would write into the filter vector). Samples are
-// accessed through the error-returning DatasetV2 path in ascending column
-// order — the access pattern out-of-core datasets prefetch against — and a
-// load failure aborts the batch with a descriptive error instead of
-// panicking mid-run.
+// sliceBatch extracts the batch range [lo, hi) of the listed samples and
+// returns the non-empty columns. Samples are accessed through the
+// error-returning DatasetV2 path in ascending column order — the access
+// pattern out-of-core datasets prefetch against — and a load failure
+// aborts the batch with a descriptive error instead of panicking mid-run.
 //
 // For an EvictingDataset the in-range values are copied out: the columns
 // live until the batch's pack stage completes, and a zero-copy subslice
 // would pin each sample's whole backing array for that long — the resident
 // bound would then hold only in the loader's accounting, not in bytes.
 // Non-evicting datasets keep the historical zero-copy subslices.
-func sliceBatch(ds DatasetV2, cols []int, lo, hi uint64) ([]batchColumn, []int64, error) {
+func sliceBatch(ds DatasetV2, cols []int, lo, hi uint64) ([]batchColumn, error) {
 	if lo >= hi {
-		return nil, nil, nil
+		return nil, nil
 	}
 	copyVals := false
 	if ev, ok := ds.(EvictingDataset); ok {
 		copyVals = ev.EvictsSamples()
 	}
 	var columns []batchColumn
-	var rows []int64
 	for _, j := range cols {
 		sample, err := ds.SampleErr(j)
 		if err != nil {
-			return nil, nil, fmt.Errorf("core: loading sample %d (%s): %w", j, ds.SampleName(j), err)
+			return nil, fmt.Errorf("core: loading sample %d (%s): %w", j, ds.SampleName(j), err)
 		}
 		vals := rangeSlice(sample, lo, hi)
 		if len(vals) == 0 {
@@ -186,29 +190,40 @@ func sliceBatch(ds DatasetV2, cols []int, lo, hi uint64) ([]batchColumn, []int64
 			vals = slices.Clone(vals)
 		}
 		columns = append(columns, batchColumn{col: j, vals: vals})
-		for _, v := range vals {
-			rows = append(rows, int64(v-lo))
-		}
 	}
-	return columns, rows, nil
+	return columns, nil
 }
 
-// packBatch compacts each column's batch rows against the sorted nonzero
-// row list (Eq. 6) and packs them into MaskBits-wide words, emitting the
-// packed matrix Â(l) in coordinate form. nonzero must contain every row
-// present in columns (guaranteed when it came from the same writes).
-// Columns are independent, so with workers > 1 they are packed on the
-// shared worker pool and the per-column slices concatenated in column
+// markColumns resets f for the batch [lo, hi) and marks every value of
+// columns into it (Eq. 5): no row list, no sort, no copy. The value count
+// picks f's form (see dist.RowRank).
+func markColumns(f *dist.RowRank, columns []batchColumn, lo, hi uint64) {
+	values := 0
+	for _, c := range columns {
+		values += len(c.vals)
+	}
+	f.Reset(hi-lo, values)
+	for _, c := range columns {
+		f.Mark(c.vals, lo)
+	}
+	f.Seal()
+}
+
+// packBatch compacts each column's values to their ranks in the batch's
+// filter (Eq. 6) and packs them into MaskBits-wide words, emitting the
+// packed matrix Â(l) in coordinate form, sorted by (col, wordRow). f must
+// contain every row present in columns (guaranteed when it was marked from
+// them). Columns are independent, so with workers > 1 they are packed on
+// the shared worker pool and the per-column slices concatenated in column
 // order — the emitted coordinate sequence is identical for every workers
 // value; with one worker the columns append into a single slice with no
-// intermediate allocation, exactly the historical serial path. Both paths
-// poll ctx between columns, so a cancelled run abandons the pack mid-batch
-// and returns ctx.Err().
+// intermediate allocation. Both paths poll ctx between columns, so a
+// cancelled run abandons the pack mid-batch and returns ctx.Err().
 //
 // reuse, when non-nil, is a slice whose backing array the emitted entries
 // overwrite and may grow — the batch loop passes the previous batch's
 // (consumed) entries so steady state re-packs in place.
-func packBatch(ctx context.Context, columns []batchColumn, nonzero []int64, lo uint64, maskBits, workers int, reuse []bitmat.PackedEntry) ([]bitmat.PackedEntry, error) {
+func packBatch(ctx context.Context, columns []batchColumn, f *dist.RowRank, lo uint64, maskBits, workers int, reuse []bitmat.PackedEntry) ([]bitmat.PackedEntry, error) {
 	if par.Resolve(workers) <= 1 || len(columns) <= 1 {
 		entries := reuse[:0]
 		var err error
@@ -218,7 +233,7 @@ func packBatch(ctx context.Context, columns []batchColumn, nonzero []int64, lo u
 					return nil, err
 				}
 			}
-			if entries, err = packColumnInto(entries, cr, nonzero, lo, maskBits); err != nil {
+			if entries, err = packColumnInto(entries, cr, f, lo, maskBits); err != nil {
 				return nil, err
 			}
 		}
@@ -227,7 +242,7 @@ func packBatch(ctx context.Context, columns []batchColumn, nonzero []int64, lo u
 	perCol := make([][]bitmat.PackedEntry, len(columns))
 	errs := make([]error, len(columns))
 	if err := par.ForEachCtx(ctx, workers, len(columns), func(k int) {
-		perCol[k], errs[k] = packColumnInto(nil, columns[k], nonzero, lo, maskBits)
+		perCol[k], errs[k] = packColumnInto(nil, columns[k], f, lo, maskBits)
 	}); err != nil {
 		return nil, err
 	}
@@ -250,31 +265,26 @@ func packBatch(ctx context.Context, columns []batchColumn, nonzero []int64, lo u
 
 // packColumnInto packs one column's batch rows into MaskBits-wide
 // coordinate words appended to entries (the per-column unit of work of
-// packBatch). The column's values and the nonzero row list are both sorted
-// ascending (Dataset contract, dist.Compact), so the compacted position of
-// each value is found by a two-pointer merge — O(nnz + r) per column
-// instead of the O(nnz·log r) of a per-value binary search.
-func packColumnInto(entries []bitmat.PackedEntry, cr batchColumn, nonzero []int64, lo uint64, maskBits int) ([]bitmat.PackedEntry, error) {
-	prevWord := -1
+// packBatch). Each value's compacted row is its rank in f — a popcount in
+// the bitset form, a gallop from the previous rank in the list form — so a
+// column costs O(values in the column), whatever the batch's size.
+func packColumnInto(entries []bitmat.PackedEntry, cr batchColumn, f *dist.RowRank, lo uint64, maskBits int) ([]bitmat.PackedEntry, error) {
+	prevWord, wordEnd := -1, 0 // current word and its first rank past the end
 	var cur uint64
-	ci := 0
+	rank := 0
 	for _, v := range cr.vals {
-		row := int64(v - lo)
-		for ci < len(nonzero) && nonzero[ci] < row {
-			ci++
+		var ok bool
+		if rank, ok = f.Rank(v-lo, rank); !ok {
+			return nil, fmt.Errorf("core: row %d missing from filter", v-lo)
 		}
-		if ci >= len(nonzero) || nonzero[ci] != row {
-			return nil, fmt.Errorf("core: row %d missing from filter", row)
-		}
-		w := ci / maskBits
-		if w != prevWord {
+		if rank >= wordEnd {
 			if prevWord >= 0 {
 				entries = append(entries, bitmat.PackedEntry{WordRow: prevWord, Col: cr.col, Word: cur})
 			}
-			prevWord = w
-			cur = 0
+			prevWord, cur = rank/maskBits, 0
+			wordEnd = (prevWord + 1) * maskBits
 		}
-		cur |= 1 << uint(ci%maskBits)
+		cur |= 1 << uint(rank-prevWord*maskBits)
 	}
 	if prevWord >= 0 {
 		entries = append(entries, bitmat.PackedEntry{WordRow: prevWord, Col: cr.col, Word: cur})

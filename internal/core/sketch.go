@@ -180,9 +180,9 @@ func prescreen(ctx context.Context, v2 DatasetV2, n int, m uint64, cfg runConfig
 
 // maskBatchColumns restricts one batch's columns to the prescreen
 // candidates — samples with at least one surviving partner besides
-// themselves — and rebuilds the filter-row list from the survivors, so
-// the packed batch and its empty-row filter (Eq. 5) only carry rows the
-// exact tier can still use. It runs after the cardinality accumulation,
+// themselves — so the packed batch and its empty-row filter (Eq. 5), which
+// is marked from the kept columns, only carry rows the exact tier can
+// still use. It runs after the cardinality accumulation,
 // which always sees every column: â stays exact for pruned samples too.
 //
 // The diagonal does not keep a column alive: a sample whose only
@@ -191,19 +191,14 @@ func prescreen(ctx context.Context, v2 DatasetV2, n int, m uint64, cfg runConfig
 // Gram kernel would compute exactly that value at much greater cost. On
 // thresholded corpora where most samples have no near-duplicate this is
 // where the prescreening tier's packing/compaction savings come from.
-func maskBatchColumns(columns []batchColumn, mask *bitmat.PairMask, lo uint64) ([]batchColumn, []int64) {
+func maskBatchColumns(columns []batchColumn, mask *bitmat.PairMask) []batchColumn {
 	kept := columns[:0]
-	var rows []int64
 	for _, c := range columns {
-		if !mask.AnyPartnerOffDiag(c.col) {
-			continue
-		}
-		kept = append(kept, c)
-		for _, v := range c.vals {
-			rows = append(rows, int64(v-lo))
+		if mask.AnyPartnerOffDiag(c.col) {
+			kept = append(kept, c)
 		}
 	}
-	return kept, rows
+	return kept
 }
 
 // restoreIsolatedDiagonals fills in B_jj for the samples maskBatchColumns

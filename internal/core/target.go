@@ -16,12 +16,13 @@ import (
 // accumulates locally; anything else is a rank of the processor grid.
 
 // localTarget is the single-process target. Every sample is visible, so
-// the filter vector needs no exchange (dist.Compact of the local rows is
-// the whole of it) and the Gram accumulates into one dense n×n matrix with
-// the popcount kernel. No BSP runtime is started.
+// the filter vector needs no exchange (marking every column's values is the
+// whole of it) and the Gram accumulates into one dense n×n matrix with the
+// popcount kernel. No BSP runtime is started.
 type localTarget struct {
 	*batchRun
-	b *sparse.Dense[int64] // the accumulated Gram; becomes the tiles' B
+	b    *sparse.Dense[int64] // the accumulated Gram; becomes the tiles' B
+	rows dist.RowRank         // the batch's filter, reused batch to batch
 	// arena cycles the batch's transient buffers — the packed matrix's
 	// streams and slabs, the Gram tile list and per-worker accumulators —
 	// so the steady state of a multi-batch run allocates ~nothing.
@@ -59,7 +60,7 @@ func (e *Engine) runLocal(r *batchRun, oneBand bool) error {
 	return r.loop(cols, true, tg)
 }
 
-func (t *localTarget) filter(columns []batchColumn, rows []int64, lo, _ uint64) ([]batchColumn, []int64) {
+func (t *localTarget) filter(columns []batchColumn, lo, hi uint64) ([]batchColumn, *dist.RowRank, error) {
 	if t.mask != nil {
 		// Prescreen column masking: samples with no surviving partner are
 		// dropped from the pack and from the empty-row filter — after the
@@ -67,9 +68,10 @@ func (t *localTarget) filter(columns []batchColumn, rows []int64, lo, _ uint64) 
 		// sample. Candidate pairs' intersection counts are unchanged: rows
 		// present only in pruned columns contribute nothing to surviving
 		// pairs.
-		columns, rows = maskBatchColumns(columns, t.mask, lo)
+		columns = maskBatchColumns(columns, t.mask)
 	}
-	return columns, dist.Compact(rows)
+	markColumns(&t.rows, columns, lo, hi)
+	return columns, &t.rows, nil
 }
 
 func (t *localTarget) gram(ctx context.Context, entries []bitmat.PackedEntry, active int) error {
@@ -115,15 +117,17 @@ func (t *localTarget) finish(ctx context.Context, counts []int64, emit func(*Til
 }
 
 // gridTarget is one BSP rank of the √(p/c) × √(p/c) × c processor grid. It
-// reads its cyclically owned samples, completes the filter vector through
-// the replicated prefix sum of dist.FilterVector, and accumulates its
-// block of the Gram in dist.GramEngine. All communication flows through
-// the BSP runtime, so Result.Stats.Comm reports the exact per-superstep
-// byte volumes of the run.
+// reads its cyclically owned samples, marks their rows into its share of
+// the filter vector, completes it in one exchange (dist.FilterVector), and
+// accumulates its block of the Gram in dist.GramEngine. All communication
+// flows through the BSP runtime, so Result.Stats.Comm reports the exact
+// per-superstep byte volumes of the run.
 type gridTarget struct {
 	*batchRun
 	p      *bsp.Proc
 	dctx   *dist.Context
+	part   dist.RowRank // this rank's share of the filter, reused batch to batch
+	fv     *dist.FilterVector
 	engine *dist.GramEngine
 }
 
@@ -134,7 +138,7 @@ func runGrid(r *batchRun) error {
 	opts, n := r.cfg.opts, r.res.N
 	rank := func(p *bsp.Proc) error {
 		dctx := dist.NewContextWithGrid(p, r.cfg.grid)
-		tg := &gridTarget{batchRun: r, p: p, dctx: dctx,
+		tg := &gridTarget{batchRun: r, p: p, dctx: dctx, fv: dist.NewFilterVector(dctx),
 			engine: dist.NewGramEngine(dctx, n, r.cfg.workers, opts.DenseThreshold)}
 		return r.loop(dctx.OwnedSamples(n), p.Rank() == 0, tg)
 	}
@@ -152,16 +156,15 @@ func runGrid(r *batchRun) error {
 	return nil
 }
 
-func (t *gridTarget) filter(columns []batchColumn, rows []int64, lo, hi uint64) ([]batchColumn, []int64) {
-	f := dist.NewFilterVector(t.dctx, max(1, int64(hi)-int64(lo)))
-	f.Write(rows)
-	return columns, f.Replicate()
+func (t *gridTarget) filter(columns []batchColumn, lo, hi uint64) ([]batchColumn, *dist.RowRank, error) {
+	markColumns(&t.part, columns, lo, hi)
+	f, err := t.fv.Replicate(&t.part)
+	return columns, f, err
 }
 
 func (t *gridTarget) gram(_ context.Context, entries []bitmat.PackedEntry, active int) error {
 	maskBits := t.cfg.opts.MaskBits
-	t.engine.AddBatch(entries, wordRowsFor(active, maskBits), maskBits, active)
-	return nil
+	return t.engine.AddBatch(entries, wordRowsFor(active, maskBits), maskBits, active)
 }
 
 // finish sums the per-rank cardinality counts (each sample is owned by

@@ -11,11 +11,17 @@ import (
 )
 
 // NewWireCodec returns the bsp.Codec for the distributed engine's traffic:
-// it serializes the SUMMA wire types this package exchanges between ranks —
-// coordinate entry slices, packed panels, and result tiles — and delegates
-// everything else (the collectives' primitive payloads) to bsp.PlainCodec.
-// A PackedEntry travels as the same 24-byte (word row, column, mask word)
-// triple the BSP accounting charges.
+// it serializes the wire types this package exchanges between ranks —
+// coordinate entry slices, packed panels, result tiles and filter parts —
+// and delegates everything else (the collectives' primitive payloads) to
+// bsp.PlainCodec. A PackedEntry travels as the same 24-byte (word row,
+// column, mask word) triple the BSP accounting charges.
+//
+// Decode validates what it can check alone: every length against the
+// payload, a panel's width and active rows, and its entries against its
+// announced dimensions. What depends on the receiver's batch (a panel's
+// shape, a filter part's rows) is checked where it is used, and a
+// violation fails that rank's batch with an error.
 //
 // Kind bytes at and above bsp.PlainCodecKindLimit identify the dist types;
 // the layout is fixed little-endian with explicit lengths, so equal values
@@ -31,6 +37,7 @@ const (
 	_
 	_
 	kindTile
+	kindFilterPart
 )
 
 type wireCodec struct {
@@ -66,6 +73,19 @@ func (c wireCodec) Encode(v any) ([]byte, error) {
 			out = binary.LittleEndian.AppendUint64(out, math.Float64bits(d))
 		}
 		return out, nil
+	case filterPart:
+		out := make([]byte, 1, 1+x.ByteSize())
+		out[0] = kindFilterPart
+		form := uint64(0)
+		if x.Bitset {
+			form = 1
+		}
+		out = binary.LittleEndian.AppendUint64(out, uint64(x.Values))
+		out = binary.LittleEndian.AppendUint64(out, form)
+		for _, w := range x.Words {
+			out = binary.LittleEndian.AppendUint64(out, w)
+		}
+		return out, nil
 	default:
 		return c.plain.Encode(v)
 	}
@@ -94,14 +114,18 @@ func (c wireCodec) Decode(data []byte) (any, error) {
 		if len(entries) != dims[5] {
 			return nil, fmt.Errorf("dist: wire codec: packed panel announces %d entries, carries %d", dims[5], len(entries))
 		}
-		return packedWire{
+		w := packedWire{
 			Entries:        entries,
 			WordRows:       dims[0],
 			Cols:           dims[1],
 			B:              dims[2],
 			ActiveRows:     dims[3],
 			DenseThreshold: dims[4],
-		}, nil
+		}
+		if err := w.check(); err != nil {
+			return nil, fmt.Errorf("dist: wire codec: packed panel: %w", err)
+		}
+		return w, nil
 	case kindTile:
 		if len(body) < 56 {
 			return nil, fmt.Errorf("dist: wire codec: tile header %d bytes, want >= 56", len(body))
@@ -134,6 +158,19 @@ func (c wireCodec) Decode(data []byte) (any, error) {
 			tl.D[i] = math.Float64frombits(binary.LittleEndian.Uint64(rest[8*i:]))
 		}
 		return tl, nil
+	case kindFilterPart:
+		if len(body) < 16 || len(body)%8 != 0 {
+			return nil, fmt.Errorf("dist: wire codec: filter part of %d bytes", len(body))
+		}
+		values, form := int64(binary.LittleEndian.Uint64(body)), binary.LittleEndian.Uint64(body[8:])
+		if values < 0 || form > 1 {
+			return nil, fmt.Errorf("dist: wire codec: filter part header (%d values, form %d)", values, form)
+		}
+		p := filterPart{Values: int(values), Bitset: form == 1, Words: make([]uint64, (len(body)-16)/8)}
+		for i := range p.Words {
+			p.Words[i] = binary.LittleEndian.Uint64(body[16+8*i:])
+		}
+		return p, nil
 	default:
 		return c.plain.Decode(data)
 	}

@@ -33,7 +33,9 @@ func TestWireCodecRoundTrips(t *testing.T) {
 	cases := []any{
 		entries,
 		entrySlice{},
-		packedWire{Entries: entries, WordRows: 8, Cols: 4, B: 512, ActiveRows: 100, DenseThreshold: -1},
+		packedWire{Entries: entries, WordRows: 8, Cols: 4, B: 64, ActiveRows: 100, DenseThreshold: -1},
+		filterPart{Values: 9, Bitset: true, Words: []uint64{0x8000000000000001, 5}},
+		filterPart{Values: 3, Words: []uint64{0, 64, 1 << 61}},
 		&tile.Tile{RowLo: 4, ColLo: 8, Rows: 2, Cols: 2,
 			B: []int64{1, 2, 3, 4}, S: []float64{0.1, 0.2, 0.3, 0.4}, D: []float64{0.9, 0.8, 0.7, 0.6}},
 		// Primitive payloads fall through to PlainCodec.
@@ -76,8 +78,9 @@ func TestWireCodecDeterministic(t *testing.T) {
 	}
 	// The kind bytes are the wire format: retiring a kind must not renumber
 	// the ones after it, or ranks built from different commits misdecode.
-	if kindEntrySlice != 0x40 || kindPackedWire != 0x41 || kindTile != 0x44 {
-		t.Fatalf("wire kinds moved: entries %#x, panel %#x, tile %#x", kindEntrySlice, kindPackedWire, kindTile)
+	if kindEntrySlice != 0x40 || kindPackedWire != 0x41 || kindTile != 0x44 || kindFilterPart != 0x45 {
+		t.Fatalf("wire kinds moved: entries %#x, panel %#x, tile %#x, filter part %#x",
+			kindEntrySlice, kindPackedWire, kindTile, kindFilterPart)
 	}
 }
 
@@ -105,6 +108,43 @@ func TestWireCodecRejectsCorruptPayloads(t *testing.T) {
 	if _, err := c.Decode(data); err == nil {
 		t.Error("panel with missing entries decoded without error")
 	}
+	// Panels that contradict themselves: a mask width outside [1, 64], more
+	// active rows than their words hold, or an entry outside their shape.
+	entry := func(wordRow, col int) entrySlice { return entrySlice{{WordRow: wordRow, Col: col, Word: 1}} }
+	for _, w := range []packedWire{
+		{WordRows: 2, Cols: 2, B: 0},
+		{WordRows: 2, Cols: 2, B: 65},
+		{WordRows: 2, Cols: 2, B: -64},
+		{WordRows: -1, Cols: 2, B: 64},
+		{WordRows: 2, Cols: -3, B: 64},
+		{WordRows: 2, Cols: 2, B: 64, ActiveRows: 129},
+		{WordRows: 2, Cols: 2, B: 64, ActiveRows: -1},
+		{WordRows: 1 << 50, Cols: 2, B: 64, ActiveRows: 1<<63 - 1},
+		{WordRows: 2, Cols: 2, B: 64, Entries: entry(2, 0)},
+		{WordRows: 2, Cols: 2, B: 64, Entries: entry(0, 2)},
+		{WordRows: 2, Cols: 2, B: 64, Entries: entry(-1, 0)},
+		{WordRows: 2, Cols: 2, B: 64, Entries: entry(0, -1)},
+	} {
+		data, err := c.Encode(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Decode(data); err == nil {
+			t.Errorf("panel %+v decoded without error", w)
+		}
+	}
+	// Filter parts with a short header, a partial word, an unknown form or
+	// a negative value count.
+	for _, data := range [][]byte{
+		{kindFilterPart},
+		append(filterHeader(1, 0), 1, 2, 3, 4),
+		filterHeader(1, 2),
+		filterHeader(-1, 0),
+	} {
+		if _, err := c.Decode(data); err == nil {
+			t.Errorf("filter part %x decoded without error", data)
+		}
+	}
 	// Tile headers whose counts sum to a multiple of 2⁶¹ words: 8× the sum
 	// wraps to 0, the empty body's length, so only a per-count bound keeps
 	// them from reaching make.
@@ -128,6 +168,12 @@ func tileHeader(counts [3]uint64) []byte {
 		out = binary.LittleEndian.AppendUint64(out, d)
 	}
 	return out
+}
+
+// filterHeader encodes a bare kindFilterPart header with no words.
+func filterHeader(values int64, form uint64) []byte {
+	out := binary.LittleEndian.AppendUint64([]byte{kindFilterPart}, uint64(values))
+	return binary.LittleEndian.AppendUint64(out, form)
 }
 
 // FuzzWireDecode feeds arbitrary bytes to both codecs a rank decodes with,
@@ -154,6 +200,24 @@ func FuzzWireDecode(f *testing.F) {
 	}
 	f.Add(tileHeader([3]uint64{1 << 61, 0, 0}))
 	f.Add([]byte{kindPackedWire, 1, 2, 3})
+	for _, v := range []any{
+		filterPart{Values: 4, Bitset: true, Words: []uint64{1 << 63, 3}},
+		filterPart{Values: 2, Words: []uint64{5, 1 << 40}},
+		packedWire{WordRows: 1, Cols: 1, B: 64},
+	} {
+		data, err := wire.Encode(v)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Add(filterHeader(1, 2))
+	// A panel whose one entry lies past its announced word rows.
+	bad, err := wire.Encode(packedWire{Entries: entrySlice{{WordRow: 9, Col: 0, Word: 1}}, WordRows: 2, Cols: 1, B: 64})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(bad)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, c := range []bsp.Codec{wire, bsp.PlainCodec{}} {

@@ -7,10 +7,10 @@
 // (Eq. 2).
 //
 // The package is consumed by internal/core, whose one batch loop runs
-// against either a local or a grid target: both share the compaction
-// primitive (Compact) and the Eq. 2 row derivation (JaccardRow), so the two
-// are algebraically the same pipeline and differ only in where the data
-// lives.
+// against either a local or a grid target: both build the batch's filter as
+// the same rank structure (RowRank) and share the Eq. 2 row derivation
+// (JaccardRow), so the two are algebraically the same pipeline and differ
+// only in where the data lives.
 package dist
 
 import (

@@ -1,10 +1,12 @@
 package dist
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"genomeatscale/internal/bitmat"
@@ -54,14 +56,14 @@ func TestFilterVectorReplicate(t *testing.T) {
 	const procs = 5
 	const length = 100
 	// Every rank writes an overlapping, unsorted, duplicated set of rows;
-	// Replicate must return the global sorted distinct union on all ranks.
+	// Replicate must rank the global sorted distinct union on all ranks.
 	want := map[int64]bool{}
-	writes := make([][]int64, procs)
+	writes := make([][]uint64, procs)
 	rng := rand.New(rand.NewSource(11))
 	for r := 0; r < procs; r++ {
 		for k := 0; k < 30; k++ {
 			v := int64(rng.Intn(length))
-			writes[r] = append(writes[r], v, v) // duplicates on purpose
+			writes[r] = append(writes[r], uint64(v), uint64(v)) // duplicates on purpose
 			want[v] = true
 		}
 	}
@@ -72,16 +74,16 @@ func TestFilterVectorReplicate(t *testing.T) {
 	sort.Slice(wantSorted, func(i, j int) bool { return wantSorted[i] < wantSorted[j] })
 
 	_, err := bsp.Run(procs, func(p *bsp.Proc) error {
-		ctx := NewContext(p, 1)
-		f := NewFilterVector(ctx, length)
-		f.Write(writes[p.Rank()])
-		got := f.Replicate()
-		if len(got) != len(wantSorted) {
-			return fmt.Errorf("rank %d: %d nonzero rows, want %d", p.Rank(), len(got), len(wantSorted))
+		got, err := NewFilterVector(NewContext(p, 1)).Replicate(sealedPart(length, 0, writes[p.Rank()]))
+		if err != nil {
+			return err
 		}
-		for i := range got {
-			if got[i] != wantSorted[i] {
-				return fmt.Errorf("rank %d: row %d = %d, want %d", p.Rank(), i, got[i], wantSorted[i])
+		if got.Count() != len(wantSorted) {
+			return fmt.Errorf("rank %d: %d nonzero rows, want %d", p.Rank(), got.Count(), len(wantSorted))
+		}
+		for i, r := range wantSorted {
+			if k, ok := got.Rank(uint64(r), 0); !ok || k != i {
+				return fmt.Errorf("rank %d: row %d ranks (%d,%v), want (%d,true)", p.Rank(), r, k, ok, i)
 			}
 		}
 		return nil
@@ -92,16 +94,14 @@ func TestFilterVectorReplicate(t *testing.T) {
 }
 
 func TestFilterVectorWriteOutOfRange(t *testing.T) {
-	_, err := bsp.Run(1, func(p *bsp.Proc) error {
-		ctx := NewContext(p, 1)
-		f := NewFilterVector(ctx, 10)
-		defer func() { recover() }()
-		f.Write([]int64{10})
-		return fmt.Errorf("out-of-range write must panic")
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	var f RowRank
+	f.Reset(10, 1)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("out-of-range mark must panic")
+		}
+	}()
+	f.Mark([]uint64{15}, 5)
 }
 
 func TestCompact(t *testing.T) {
@@ -209,7 +209,9 @@ func TestGramEngineMatchesLocalGram(t *testing.T) {
 						mine = append(mine, e)
 					}
 				}
-				engine.AddBatch(mine, packed.WordRows, cfg.maskBits, activeRows)
+				if err := engine.AddBatch(mine, packed.WordRows, cfg.maskBits, activeRows); err != nil {
+					return err
+				}
 				blocks := engine.Finalize(counts)
 				c, err := collectTiles(p, blocks, cfg.cols)
 				if p.Rank() == 0 {
@@ -273,7 +275,9 @@ func TestGramEngineAccumulatesBatches(t *testing.T) {
 					mine = append(mine, e)
 				}
 			}
-			engine.AddBatch(mine, batch.WordRows, maskBits, batch.ActiveRows)
+			if err := engine.AddBatch(mine, batch.WordRows, maskBits, batch.ActiveRows); err != nil {
+				return err
+			}
 		}
 		blocks := engine.Finalize(counts)
 		c, err := collectTiles(p, blocks, cols)
@@ -298,7 +302,9 @@ func TestGramEngineEmptyBatch(t *testing.T) {
 		_, err := bsp.Run(procs, func(p *bsp.Proc) error {
 			ctx := NewContext(p, 2)
 			engine := NewGramEngine(ctx, 5, 1, bitmat.DenseAuto)
-			engine.AddBatch(nil, 0, 64, 0)
+			if err := engine.AddBatch(nil, 0, 64, 0); err != nil {
+				return err
+			}
 			blocks := engine.Finalize(make([]int64, 5))
 			c, err := collectTiles(p, blocks, 5)
 			if p.Rank() == 0 {
@@ -314,5 +320,79 @@ func TestGramEngineEmptyBatch(t *testing.T) {
 				t.Fatalf("procs=%d: empty batch produced nonzero B", procs)
 			}
 		}
+	}
+}
+
+// corruptingTransport rewrites the payloads one rank sends, standing in for
+// a peer whose bytes cannot be trusted.
+type corruptingTransport struct {
+	bsp.Transport
+	corrupt func(any) any
+}
+
+func (c corruptingTransport) Exchange(step int, out []bsp.Message) ([]bsp.Message, error) {
+	for i := range out {
+		out[i].Payload = c.corrupt(out[i].Payload)
+	}
+	return c.Transport.Exchange(step, out)
+}
+
+// TestGramEngineRejectsPeerData: a peer's routed entries outside the
+// receiving panel, or a panel of the wrong shape, fail the receiving rank's
+// AddBatch with an error instead of a panic. (A rank that had already left
+// the batch's last superstep completes; in a run, its next one fails.)
+func TestGramEngineRejectsPeerData(t *testing.T) {
+	const procs, cols, maskBits = 4, 12, 64
+	packed := randomPacked(rand.New(rand.NewSource(41)), 300, cols, maskBits)
+	all := packed.Entries()
+	for _, c := range []struct {
+		name, want string
+		corrupt    func(any) any
+	}{
+		{"entry-outside-panel", "outside panel", func(v any) any {
+			if es, ok := v.(entrySlice); ok && len(es) > 0 {
+				bad := append(entrySlice(nil), es...)
+				bad[0].WordRow = 1 << 40
+				return bad
+			}
+			return v
+		}},
+		{"panel-wrong-shape", "panel", func(v any) any {
+			if w, ok := v.(packedWire); ok {
+				w.WordRows++
+				return w
+			}
+			return v
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			ts := bsp.MemCluster(procs)
+			for r := range ts {
+				ts[r] = corruptingTransport{Transport: ts[r], corrupt: c.corrupt}
+			}
+			_, errs := bsp.RunCluster(context.Background(), ts, func(p *bsp.Proc) error {
+				engine := NewGramEngine(NewContext(p, 1), cols, 1, bitmat.DenseAuto)
+				var mine []bitmat.PackedEntry
+				for _, e := range all {
+					if e.Col%procs == p.Rank() {
+						mine = append(mine, e)
+					}
+				}
+				return engine.AddBatch(mine, packed.WordRows, maskBits, packed.ActiveRows)
+			})
+			found := false
+			for r, err := range errs {
+				if err == nil {
+					continue
+				}
+				if strings.Contains(err.Error(), "panicked") {
+					t.Fatalf("rank %d: %v", r, err)
+				}
+				found = found || strings.Contains(err.Error(), c.want)
+			}
+			if !found {
+				t.Fatalf("no rank reports %q: %v", c.want, errs)
+			}
+		})
 	}
 }

@@ -1,0 +1,264 @@
+package dist
+
+import (
+	"context"
+	"encoding/binary"
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"genomeatscale/internal/bsp"
+)
+
+// sealedPart builds one process's filter over a batch of length rows that
+// starts at value lo, from the given values.
+func sealedPart(length, lo uint64, vals []uint64) *RowRank {
+	f := &RowRank{}
+	f.Reset(length, len(vals))
+	f.Mark(vals, lo)
+	f.Seal()
+	return f
+}
+
+// compactRows is the sort-and-dedup reference: the rows v − lo of vals, in
+// the order a row's rank indexes.
+func compactRows(vals []uint64, lo uint64) []int64 {
+	rows := make([]int64, len(vals))
+	for i, v := range vals {
+		rows[i] = int64(v - lo)
+	}
+	return Compact(rows)
+}
+
+// checkRanks asserts that every row of want ranks at its index — from 0 and
+// galloping from the previous rank — and that rows between them are absent.
+func checkRanks(f *RowRank, want []int64) error {
+	if f.Count() != len(want) {
+		return fmt.Errorf("count %d, want %d", f.Count(), len(want))
+	}
+	for i, r := range want {
+		if k, ok := f.Rank(uint64(r), 0); !ok || k != i {
+			return fmt.Errorf("row %d ranks (%d,%v) from 0, want (%d,true)", r, k, ok, i)
+		}
+		if k, ok := f.Rank(uint64(r), max(i-1, 0)); !ok || k != i {
+			return fmt.Errorf("row %d ranks (%d,%v) from %d, want (%d,true)", r, k, ok, max(i-1, 0), i)
+		}
+		if gap := r + 1; i+1 < len(want) && gap < want[i+1] {
+			if _, ok := f.Rank(uint64(gap), i); ok {
+				return fmt.Errorf("row %d absent from the batch but found", gap)
+			}
+		}
+	}
+	if _, ok := f.Rank(f.length, 0); ok {
+		return fmt.Errorf("row %d past the batch found", f.length)
+	}
+	return nil
+}
+
+type rankCase struct {
+	name   string
+	length uint64
+	vals   []uint64 // batch-relative rows, duplicates allowed
+}
+
+// rankCases are the hand-picked edges plus seeded random batches whose
+// value counts straddle the bitset/list threshold ⌈length/64⌉.
+func rankCases() []rankCase {
+	cases := []rankCase{
+		{"empty-zero-length", 0, nil},
+		{"empty", 100, nil},
+		{"single-row-first", 1, []uint64{0}},
+		{"single-row-last", 1000, []uint64{999}},
+		{"bits-0-63-64", 130, []uint64{64, 0, 63, 63}},
+		{"bit-64-only", 65, []uint64{64, 64}},
+		{"partial-last-word", 100, []uint64{99, 64, 0, 98}},
+		{"list-side", 64 * 50, seqRows(49, 64)},
+		{"bitset-side", 64 * 50, seqRows(50, 64)},
+		{"universe-2^62", 1 << 62, []uint64{1<<62 - 1, 0, 1 << 61, 1 << 61}},
+	}
+	rng := rand.New(rand.NewSource(71))
+	for k := 0; k < 40; k++ {
+		length := uint64(1 + rng.Intn(5000))
+		nw := int(bitsetWords(length))
+		vals := make([]uint64, rng.Intn(2*nw+8))
+		for i := range vals {
+			vals[i] = uint64(rng.Int63n(int64(length)))
+		}
+		cases = append(cases, rankCase{fmt.Sprintf("random-%d", k), length, vals})
+	}
+	return cases
+}
+
+// seqRows returns n rows spaced stride apart.
+func seqRows(n int, stride uint64) []uint64 {
+	out := make([]uint64, n)
+	for i := range out {
+		out[i] = uint64(i) * stride
+	}
+	return out
+}
+
+// TestRowRankMatchesCompact: a single process's filter ranks every row at
+// its index in Compact of the same rows, in both forms, at any batch
+// offset.
+func TestRowRankMatchesCompact(t *testing.T) {
+	forms := map[bool]int{}
+	for _, c := range rankCases() {
+		const lo = 1 << 40
+		vals := make([]uint64, len(c.vals))
+		for i, r := range c.vals {
+			vals[i] = lo + r
+		}
+		f := sealedPart(c.length, lo, vals)
+		forms[f.bitset]++
+		if f.bitset != (bitsetWords(c.length) <= uint64(len(vals))) {
+			t.Errorf("%s: bitset form %v for %d values over %d rows", c.name, f.bitset, len(vals), c.length)
+		}
+		if err := checkRanks(f, compactRows(vals, lo)); err != nil {
+			t.Errorf("%s: %v", c.name, err)
+		}
+	}
+	if forms[true] == 0 || forms[false] == 0 {
+		t.Fatalf("cases cover one form only: %v", forms)
+	}
+}
+
+// TestFilterVectorMatchesCompact: the replicated filter of 1-, 4- and
+// 9-rank clusters ranks every row at its index in Compact of all ranks'
+// rows, with each rank's values drawn so that bitset and list senders mix
+// (and, in hypersparse batches, every sender is a list).
+func TestFilterVectorMatchesCompact(t *testing.T) {
+	rng := rand.New(rand.NewSource(72))
+	senders := map[bool]int{}
+	for _, procs := range []int{1, 4, 9} {
+		for _, c := range rankCases() {
+			// Rank 0 takes two thirds of the values and the rest spread
+			// evenly: skewed shares make some ranks send bitsets and
+			// others lists.
+			perRank := make([][]uint64, procs)
+			for _, v := range c.vals {
+				r := 0
+				if rng.Intn(3) == 0 {
+					r = rng.Intn(procs)
+				}
+				perRank[r] = append(perRank[r], v)
+			}
+			want := compactRows(c.vals, 0)
+			sentBits := make([]bool, procs)
+			_, errs := bsp.RunCluster(context.Background(), bsp.MemCluster(procs), func(p *bsp.Proc) error {
+				part := sealedPart(c.length, 0, perRank[p.Rank()])
+				sentBits[p.Rank()] = part.bitset && part.count >= len(part.words)
+				got, err := NewFilterVector(NewContext(p, 1)).Replicate(part)
+				if err != nil {
+					return err
+				}
+				if err := checkRanks(got, want); err != nil {
+					return fmt.Errorf("rank %d: %w", p.Rank(), err)
+				}
+				return nil
+			})
+			for r, err := range errs {
+				if err != nil {
+					t.Fatalf("p=%d %s: rank %d: %v", procs, c.name, r, err)
+				}
+			}
+			mixed := false
+			for _, b := range sentBits {
+				mixed = mixed || b != sentBits[0]
+			}
+			senders[mixed]++
+		}
+	}
+	if senders[true] == 0 {
+		t.Fatal("no batch mixed bitset and list senders")
+	}
+}
+
+// TestFilterCommunication pins the filter's cost on a seeded 4-rank batch:
+// one superstep, and each rank sends at most (p−1)·(min(8·c_r, 8·⌈len/64⌉)
+// + header) bytes, where c_r is its distinct row count.
+func TestFilterCommunication(t *testing.T) {
+	const procs, length = 4, 64 * 256
+	rng := rand.New(rand.NewSource(73))
+	perRank := make([][]uint64, procs)
+	for r, n := range []int{6000, 12, 400, 0} { // dense, sparse, medium, empty
+		for k := 0; k < n; k++ {
+			perRank[r] = append(perRank[r], uint64(rng.Intn(length)))
+		}
+	}
+	distinct := make([]int, procs)
+	stats, errs := bsp.RunCluster(context.Background(), bsp.MemCluster(procs), func(p *bsp.Proc) error {
+		part := sealedPart(length, 0, perRank[p.Rank()])
+		distinct[p.Rank()] = part.Count()
+		_, err := NewFilterVector(NewContext(p, 1)).Replicate(part)
+		return err
+	})
+	const header = 16
+	for r := 0; r < procs; r++ {
+		if errs[r] != nil {
+			t.Fatalf("rank %d: %v", r, errs[r])
+		}
+		if s := stats[r].Supersteps; s != 1 {
+			t.Errorf("rank %d: filter took %d supersteps, want 1", r, s)
+		}
+		bound := int64(procs-1) * int64(min(8*distinct[r], 8*int(bitsetWords(length)))+header)
+		if sent := stats[r].BytesSentPerRank[r]; sent > bound {
+			t.Errorf("rank %d (%d distinct rows): sent %d filter bytes, bound %d", r, distinct[r], sent, bound)
+		}
+	}
+}
+
+// TestFilterVectorRejectsBadParts: a part that contradicts the batch fails
+// the merge with an error instead of corrupting the filter or panicking.
+func TestFilterVectorRejectsBadParts(t *testing.T) {
+	const rows = 64 * 32 // 32 bitset words; 1000 values pick the bitset form
+	for _, c := range []struct {
+		name   string
+		length uint64
+		bad    filterPart
+	}{
+		{"unsorted-list", rows, filterPart{Values: 1000, Words: []uint64{7, 3}}},
+		{"duplicate-rows", rows, filterPart{Values: 1000, Words: []uint64{3, 3}}},
+		{"row-past-batch", rows, filterPart{Values: 1000, Words: []uint64{rows}}},
+		{"short-bitset", rows, filterPart{Values: 1000, Bitset: true, Words: []uint64{1}}},
+		{"unsorted-hypersparse-list", 1 << 40, filterPart{Values: 2, Words: []uint64{9, 1}}},
+		{"bitset-in-hypersparse-batch", 1 << 40, filterPart{Values: 2, Bitset: true, Words: []uint64{1}}},
+	} {
+		var f FilterVector
+		if err := f.merge(c.length, []filterPart{{}, c.bad}); err == nil {
+			t.Errorf("%s: part %+v merged without error", c.name, c.bad)
+		}
+	}
+}
+
+// FuzzFilterRank: arbitrary rows in a small batch and in a 2⁶² universe
+// rank at their index in the sort-and-dedup of the same rows, and nothing
+// panics.
+func FuzzFilterRank(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{100, 0, 99, 0, 64, 0, 0, 0, 63, 0})
+	f.Add([]byte{1, 0, 0, 0, 0, 0})
+	f.Add([]byte{0, 1, 255, 0, 0, 1, 1, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		length := uint64(binary.LittleEndian.Uint16(data))
+		var vals []uint64
+		for i := 2; i+1 < len(data) && length > 0; i += 2 {
+			vals = append(vals, uint64(binary.LittleEndian.Uint16(data[i:]))%length)
+		}
+		want := compactRows(vals, 0)
+		if err := checkRanks(sealedPart(length, 0, vals), want); err != nil {
+			t.Fatalf("%d rows: %v", length, err)
+		}
+		const lo = 1 << 61
+		shifted := make([]uint64, len(vals))
+		for i, v := range vals {
+			shifted[i] = lo + v*(1<<40)
+		}
+		if err := checkRanks(sealedPart(1<<62, lo, shifted), compactRows(shifted, lo)); err != nil {
+			t.Fatalf("2^62 universe: %v", err)
+		}
+	})
+}

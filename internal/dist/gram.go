@@ -45,6 +45,23 @@ type packedWire struct {
 // ByteSize implements bsp.ByteSizer: the entries plus five dimension words.
 func (w packedWire) ByteSize() int { return w.Entries.ByteSize() + 40 }
 
+// check validates a panel on its own terms: a mask width in [1, 64], at
+// most WordRows·B active rows, and every entry inside WordRows × Cols.
+func (w packedWire) check() error {
+	if w.WordRows < 0 || w.Cols < 0 || w.B < 1 || w.B > 64 {
+		return fmt.Errorf("shape %dx%d with mask width %d", w.WordRows, w.Cols, w.B)
+	}
+	if w.ActiveRows < 0 || (w.ActiveRows > 0 && (w.ActiveRows-1)/w.B >= w.WordRows) {
+		return fmt.Errorf("%d active rows in %d words of %d bits", w.ActiveRows, w.WordRows, w.B)
+	}
+	for _, e := range w.Entries {
+		if e.WordRow < 0 || e.WordRow >= w.WordRows || e.Col < 0 || e.Col >= w.Cols {
+			return fmt.Errorf("entry (%d,%d) outside %dx%d", e.WordRow, e.Col, w.WordRows, w.Cols)
+		}
+	}
+	return nil
+}
+
 func toWire(p *bitmat.Packed) packedWire {
 	return packedWire{
 		Entries:        p.Entries(),
@@ -104,9 +121,13 @@ func NewGramEngine(ctx *Context, n, workers, denseThreshold int) *GramEngine {
 // panels with the popcount-AND kernel. AddBatch is a collective: all ranks
 // must call it once per batch with the same wordRows/maskBits/activeRows.
 //
+// Received entries and panels are checked against the batch before use:
+// over a remote transport they are a peer's bytes, and a violation fails
+// this rank's batch with an error, which the runtime reports to the peers.
+//
 // Three supersteps per batch: A-panel routing, B-panel routing, panel
 // broadcast.
-func (e *GramEngine) AddBatch(entries []bitmat.PackedEntry, wordRows, maskBits, activeRows int) {
+func (e *GramEngine) AddBatch(entries []bitmat.PackedEntry, wordRows, maskBits, activeRows int) error {
 	g := e.ctx.Grid
 	p := e.ctx.P
 	np := p.NProcs()
@@ -115,13 +136,13 @@ func (e *GramEngine) AddBatch(entries []bitmat.PackedEntry, wordRows, maskBits, 
 	// the layer that owns its word row: column j of Â contributes to grid
 	// row BlockOwner(n, Rows, j) as part of the Aᵀ operand (home (s, 0, q))
 	// and to grid column BlockOwner(n, Cols, j) as part of the A operand
-	// (home (0, t, q)).
+	// (home (0, t, q)). Routing keeps the (col, wordRow) order the batch
+	// was packed in, so every part a home rank receives is sorted.
 	aOut := make([]entrySlice, np)
 	bOut := make([]entrySlice, np)
 	for _, ent := range entries {
-		if ent.WordRow < 0 || ent.WordRow >= wordRows {
-			//gas:invariant entries come from Packed.Entries() of a matrix built over this same word-row space
-			panic(fmt.Sprintf("dist: word row %d out of range [0,%d)", ent.WordRow, wordRows))
+		if ent.WordRow < 0 || ent.WordRow >= wordRows || ent.Col < 0 || ent.Col >= e.n {
+			return fmt.Errorf("dist: packed word (%d,%d) outside the %dx%d batch", ent.WordRow, ent.Col, wordRows, e.n)
 		}
 		layer := grid.BlockOwner(wordRows, g.Layers, ent.WordRow)
 		s := grid.BlockOwner(e.n, g.Rows, ent.Col)
@@ -134,28 +155,22 @@ func (e *GramEngine) AddBatch(entries []bitmat.PackedEntry, wordRows, maskBits, 
 	aIn := bsp.AllToAll(p, aOut)
 	bIn := bsp.AllToAll(p, bOut)
 
+	// Assemble the panels at their home ranks: this layer's share of the
+	// contraction dimension and the grid block's columns, rebased to local
+	// indices. ActiveRows is the layer's share of the batch's active rows.
 	layerLo, layerHi := e.ctx.LayerWordRows(wordRows)
-
-	// Assemble the panels at their home ranks. The received coordinates are
-	// in the batch's global (word row, column) space; WordRowRange slices
-	// out this layer's share of the contraction dimension and ColRange
-	// extracts the block's columns, both rebased to local indices.
+	layerActive := max(0, min((layerHi-layerLo)*maskBits, activeRows-layerLo*maskBits))
 	var aPanel, bPanel *bitmat.Packed
+	var err error
 	if e.ctx.Col == 0 {
-		var got entrySlice
-		for _, part := range aIn {
-			got = append(got, part...)
+		if aPanel, err = e.assemble(aIn, layerLo, layerHi, e.rowLo, e.rowHi, maskBits, layerActive); err != nil {
+			return err
 		}
-		full := bitmat.FromEntriesThreshold(got, wordRows, e.n, maskBits, activeRows, e.denseThreshold)
-		aPanel = full.WordRowRange(layerLo, layerHi).ColRange(e.rowLo, e.rowHi)
 	}
 	if e.ctx.Row == 0 {
-		var got entrySlice
-		for _, part := range bIn {
-			got = append(got, part...)
+		if bPanel, err = e.assemble(bIn, layerLo, layerHi, e.colLo, e.colHi, maskBits, layerActive); err != nil {
+			return err
 		}
-		full := bitmat.FromEntriesThreshold(got, wordRows, e.n, maskBits, activeRows, e.denseThreshold)
-		bPanel = full.WordRowRange(layerLo, layerHi).ColRange(e.colLo, e.colHi)
 	}
 
 	// SUMMA-style panel replication: the A panel of grid row s travels along
@@ -176,20 +191,14 @@ func (e *GramEngine) AddBatch(entries []bitmat.PackedEntry, wordRows, maskBits, 
 	}
 	p.Sync()
 	if e.ctx.Col != 0 {
-		msgs := p.RecvAll(tagAPanel)
-		if len(msgs) != 1 {
-			//gas:invariant superstep protocol invariant: exactly the column-0 home rank sends one A panel on this tag
-			panic(fmt.Sprintf("dist: rank %d expected 1 A panel, got %d", p.Rank(), len(msgs)))
+		if aPanel, err = e.receivePanel(tagAPanel, layerHi-layerLo, e.rowHi-e.rowLo, maskBits); err != nil {
+			return err
 		}
-		aPanel = fromWire(msgs[0].Payload.(packedWire))
 	}
 	if e.ctx.Row != 0 {
-		msgs := p.RecvAll(tagBPanel)
-		if len(msgs) != 1 {
-			//gas:invariant superstep protocol invariant: exactly the row-0 home rank sends one B panel on this tag
-			panic(fmt.Sprintf("dist: rank %d expected 1 B panel, got %d", p.Rank(), len(msgs)))
+		if bPanel, err = e.receivePanel(tagBPanel, layerHi-layerLo, e.colHi-e.colLo, maskBits); err != nil {
+			return err
 		}
-		bPanel = fromWire(msgs[0].Payload.(packedWire))
 	}
 
 	// Local kernel: this rank's block of Â(l)ᵀÂ(l) restricted to the
@@ -203,6 +212,61 @@ func (e *GramEngine) AddBatch(entries []bitmat.PackedEntry, wordRows, maskBits, 
 	}
 	p.AddFlops(int64(aPanel.NNZWords()) * int64(bPanel.Cols))
 	p.NoteMemory(int64(aPanel.MemoryWords()+bPanel.MemoryWords()) + int64(len(e.acc.Data)))
+	return nil
+}
+
+// assemble builds a home rank's panel of word rows [wlo, whi) and columns
+// [clo, chi) from the per-sender parts of one routing superstep. Senders
+// own disjoint columns and each part arrives in (col, wordRow) order, so a
+// p-way merge of whole column runs yields the sorted entry list the panel's
+// linear construction takes. An entry outside the panel fails the batch.
+func (e *GramEngine) assemble(parts []entrySlice, wlo, whi, clo, chi, maskBits, active int) (*bitmat.Packed, error) {
+	heads := make([]int, len(parts))
+	total := 0
+	for _, part := range parts {
+		total += len(part)
+	}
+	merged := make([]bitmat.PackedEntry, 0, total)
+	for {
+		best := -1
+		for k, part := range parts {
+			if h := heads[k]; h < len(part) && (best < 0 || part[h].Col < parts[best][heads[best]].Col) {
+				best = k
+			}
+		}
+		if best < 0 {
+			break
+		}
+		part, i := parts[best], heads[best]
+		for col := part[i].Col; i < len(part) && part[i].Col == col; i++ {
+			ent := part[i]
+			if ent.WordRow < wlo || ent.WordRow >= whi || col < clo || col >= chi {
+				return nil, fmt.Errorf("dist: rank %d sent packed word (%d,%d) outside panel [%d,%d)x[%d,%d)",
+					best, ent.WordRow, col, wlo, whi, clo, chi)
+			}
+			merged = append(merged, bitmat.PackedEntry{WordRow: ent.WordRow - wlo, Col: col - clo, Word: ent.Word})
+		}
+		heads[best] = i
+	}
+	return bitmat.FromEntriesThreshold(merged, whi-wlo, chi-clo, maskBits, active, e.denseThreshold), nil
+}
+
+// receivePanel adopts the one panel a home rank sent on tag, after checking
+// it has this rank's panel shape.
+func (e *GramEngine) receivePanel(tag, wordRows, cols, maskBits int) (*bitmat.Packed, error) {
+	msgs := e.ctx.P.RecvAll(tag)
+	if len(msgs) != 1 {
+		return nil, fmt.Errorf("dist: rank %d expected 1 panel on tag %d, got %d", e.ctx.P.Rank(), tag, len(msgs))
+	}
+	w, ok := msgs[0].Payload.(packedWire)
+	if !ok {
+		return nil, fmt.Errorf("dist: rank %d sent a %T for a panel", msgs[0].From, msgs[0].Payload)
+	}
+	if w.WordRows != wordRows || w.Cols != cols || w.B != maskBits {
+		return nil, fmt.Errorf("dist: rank %d sent a %dx%d panel of width %d, want %dx%d of width %d",
+			msgs[0].From, w.WordRows, w.Cols, w.B, wordRows, cols, maskBits)
+	}
+	return fromWire(w), nil
 }
 
 // Finalize reduces the per-layer partial blocks onto layer 0 (the 3D
