@@ -47,6 +47,7 @@ fuzz:
 	go test -run=^$$ -fuzz=FuzzReadFrame -fuzztime=10s ./internal/bsp/tcptransport
 	go test -run=^$$ -fuzz=FuzzWireDecode -fuzztime=10s ./internal/dist
 	go test -run=^$$ -fuzz=FuzzFilterRank -fuzztime=10s ./internal/dist
+	go test -run=^$$ -fuzz=FuzzSetRows -fuzztime=10s ./internal/index
 	go test -run=^$$ -fuzz=FuzzReadIndex -fuzztime=10s ./internal/index/indexfile
 	go test -run=^$$ -fuzz=FuzzQueryBody -fuzztime=10s ./cmd/similarityd
 	go test -run=^$$ -fuzz=FuzzAppendBody -fuzztime=10s ./cmd/similarityd

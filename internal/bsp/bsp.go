@@ -166,8 +166,9 @@ func newMemHub(p int) *memHub {
 // code that drives ranks through RunRank or RunCluster (tests, fault
 // injection).
 type MemTransport struct {
-	hub  *memHub
-	rank int
+	hub      *memHub
+	rank     int
+	finished bool // the rank's run is over; guarded by hub.mu
 }
 
 // MemCluster returns p connected in-process transport endpoints, one per
@@ -197,6 +198,11 @@ func (t *MemTransport) Exchange(step int, outgoing []Message) ([]Message, error)
 	defer h.mu.Unlock()
 	if h.aborted {
 		return nil, h.abortErr
+	}
+	if t.finished {
+		// The hub already counts this rank as finished; waiting here would
+		// wait for a barrier that can never complete.
+		return nil, fmt.Errorf("bsp: rank %d's memory transport endpoint already finished a run; an endpoint serves one run", t.rank)
 	}
 	h.staged = append(h.staged, outgoing...)
 	gen := h.gen
@@ -233,10 +239,16 @@ func (h *memHub) completeSuperstepLocked() {
 }
 
 // Finish marks the rank as done so remaining ranks can still complete
-// supersteps among themselves.
+// supersteps among themselves. The endpoint is used up: a later Exchange
+// on it fails, and a later Finish changes nothing.
 func (t *MemTransport) Finish(step int) {
 	h := t.hub
 	h.mu.Lock()
+	if t.finished {
+		h.mu.Unlock()
+		return
+	}
+	t.finished = true
 	h.finished++
 	if h.arrived+h.finished == h.p && h.arrived > 0 {
 		h.completeSuperstepLocked()

@@ -438,6 +438,11 @@ func (t *Transport) Exchange(step int, outgoing []bsp.Message) ([]bsp.Message, e
 		t.mu.Unlock()
 		return nil, errors.New("tcptransport: transport closed")
 	}
+	if t.localFin >= 0 {
+		// Peers were told this rank is done; none will wait for it again.
+		t.mu.Unlock()
+		return nil, fmt.Errorf("tcptransport: rank %d's endpoint already finished a run; an endpoint serves one run", t.rank)
+	}
 	t.curStep = step
 	t.mu.Unlock()
 
@@ -627,8 +632,15 @@ func (t *Transport) broadcastAbort(culprit, step int, msg string) {
 // Finish implements bsp.Transport: record the local program's completion
 // and tell every peer (dialing if the mesh edge was never used) so their
 // barriers stop waiting for this rank.
+//
+// The endpoint is used up: a later Exchange on it fails, and a later
+// Finish changes nothing.
 func (t *Transport) Finish(steps int) {
 	t.mu.Lock()
+	if t.localFin >= 0 {
+		t.mu.Unlock()
+		return
+	}
 	t.localFin = steps
 	t.fins[t.rank] = steps
 	// Traffic for steps this rank never reaches is garbage now.

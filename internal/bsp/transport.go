@@ -32,7 +32,9 @@ type Transport interface {
 	Exchange(step int, outgoing []Message) ([]Message, error)
 	// Finish reports that the rank's program completed after `steps`
 	// supersteps. Remaining ranks keep synchronising among themselves; the
-	// finished rank takes no further part in barriers.
+	// finished rank takes no further part in barriers. It uses the
+	// endpoint up: a later Exchange (a second run) fails at once instead
+	// of waiting for a barrier no peer will reach again.
 	Finish(steps int)
 	// Abort poisons the run: every rank blocked in Exchange (local or, for
 	// remote transports, on any peer) unwinds with an error, and further

@@ -82,8 +82,9 @@ type Options struct {
 	// batch protocol. Result matrices are assembled at rank 0 only; other
 	// ranks return empty B/S/D. Autotune and Sketch are incompatible with
 	// Transport (their run-time decisions would diverge across hosts).
-	// Transport endpoints are single-run: build a new one per run. The
-	// engine does not close the transport; the caller owns its lifecycle.
+	// Transport endpoints are single-run: build a new one per run; a
+	// second run over a used endpoint fails with an error. The engine
+	// does not close the transport; the caller owns its lifecycle.
 	Transport bsp.Transport
 
 	// Autotune derives the run configuration — Procs, Replication,

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -222,5 +223,70 @@ func TestTransportOptionValidation(t *testing.T) {
 	opts.Sketch = SketchOptions{Threshold: 0.5}
 	if err := opts.Validate(); err == nil {
 		t.Error("Sketch+Transport validated")
+	}
+}
+
+// TestEngineRejectsUsedTransport: a transport endpoint serves one run. A
+// second Similarity on an engine whose endpoints already ran must fail
+// promptly — it used to wait forever at the filter's first AllGather for a
+// barrier the finished endpoint would never join — over the memory
+// transport (the one-rank grid) and over TCP (two ranks).
+func TestEngineRejectsUsedTransport(t *testing.T) {
+	ds := randomDataset(rand.New(rand.NewSource(5)), 6, 300, 0.05)
+	opts := DefaultOptions()
+	opts.Workers = 1
+	for name, endpoints := range map[string]func() []bsp.Transport{
+		"memory": func() []bsp.Transport { return bsp.MemCluster(1) },
+		"tcp": func() []bsp.Transport {
+			var ts []bsp.Transport
+			for _, tr := range newTCPEndpoints(t, 2, 10*time.Second) {
+				ts = append(ts, tr)
+			}
+			return ts
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			ts := endpoints()
+			engines := make([]*Engine, len(ts))
+			for r, tr := range ts {
+				rOpts := opts
+				rOpts.Procs, rOpts.Transport = len(ts), tr
+				e, err := NewEngine(rOpts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				engines[r] = e
+			}
+			runAll := func() []error {
+				errs := make([]error, len(engines))
+				var wg sync.WaitGroup
+				for r, e := range engines {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						_, errs[r] = e.Similarity(context.Background(), ds)
+					}()
+				}
+				wg.Wait()
+				return errs
+			}
+			for r, err := range runAll() {
+				if err != nil {
+					t.Fatalf("first run, rank %d: %v", r, err)
+				}
+			}
+			done := make(chan []error, 1)
+			go func() { done <- runAll() }()
+			select {
+			case errs := <-done:
+				for r, err := range errs {
+					if err == nil || !strings.Contains(err.Error(), "already finished a run") {
+						t.Errorf("second run, rank %d: got %v, want a used-endpoint error", r, err)
+					}
+				}
+			case <-time.After(time.Second):
+				t.Fatal("second run on used endpoints did not return within a second")
+			}
+		})
 	}
 }

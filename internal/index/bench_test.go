@@ -13,14 +13,16 @@ import (
 // The layer benchmarks run on the shape of the repo benchmark's served
 // corpus (benchmark/workloads.go, corpusFull): 256 samples of ~768 values
 // over a 2^22 universe, sketch size 256, top-10 queries that keep most of
-// one resident sample, and a storm of 200 one-sample appends.
+// one resident sample (one in four also thresholded at 0.5 there), and a
+// storm of 200 one-sample appends.
 const (
-	fullSamples  = 256
-	fullValues   = 768
-	fullUniverse = 1 << 22
-	fullSketchK  = 256
-	fullTopK     = 10
-	fullAppends  = 200
+	fullSamples   = 256
+	fullValues    = 768
+	fullUniverse  = 1 << 22
+	fullSketchK   = 256
+	fullTopK      = 10
+	fullThreshold = 0.5
+	fullAppends   = 200
 )
 
 func fullSample(rng *synth.RNG) []uint64 {
@@ -75,7 +77,7 @@ func fullCorpus(tb testing.TB, rng *synth.RNG, appends int) (*Corpus, *memSource
 	return c, src
 }
 
-func benchQuery(b *testing.B, appends int) {
+func benchQuery(b *testing.B, appends int, opts QueryOptions) {
 	rng := synth.NewRNG(1)
 	c, src := fullCorpus(b, rng, appends)
 	queries := fullQueries(rng, src, 64)
@@ -83,14 +85,31 @@ func benchQuery(b *testing.B, appends int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.Query(ctx, queries[i%len(queries)], QueryOptions{TopK: fullTopK}); err != nil {
+		if _, err := c.Query(ctx, queries[i%len(queries)], opts); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func BenchmarkCorpusQueryBase(b *testing.B)       { benchQuery(b, 0) }
-func BenchmarkCorpusQueryAfterStorm(b *testing.B) { benchQuery(b, fullAppends) }
+func BenchmarkCorpusQueryBase(b *testing.B) {
+	benchQuery(b, 0, QueryOptions{TopK: fullTopK})
+}
+
+func BenchmarkCorpusQueryAfterStorm(b *testing.B) {
+	benchQuery(b, fullAppends, QueryOptions{TopK: fullTopK})
+}
+
+// The thresholded pair prices the sketch gate: the same queries at the
+// benchmark's threshold, gated by the stored sketches and with NoSketch.
+// On this corpus shape the gate costs more than the 12-word popcounts it
+// skips.
+func BenchmarkCorpusQueryThresholdGatedAfterStorm(b *testing.B) {
+	benchQuery(b, fullAppends, QueryOptions{TopK: fullTopK, Threshold: fullThreshold})
+}
+
+func BenchmarkCorpusQueryThresholdExactAfterStorm(b *testing.B) {
+	benchQuery(b, fullAppends, QueryOptions{TopK: fullTopK, Threshold: fullThreshold, NoSketch: true})
+}
 
 // BenchmarkCorpusAppend measures one durable append: pack, write the
 // segment, fsync, publish the count, fsync.
@@ -128,5 +147,36 @@ func BenchmarkBuildWrite(b *testing.B) {
 		if err := c.WriteFile(path); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkSetRowsSweep measures both setRows paths for one query of
+// fullValues values against row maps 1/4× to 32× its length, each forced
+// down each path. The row maps share few values with the query, as an
+// appended sample's or the union's rows mostly do not hold it. The filter
+// is built outside the timer: a query builds it once for all segments.
+func BenchmarkSetRowsSweep(b *testing.B) {
+	rng := synth.NewRNG(5)
+	query := fullSample(rng)
+	for _, ratio := range []float64{0.25, 1, 2, 4, 8, 16, 32} {
+		rowMap := make([]uint64, int(ratio*float64(len(query))))
+		for i := range rowMap {
+			rowMap[i] = rng.Uint64n(fullUniverse)
+		}
+		slices.Sort(rowMap)
+		rowMap = slices.Compact(rowMap)
+		bitmap := make([]uint64, (len(rowMap)+63)/64)
+		var f bitFilter
+		f.build(query)
+		b.Run(fmt.Sprintf("ratio=%g/filter", ratio), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				f.probeRows(bitmap, rowMap, query, 64)
+			}
+		})
+		b.Run(fmt.Sprintf("ratio=%g/gallop", ratio), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				gallopRows(bitmap, rowMap, query, 64)
+			}
+		})
 	}
 }

@@ -7,10 +7,12 @@
 // The corpus is segmented LSM-style. The base segment holds the batch-built
 // samples over a row map covering their attribute union; every Append adds
 // a one-sample segment with its own row map. A query translates its sorted
-// values through each segment's sorted row map in one galloping walk (a
-// value absent from the map cannot intersect any of that segment's
-// samples), setting one bit per hit in a word-row bitmap over the segment's
-// row space, and popcounts that bitmap against every resident column — the
+// values through each segment's sorted row map (a value absent from the map
+// cannot intersect any of that segment's samples): it gallops a row map far
+// longer than itself, and probes any other, value by value, through a bit
+// filter of its own values built once per query. It sets one bit per hit
+// in a word-row bitmap over the segment's row space, and popcounts that
+// bitmap against every resident column — the
 // query side is always dense, so every candidate runs the slab or gather
 // kernel, never an index merge. Appending therefore extends the Gram
 // product by exactly one row band: the new column is packed once, and its
@@ -23,7 +25,6 @@ package index
 import (
 	"context"
 	"fmt"
-	"math/bits"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -228,52 +229,132 @@ func gallop(a []uint64, lo int, v uint64) int {
 	return hi
 }
 
-// gallopRatio is the length ratio of the two sorted lists from which
-// galloping beats stepping through both: below it the branch-free step
-// costs less than the probes (5 µs against 9 µs for two 768-value lists,
-// level at 1:8, 78 µs against 41 µs at 1:32 on the host in the README).
-const gallopRatio = 8
+// gallopRatio is the row-map-to-query length ratio from which galloping
+// through the row map beats probing every row-map value through the
+// query's bit filter. A probe is independent of the last, so the filter
+// walk costs a few nanoseconds per row-map value whatever the query; a
+// gallop is a chain of dependent loads per query value, about log₂ of the
+// ratio deep. For a 768-value query (BenchmarkSetRowsSweep, 2-CPU 2.1 GHz
+// Xeon VM) the filter takes 1.0 µs against the gallop's 2.7 µs at 1:1, the
+// two are level at about 4 µs at 1:4, and galloping wins from there on
+// (5.4 µs against 8.1 µs at 1:8, 8.2 µs against 34 µs at 1:32). A
+// loaded host doubles every time and keeps the crossover.
+const gallopRatio = 4
 
 // setRows translates the sorted query values through a segment's sorted
-// row map in one two-pointer walk and sets bit r%b of bitmap[r/b] for every
-// row r whose value the query holds. Values outside the row map set
-// nothing: they cannot intersect any resident column.
+// row map and sets bit r%b of bitmap[r/b] for every row r whose value the
+// query holds. Values outside the row map set nothing: they cannot
+// intersect any resident column.
 //
-// The walk picks its step from the two lengths. Lists of comparable length
-// — a query against an appended sample's own row map — interleave too
-// finely for a search to skip anything, so both pointers advance by a
-// compare with no data-dependent branch. When one list is far longer — a
-// query against the base segment's attribute union — whichever pointer is
-// behind gallops to the other's value.
-func setRows(bitmap []uint64, rowMap, vals []uint64, b int) {
-	i, r := 0, 0
-	if len(vals) < gallopRatio*len(rowMap) && len(rowMap) < gallopRatio*len(vals) {
-		for i < len(vals) && r < len(rowMap) {
-			v, m := vals[i], rowMap[r]
-			if v == m {
-				bitmap[r/b] |= 1 << uint(r%b)
-			}
-			// The borrow of m−v is 1 exactly when v > m: each pointer
-			// advances unless its value is the larger one.
-			_, vLarger := bits.Sub64(m, v, 0)
-			_, mLarger := bits.Sub64(v, m, 0)
-			i += int(1 - vLarger)
-			r += int(1 - mLarger)
-		}
+// The path is picked from the two lengths. A row map far longer than the
+// query — the base segment's attribute union — is galloped once per query
+// value. Any other row map — an appended sample's own values — is probed
+// value by value through the query's bit filter (built on first use, once
+// per query), and only a filter hit gallops forward in the query to
+// confirm it.
+func (s *queryScratch) setRows(bitmap, rowMap, vals []uint64, b int) {
+	if len(vals) == 0 || len(rowMap) == 0 {
 		return
 	}
-	for i < len(vals) && r < len(rowMap) {
-		switch {
-		case vals[i] < rowMap[r]:
-			i = gallop(vals, i, rowMap[r])
-		case vals[i] > rowMap[r]:
-			r = gallop(rowMap, r, vals[i])
-		default:
+	if len(rowMap) >= gallopRatio*len(vals) {
+		gallopRows(bitmap, rowMap, vals, b)
+		return
+	}
+	if !s.filterReady {
+		s.filter.build(vals)
+		s.filterReady = true
+	}
+	s.filter.probeRows(bitmap, rowMap, vals, b)
+}
+
+// gallopRows is setRows for a row map far longer than the query: each
+// query value gallops the row map forward from the previous one's row.
+func gallopRows(bitmap, rowMap, vals []uint64, b int) {
+	r := 0
+	for _, v := range vals {
+		if r = gallop(rowMap, r, v); r == len(rowMap) {
+			return
+		}
+		if rowMap[r] == v {
 			bitmap[r/b] |= 1 << uint(r%b)
-			i++
-			r++
 		}
 	}
+}
+
+// maxFilterWords caps a filter at 128 KiB whatever the query's length. A
+// fuller filter passes more values to the exact check, so answers do not
+// change, and a pooled scratch never keeps more than this for its filter.
+const maxFilterWords = 1 << 14
+
+// bitFilter is a blocked Bloom filter of a query's values: each value sets
+// two bits of one word, so a probe is one load and a clear bit proves the
+// value absent. The filter has a word per query value, rounded up to a
+// power of two, and then lets about one value in a thousand outside the
+// query pass; every pass is confirmed against the values.
+type bitFilter struct {
+	words []uint64 // a power-of-two count, at most maxFilterWords
+}
+
+// fib is the Fibonacci multiplier: the high bits of v·fib depend on every
+// bit of v.
+const fib = 0x9E3779B97F4A7C15
+
+// probe returns the word and the two-bit mask of value v: the word index is
+// the 14 bits below the top six of v·fib, cut to the filter's size; the
+// two bit positions are the 12 bits below those. Constant shifts keep a
+// probe a handful of instructions.
+func probe(v uint64, wordMask uint64) (uint64, uint64) {
+	h := v * fib
+	return h >> 44 & wordMask, 1<<(h>>38&63) | 1<<(h>>32&63)
+}
+
+// build sizes the filter from the query length and adds every value.
+func (f *bitFilter) build(vals []uint64) {
+	n := 1
+	for n < len(vals) && n < maxFilterWords {
+		n <<= 1
+	}
+	if cap(f.words) < n {
+		f.words = make([]uint64, n)
+	}
+	f.words = f.words[:n]
+	clear(f.words)
+	wordMask := uint64(n - 1)
+	for _, v := range vals {
+		w, m := probe(v, wordMask)
+		f.words[w] |= m
+	}
+}
+
+// probeRows is setRows through the filter built from vals. The probes of
+// successive row-map values are independent and almost all miss, so the
+// scan for the next pass runs at load throughput rather than a merge's
+// load latency; each pass is confirmed by galloping a cursor into vals,
+// which stays forward because the row map ascends.
+func (f *bitFilter) probeRows(bitmap, rowMap, vals []uint64, b int) {
+	i := 0
+	for r := f.next(rowMap, 0); r < len(rowMap); r = f.next(rowMap, r+1) {
+		m := rowMap[r]
+		if i = gallop(vals, i, m); i == len(vals) {
+			return
+		}
+		if vals[i] == m {
+			bitmap[r/b] |= 1 << uint(r%b)
+		}
+	}
+}
+
+// next returns the first row r ≥ from whose value passes the filter, or
+// len(rowMap).
+func (f *bitFilter) next(rowMap []uint64, from int) int {
+	words := f.words
+	wordMask := uint64(len(words) - 1)
+	for r := from; r < len(rowMap); r++ {
+		if w, bm := probe(rowMap[r], wordMask); words[w]&bm == bm {
+			return r
+		}
+	}
+	return len(rowMap)
 }
 
 // WriteFile persists the corpus to path and binds it as the backing file:
@@ -424,6 +505,9 @@ const queryChunk = 256
 type queryScratch struct {
 	bitmap []uint64 // the query's rows in the current segment, one bit each
 	inter  []int64  // per column of the current segment: |query ∩ sample|, or gated
+
+	filter      bitFilter // the current query's values, once a segment needs them
+	filterReady bool      // filter holds the current query; cleared per query
 }
 
 // gated marks a column the sketch gate ruled out in queryScratch.inter.
@@ -578,6 +662,7 @@ func (c *Corpus) Query(ctx context.Context, values []uint64, opts QueryOptions) 
 	}
 	scratch := c.scratch.Get().(*queryScratch)
 	defer c.scratch.Put(scratch)
+	scratch.filterReady = false
 
 	var pops, skips int64
 	base := 0
@@ -587,7 +672,7 @@ func (c *Corpus) Query(ctx context.Context, values []uint64, opts QueryOptions) 
 			continue
 		}
 		bitmap, inter := scratch.segment(seg.Pack.WordRows, n)
-		setRows(bitmap, seg.RowMap, vals, c.b)
+		scratch.setRows(bitmap, seg.RowMap, vals, c.b)
 		if n <= queryChunk {
 			if err := ctx.Err(); err != nil {
 				return nil, err

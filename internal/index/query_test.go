@@ -2,6 +2,9 @@ package index
 
 import (
 	"context"
+	"encoding/binary"
+	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -11,11 +14,10 @@ import (
 	"genomeatscale/internal/synth"
 )
 
-// TestSetRowsMatchesSearch pins the two-pointer translation — the stepping
-// walk and the galloping one, at full and narrow packing widths — to a
-// binary search of every value: lists of every length ratio in both
-// directions, empty lists, and query values below, between and above the
-// row map's own.
+// TestSetRowsMatchesSearch pins the translation — the filter probe and the
+// gallop, at full and narrow packing widths — to a binary search of every
+// value: lists of every length ratio in both directions, empty lists, and
+// query values below, between and above the row map's own.
 func TestSetRowsMatchesSearch(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	draw := func(n int, lo, span uint64) []uint64 {
@@ -40,13 +42,143 @@ func TestSetRowsMatchesSearch(t *testing.T) {
 					}
 				}
 				got := make([]uint64, len(want))
-				setRows(got, rowMap, vals, b)
+				new(queryScratch).setRows(got, rowMap, vals, b)
 				if !slices.Equal(got, want) {
 					t.Fatalf("b=%d, %d values through a %d-row map: bitmap differs from per-value search", b, len(vals), len(rowMap))
 				}
 			}
 		}
 	}
+}
+
+// searchRows is the translation oracle: a binary search of the row map
+// for every query value.
+func searchRows(rowMap, vals []uint64, b int) []uint64 {
+	want := make([]uint64, (len(rowMap)+b-1)/b)
+	for _, v := range vals {
+		if r, ok := slices.BinarySearch(rowMap, v); ok {
+			want[r/b] |= 1 << uint(r%b)
+		}
+	}
+	return want
+}
+
+// checkRowPaths runs both translation paths, whatever the lengths, and
+// setRows itself, against the per-value search.
+func checkRowPaths(t *testing.T, name string, rowMap, vals []uint64, b int) {
+	t.Helper()
+	want := searchRows(rowMap, vals, b)
+	got := make([]uint64, len(want))
+	new(queryScratch).setRows(got, rowMap, vals, b)
+	if !slices.Equal(got, want) {
+		t.Fatalf("%s, b=%d: setRows differs from per-value search", name, b)
+	}
+	clear(got)
+	gallopRows(got, rowMap, vals, b)
+	if !slices.Equal(got, want) {
+		t.Fatalf("%s, b=%d: gallopRows differs from per-value search", name, b)
+	}
+	clear(got)
+	var f bitFilter
+	f.build(vals)
+	f.probeRows(got, rowMap, vals, b)
+	if !slices.Equal(got, want) {
+		t.Fatalf("%s, b=%d: probeRows differs from per-value search", name, b)
+	}
+}
+
+// TestSetRowsPaths covers each translation path on both sides of
+// gallopRatio, not only the side setRows picks for it: lists that share
+// every value, one inside the other, the extreme values 0 and 2⁶⁴−1, empty
+// lists, a query long enough to hit the filter's size cap, and row-map
+// values built to collide with query values in the filter.
+func TestSetRowsPaths(t *testing.T) {
+	rng := rand.New(rand.NewSource(34))
+	draw := func(n int) []uint64 {
+		out := make([]uint64, n)
+		for i := range out {
+			out[i] = rng.Uint64() >> uint(rng.Intn(64))
+		}
+		out = append(out, 0, math.MaxUint64)
+		slices.Sort(out)
+		return slices.Compact(out)
+	}
+	for _, b := range []int{64, 13, 1} {
+		for _, nVals := range []int{1, 5, 60, 3 * maxFilterWords} {
+			vals := draw(nVals)
+			for _, ratio := range []float64{0.1, 1, gallopRatio - 0.5, gallopRatio, gallopRatio + 0.5, 3 * gallopRatio} {
+				other := draw(int(ratio * float64(len(vals))))
+				mixed := slices.Compact(slices.Sorted(slices.Values(append(slices.Clone(other), vals[:len(vals)/2]...))))
+				checkRowPaths(t, fmt.Sprintf("%d values, 1:%g map", len(vals), ratio), mixed, vals, b)
+				checkRowPaths(t, fmt.Sprintf("%d values, 1:%g query", len(vals), ratio), vals, mixed, b)
+			}
+			checkRowPaths(t, "identical lists", vals, vals, b)
+			checkRowPaths(t, "query inside the map", vals, vals[len(vals)/3:], b)
+			checkRowPaths(t, "map inside the query", vals[len(vals)/3:], vals, b)
+			checkRowPaths(t, "empty map", nil, vals, b)
+			checkRowPaths(t, "empty query", vals, nil, b)
+		}
+		checkRowPaths(t, "only the extremes", []uint64{0, math.MaxUint64}, []uint64{0, math.MaxUint64}, b)
+		checkRowPaths(t, "max against 0", []uint64{math.MaxUint64}, []uint64{0}, b)
+	}
+
+	// Row-map values that are not in the query but probe to the word and
+	// bits of a query value: every one passes the filter and must be
+	// turned away by the exact check.
+	vals := draw(40)
+	var f bitFilter
+	f.build(vals)
+	wordMask := uint64(len(f.words) - 1)
+	collide := map[[2]uint64]bool{}
+	for _, v := range vals {
+		w, m := probe(v, wordMask)
+		collide[[2]uint64{w, m}] = true
+	}
+	var colliders []uint64
+	for v := uint64(1); len(colliders) < 200; v++ {
+		w, m := probe(v, wordMask)
+		if _, in := slices.BinarySearch(vals, v); !in && collide[[2]uint64{w, m}] {
+			colliders = append(colliders, v)
+		}
+	}
+	for i := 0; i < len(vals); i += 2 {
+		colliders = append(colliders, vals[i]) // and half the query, so some pass for real
+	}
+	rowMap := slices.Compact(slices.Sorted(slices.Values(colliders)))
+	for _, b := range []int{64, 13, 1} {
+		checkRowPaths(t, "colliding values", rowMap, vals, b)
+	}
+}
+
+// FuzzSetRows checks setRows and both of its paths against the per-value
+// search on arbitrary lists: each 8-byte word of the input is a value,
+// split between row map and query by its low bit, with the extremes
+// reachable.
+func FuzzSetRows(f *testing.F) {
+	f.Add([]byte{}, uint8(64))
+	f.Add(append(make([]byte, 8), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff), uint8(13))
+	f.Add([]byte("0123456789abcdefghijklmnopqrstuv"), uint8(1))
+	f.Fuzz(func(t *testing.T, data []byte, width uint8) {
+		b := int(width%64) + 1
+		var rowMap, vals []uint64
+		for len(data) >= 8 {
+			v := binary.LittleEndian.Uint64(data)
+			data = data[8:]
+			if v&1 == 0 {
+				rowMap = append(rowMap, v)
+			} else {
+				vals = append(vals, v)
+			}
+			if v&2 == 0 {
+				// Shared by both lists.
+				rowMap = append(rowMap, v^1)
+				vals = append(vals, v^1)
+			}
+		}
+		slices.Sort(rowMap)
+		slices.Sort(vals)
+		checkRowPaths(t, "fuzzed lists", slices.Compact(rowMap), slices.Compact(vals), b)
+	})
 }
 
 func TestGallop(t *testing.T) {

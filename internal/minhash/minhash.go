@@ -33,24 +33,22 @@ func hash64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// New builds a bottom-k sketch of the given attribute set.
+// New builds a bottom-k sketch of the given attribute set. hash64 is a
+// bijection, so two hashes are equal exactly when their values are:
+// sorting the hashes and dropping repeats de-duplicates the set.
 func New(values []uint64, size int) (Sketch, error) {
 	if size <= 0 {
 		return Sketch{}, fmt.Errorf("minhash: sketch size must be positive, got %d", size)
 	}
-	hashes := make([]uint64, 0, len(values))
-	seen := make(map[uint64]struct{}, len(values))
-	for _, v := range values {
-		h := hash64(v)
-		if _, dup := seen[h]; dup {
-			continue
-		}
-		seen[h] = struct{}{}
-		hashes = append(hashes, h)
+	hashes := make([]uint64, len(values))
+	for i, v := range values {
+		hashes[i] = hash64(v)
 	}
 	slices.Sort(hashes)
+	hashes = slices.Compact(hashes)
 	if len(hashes) > size {
-		hashes = hashes[:size]
+		// A copy, so the sketch does not keep the whole set's hashes alive.
+		hashes = slices.Clone(hashes[:size])
 	}
 	return Sketch{Size: size, Hashes: slices.Clip(hashes)}, nil
 }

@@ -1,7 +1,9 @@
 package minhash_test
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"genomeatscale/internal/core"
@@ -28,6 +30,54 @@ func TestNewValidation(t *testing.T) {
 	big := minhash.MustNew(manyValues(5000), 100)
 	if len(big.Hashes) != 100 {
 		t.Errorf("sketch size = %d, want 100", len(big.Hashes))
+	}
+}
+
+// newWithMap is the oracle for New: the de-duplicating set of hashes,
+// sorted and cut to the sketch size.
+func newWithMap(values []uint64, size int) minhash.Sketch {
+	hashes := make([]uint64, 0, len(values))
+	seen := make(map[uint64]struct{}, len(values))
+	for _, v := range values {
+		h := minhash.Hash64(v)
+		if _, dup := seen[h]; dup {
+			continue
+		}
+		seen[h] = struct{}{}
+		hashes = append(hashes, h)
+	}
+	slices.Sort(hashes)
+	if len(hashes) > size {
+		hashes = hashes[:size]
+	}
+	return minhash.Sketch{Size: size, Hashes: hashes}
+}
+
+// TestNewMatchesMapOracle: New's sort-and-compact equals the hash-set
+// construction on unsorted input, duplicates, the empty set and sizes
+// above, at and below the set's cardinality.
+func TestNewMatchesMapOracle(t *testing.T) {
+	rng := synth.NewRNG(24)
+	inputs := map[string][]uint64{
+		"empty":      nil,
+		"one":        {math.MaxUint64},
+		"duplicates": {7, 7, 7, 0, 0, math.MaxUint64, math.MaxUint64},
+	}
+	for _, n := range []int{3, 64, 1000} {
+		vals := make([]uint64, n)
+		for i := range vals {
+			vals[i] = rng.Uint64() >> 54 // unsorted, with many repeats
+		}
+		inputs[fmt.Sprintf("%d unsorted", n)] = vals
+	}
+	for name, vals := range inputs {
+		for _, size := range []int{1, 2, 64, 2000} {
+			got := minhash.MustNew(vals, size)
+			want := newWithMap(vals, size)
+			if got.Size != want.Size || !slices.Equal(got.Hashes, want.Hashes) {
+				t.Fatalf("%s, size %d: New gives %v, the hash-set oracle %v", name, size, got.Hashes, want.Hashes)
+			}
+		}
 	}
 }
 
