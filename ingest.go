@@ -21,9 +21,9 @@ type DatasetV2 = core.DatasetV2
 func AsDatasetV2(ds Dataset) DatasetV2 { return core.AsV2(ds) }
 
 // IngestStats reports how an out-of-core dataset behaved during a run —
-// loads (including reloads after eviction), evictions, and the peak number
-// of simultaneously resident samples. Runs over such datasets carry a
-// snapshot in Result.Stats.Ingest.
+// loads (including reloads after eviction), evictions, the peak number of
+// simultaneously resident samples, bytes read and values decoded. Runs
+// over such datasets carry a snapshot in Result.Stats.Ingest.
 type IngestStats = core.IngestStats
 
 // SampleDirOptions configures OpenSampleDir: the file glob, the read-ahead
@@ -36,7 +36,10 @@ type SampleDirOptions = samplefile.DirOptions
 // lazily and in parallel with single-flight deduplication. With a prefetch
 // window it reads the next block of files while the current block
 // computes and evicts least-recently-used samples, so arbitrarily large
-// collections run in bounded memory.
+// collections run in bounded memory. Its cache entries hold the files'
+// bytes in the binary encoding, and each batch decodes only its value
+// range, resuming where the sample's previous batch stopped. A corrupt
+// header fails at load, a corrupt body in the batch that reaches it.
 type SampleDir = samplefile.DirDataset
 
 // OpenSampleDir opens a directory of sample files (see samplefile's

@@ -197,8 +197,8 @@ func PrintIngest(w io.Writer, s *core.IngestStats) {
 	if s == nil {
 		return
 	}
-	fmt.Fprintf(w, "ingestion: %d sample loads (%.3fs I/O), %d evictions, peak %d samples resident\n",
-		s.Loads, s.LoadSeconds, s.Evictions, s.PeakResident)
+	fmt.Fprintf(w, "ingestion: %d sample loads (%.3fs I/O, %.2f MiB read), %d values decoded, %d evictions, peak %d samples resident\n",
+		s.Loads, s.LoadSeconds, float64(s.BytesRead)/(1<<20), s.ValuesDecoded, s.Evictions, s.PeakResident)
 }
 
 // StreamPairs runs the engine in streaming mode according to the -top-k /

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"slices"
 	"time"
 
 	"genomeatscale/internal/bitmat"
@@ -162,32 +161,29 @@ type batchColumn struct {
 // error-returning DatasetV2 path in ascending column order — the access
 // pattern out-of-core datasets prefetch against — and a load failure
 // aborts the batch with a descriptive error instead of panicking mid-run.
-//
-// For an EvictingDataset the in-range values are copied out: the columns
-// live until the batch's pack stage completes, and a zero-copy subslice
-// would pin each sample's whole backing array for that long — the resident
-// bound would then hold only in the loader's accounting, not in bytes.
-// Non-evicting datasets keep the historical zero-copy subslices.
+// A RangeReader dataset returns each range in a slice of its own; other
+// datasets keep zero-copy subslices of their samples.
 func sliceBatch(ds DatasetV2, cols []int, lo, hi uint64) ([]batchColumn, error) {
 	if lo >= hi {
 		return nil, nil
 	}
-	copyVals := false
-	if ev, ok := ds.(EvictingDataset); ok {
-		copyVals = ev.EvictsSamples()
-	}
+	rr, ranged := ds.(RangeReader)
 	var columns []batchColumn
 	for _, j := range cols {
-		sample, err := ds.SampleErr(j)
+		var vals []uint64
+		var err error
+		if ranged {
+			vals, err = rr.SampleRange(j, lo, hi)
+		} else {
+			var sample []uint64
+			sample, err = ds.SampleErr(j)
+			vals = rangeSlice(sample, lo, hi)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("core: loading sample %d (%s): %w", j, ds.SampleName(j), err)
 		}
-		vals := rangeSlice(sample, lo, hi)
 		if len(vals) == 0 {
 			continue
-		}
-		if copyVals {
-			vals = slices.Clone(vals)
 		}
 		columns = append(columns, batchColumn{col: j, vals: vals})
 	}

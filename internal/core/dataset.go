@@ -70,17 +70,18 @@ type DatasetV2 interface {
 	LoadRange(lo, hi int) error
 }
 
-// EvictingDataset is an optional DatasetV2 extension marking datasets
-// that may evict and reload sample storage during a run (out-of-core
-// loaders). The batch stage copies the in-range values out of such
-// datasets instead of keeping zero-copy subslices: a subslice pins the
-// sample's whole backing array until the batch's pack stage completes,
-// which would keep every sample reachable at once and defeat the
-// eviction bound in actual bytes.
-type EvictingDataset interface {
-	// EvictsSamples reports whether sample slices may be dropped from
-	// memory during a run.
-	EvictsSamples() bool
+// RangeReader is an optional DatasetV2 extension for datasets that can
+// read one value range of a sample without providing the whole sample:
+// SampleRange returns the values of sample i in [lo, hi), sorted, in a
+// slice the caller owns. The batch stage reads each batch through it, so
+// an out-of-core loader can decode only the batch's share of each file
+// and the batch holds no reference into the loader's cache. Failures are
+// reported like SampleErr's. Implementations must support concurrent
+// calls, like SampleErr. A wrapper that embeds a RangeReader and overrides
+// SampleErr must override SampleRange too, or the batch stage reads around
+// the override.
+type RangeReader interface {
+	SampleRange(i int, lo, hi uint64) ([]uint64, error)
 }
 
 // RangePrefetcher is an optional DatasetV2 extension: PrefetchRange

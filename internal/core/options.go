@@ -342,10 +342,21 @@ type IngestStats struct {
 	// PeakResident is the largest number of samples simultaneously held in
 	// memory — the figure a memory-bounded run asserts stays O(2 × batch).
 	PeakResident int
-	// LoadSeconds is the cumulative wall-clock time spent reading and
-	// decoding sample files (summed across parallel loaders, so it can
-	// exceed the elapsed time when loads overlap).
+	// LoadSeconds is the cumulative wall-clock time spent loading sample
+	// files (summed across parallel loaders, so it can exceed the elapsed
+	// time when loads overlap). A load reads the file and checks its
+	// header; a text file is parsed at load too. Binary values are decoded
+	// later, by the reads that use them, and their time is not included.
 	LoadSeconds float64
+	// BytesRead is the number of sample-file bytes read from disk,
+	// reloads included.
+	BytesRead int64
+	// ValuesDecoded is the number of values decoded from the binary
+	// encoding, counting a value again each time it is decoded. A scan
+	// that decodes each value once reports about the nonzero count; text
+	// files are parsed at load and re-encoded, and the parse is not
+	// counted here.
+	ValuesDecoded int64
 }
 
 // IngestStatser is implemented by datasets that track IngestStats; the

@@ -2,7 +2,9 @@ package samplefile
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -292,16 +294,40 @@ func TestDirDatasetMatchesInMemory(t *testing.T) {
 // TestEngineErrorsOnCorruptFile is the fault-tolerance acceptance check:
 // a corrupt file inside a large directory surfaces from Engine.Similarity
 // and Engine.Stream as a run error naming the file, on the sequential and
-// the distributed path alike — never as a panic.
+// the distributed path alike — never as a panic. The first file has a
+// corrupt header, caught at load; the others have a valid header and a
+// body that breaks past batch 0, caught by the batch read that reaches it.
 func TestEngineErrorsOnCorruptFile(t *testing.T) {
-	dir := t.TempDir()
-	const n, m = 12, 200
-	writeSampleDir(t, dir, n, m)
-	// Corrupt one mid-collection binary file in place.
-	bad := filepath.Join(dir, "s-007.smp")
-	if err := os.WriteFile(bad, append(append([]byte{}, binaryMagic[:]...), 0xff, 0xff), 0o644); err != nil {
-		t.Fatal(err)
+	const m = 200
+	magic := append([]byte{}, binaryMagic[:]...)
+	valid := func(vals ...uint64) []byte { return appendBinary(nil, vals) }
+	cases := []struct {
+		name string
+		data []byte
+	}{
+		{"corrupt header", append(magic, 0xff, 0xff)},
+		{"value outside the universe", valid(5, 150, 250)},
+		// 5, 150, then a delta that wraps to 50.
+		{"wrapping delta", binary.AppendUvarint(append(magic, 3, 5, 145), math.MaxUint64-99)},
+		// The last value's byte is cut off; 150's two-byte delta keeps the
+		// count within the bytes that follow.
+		{"truncated tail", valid(5, 150, 160, 170)[:len(valid(5, 150, 160, 170))-1]},
+		{"trailing bytes", append(valid(5, 150), 0x01)},
 	}
+	for _, tc := range cases {
+		dir := t.TempDir()
+		writeSampleDir(t, dir, 12, m)
+		// Corrupt one mid-collection binary file in place.
+		if err := os.WriteFile(filepath.Join(dir, "s-007.smp"), tc.data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Run(tc.name, func(t *testing.T) { checkRunsFailOnCorruptFile(t, dir, m) })
+	}
+}
+
+// checkRunsFailOnCorruptFile runs Similarity and Stream, with procs 1 and
+// 4, over dir and checks that each fails naming s-007.smp.
+func checkRunsFailOnCorruptFile(t *testing.T, dir string, m uint64) {
 	for _, procs := range []int{1, 4} {
 		for _, mode := range []string{"similarity", "stream"} {
 			ds, err := OpenDirOptions(dir, m, DirOptions{Prefetch: 2})

@@ -14,19 +14,28 @@
 //
 // DirDataset exposes a directory of such files as a core.DatasetV2: samples
 // load lazily — in parallel, with per-sample single-flight deduplication —
-// and load failures (unreadable files, corrupt encodings, values outside
-// the declared universe) propagate as errors through the pipelines instead
-// of panicking. With a prefetch window configured, the loader reads the
-// next block of samples while the current block computes and evicts
-// least-recently-used samples so the resident set stays bounded by about
-// two blocks, no matter how many files the collection holds.
+// and failures (unreadable files, corrupt encodings, values outside the
+// declared universe) propagate as errors through the pipelines instead of
+// panicking. A cache entry holds the file's bytes in the binary encoding
+// (text files are parsed and re-encoded at load), about two bytes per
+// value; a load checks only the header. Batch reads (core.RangeReader)
+// decode just their value range, resuming where the sample's previous
+// range read stopped, so a multi-batch scan decodes each value about once
+// however often eviction makes it reload the file. A header error shows
+// at load, a body error in the batch read that reaches it; the batch
+// ranges partition the universe, so a run still meets every byte. With a
+// prefetch window configured, the loader reads the next block of samples
+// while the current block computes and evicts least-recently-used samples
+// so the resident set stays bounded by about two blocks, no matter how
+// many files the collection holds.
 package samplefile
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
-	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -73,29 +82,32 @@ func WriteText(path string, values []uint64) (err error) {
 // ReadText reads a text sample file. Blank lines and '#' comments are
 // ignored; values are sorted and de-duplicated on return.
 func ReadText(path string) ([]uint64, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("samplefile: %w", err)
 	}
-	defer f.Close()
+	return parseText(path, data)
+}
+
+// parseText parses the text encoding held in data.
+func parseText(path string, data []byte) ([]uint64, error) {
 	var out []uint64
-	scanner := bufio.NewScanner(f)
-	scanner.Buffer(make([]byte, 1024*1024), 256*1024*1024)
-	lineNo := 0
-	for scanner.Scan() {
-		lineNo++
-		line := strings.TrimSpace(scanner.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
+	for lineNo := 1; len(data) > 0; lineNo++ {
+		line := data
+		if k := bytes.IndexByte(data, '\n'); k >= 0 {
+			line, data = data[:k], data[k+1:]
+		} else {
+			data = nil
+		}
+		line = bytes.TrimSpace(line)
+		if len(line) == 0 || line[0] == '#' {
 			continue
 		}
-		v, err := strconv.ParseUint(line, 10, 64)
+		v, err := strconv.ParseUint(string(line), 10, 64)
 		if err != nil {
 			return nil, fmt.Errorf("samplefile: %s:%d: %w", path, lineNo, err)
 		}
 		out = append(out, v)
-	}
-	if err := scanner.Err(); err != nil {
-		return nil, fmt.Errorf("samplefile: %w", err)
 	}
 	return normalize(out), nil
 }
@@ -104,7 +116,7 @@ func ReadText(path string) ([]uint64, error) {
 // the value count, and the sorted values as varint deltas. Like WriteText
 // it reports close failures, which is where a full disk surfaces.
 func WriteBinary(path string, values []uint64) (err error) {
-	cleaned := normalize(values)
+	data := appendBinary(nil, normalize(values))
 	f, err := os.Create(path)
 	if err != nil {
 		return fmt.Errorf("samplefile: %w", err)
@@ -114,119 +126,193 @@ func WriteBinary(path string, values []uint64) (err error) {
 			err = fmt.Errorf("samplefile: closing %s: %w", path, cerr)
 		}
 	}()
-	w := bufio.NewWriter(f)
-	if _, err := w.Write(binaryMagic[:]); err != nil {
-		return fmt.Errorf("samplefile: %w", err)
-	}
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], uint64(len(cleaned)))
-	if _, err := w.Write(buf[:n]); err != nil {
-		return fmt.Errorf("samplefile: %w", err)
-	}
-	prev := uint64(0)
-	for i, v := range cleaned {
-		delta := v
-		if i > 0 {
-			delta = v - prev
-		}
-		prev = v
-		n := binary.PutUvarint(buf[:], delta)
-		if _, err := w.Write(buf[:n]); err != nil {
-			return fmt.Errorf("samplefile: %w", err)
-		}
-	}
-	if err := w.Flush(); err != nil {
+	if _, err := f.Write(data); err != nil {
 		return fmt.Errorf("samplefile: %w", err)
 	}
 	return nil
 }
 
-// maxPrealloc caps how many values ReadBinary preallocates from the
-// untrusted header count (1<<20 entries = 8 MiB); larger samples grow by
-// appending, so a corrupt header cannot OOM the process.
-const maxPrealloc = 1 << 20
+// appendBinary appends the binary encoding of sorted, duplicate-free
+// values to dst.
+func appendBinary(dst []byte, sorted []uint64) []byte {
+	dst = append(dst, binaryMagic[:]...)
+	dst = binary.AppendUvarint(dst, uint64(len(sorted)))
+	prev := uint64(0)
+	for _, v := range sorted {
+		dst = binary.AppendUvarint(dst, v-prev)
+		prev = v
+	}
+	return dst
+}
 
 // ReadBinary reads a binary sample file written by WriteBinary.
 func ReadBinary(path string) ([]uint64, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("samplefile: %w", err)
 	}
-	defer f.Close()
-	info, err := f.Stat()
-	if err != nil {
-		return nil, fmt.Errorf("samplefile: %w", err)
-	}
-	r := bufio.NewReader(f)
-	var magic [8]byte
-	if _, err := io.ReadFull(r, magic[:]); err != nil {
-		return nil, fmt.Errorf("samplefile: %s: reading magic: %w", path, err)
-	}
-	if magic != binaryMagic {
-		return nil, fmt.Errorf("samplefile: %s is not a binary sample file", path)
-	}
-	count, err := binary.ReadUvarint(r)
-	if err != nil {
-		return nil, fmt.Errorf("samplefile: %s: reading count: %w", path, err)
-	}
-	// Every encoded value takes at least one byte, so a count exceeding the
-	// bytes left in the file is a corrupt header — reject it before
-	// allocating anything proportional to it.
-	if remaining := info.Size() - int64(len(magic)); int64(count) < 0 || int64(count) > remaining {
-		return nil, fmt.Errorf("samplefile: %s: header claims %d values but only %d bytes follow (corrupt file)",
-			path, count, remaining)
-	}
-	prealloc := count
-	if prealloc > maxPrealloc {
-		prealloc = maxPrealloc
-	}
-	out := make([]uint64, 0, prealloc)
-	var prev uint64
-	for i := uint64(0); i < count; i++ {
-		delta, err := binary.ReadUvarint(r)
-		if err != nil {
-			return nil, fmt.Errorf("samplefile: %s: value %d: %w", path, i, err)
-		}
-		v := delta
-		if i > 0 {
-			v = prev + delta
-		}
-		// The encoding holds sorted de-duplicated values, so every delta
-		// after the first value is at least 1: a wrapped (v < prev) or
-		// zero delta (v == prev) is a corrupt file.
-		if i > 0 && v <= prev {
-			return nil, fmt.Errorf("samplefile: %s: non-monotone values (corrupt file)", path)
-		}
-		out = append(out, v)
-		prev = v
-	}
-	return out, nil
+	return decodeBinary(path, data)
 }
 
 // Read loads a sample file, auto-detecting the encoding from the magic. A
-// file too short to hold the magic is treated as text; any other read
-// failure during sniffing propagates instead of silently misdetecting the
-// encoding.
+// file too short to hold the magic is text.
 func Read(path string) ([]uint64, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("samplefile: %w", err)
 	}
-	var magic [8]byte
-	_, err = io.ReadFull(f, magic[:])
-	f.Close()
-	switch {
-	case err == nil:
-		if magic == binaryMagic {
-			return ReadBinary(path)
-		}
-		return ReadText(path)
-	case err == io.EOF || err == io.ErrUnexpectedEOF:
-		// Shorter than the magic: cannot be binary.
-		return ReadText(path)
-	default:
-		return nil, fmt.Errorf("samplefile: %s: sniffing encoding: %w", path, err)
+	if isBinary(data) {
+		return decodeBinary(path, data)
 	}
+	return parseText(path, data)
+}
+
+// isBinary reports whether data starts with the binary magic.
+func isBinary(data []byte) bool {
+	return len(data) >= len(binaryMagic) && [8]byte(data) == binaryMagic
+}
+
+// decodeBinary decodes a whole binary sample held in data.
+func decodeBinary(path string, data []byte) ([]uint64, error) {
+	enc, err := parseHeader(path, data)
+	if err != nil {
+		return nil, err
+	}
+	vals, _, err := enc.decodeAll()
+	return vals, err
+}
+
+// encoded is a sample in the binary encoding whose header has been
+// checked: the file's bytes, where the first value starts and how many
+// values follow.
+type encoded struct {
+	path  string
+	data  []byte
+	body  int
+	count uint64
+	// universe, when nonzero, is the bound every value must stay below.
+	universe uint64
+}
+
+// parseHeader checks the magic and the value count of a binary sample.
+// Every encoded value takes at least one byte, so a count exceeding the
+// bytes that follow is a corrupt header: it is rejected here, before
+// anything proportional to it is allocated.
+func parseHeader(path string, data []byte) (encoded, error) {
+	if !isBinary(data) {
+		return encoded{}, fmt.Errorf("samplefile: %s is not a binary sample file", path)
+	}
+	count, k := binary.Uvarint(data[len(binaryMagic):])
+	if k <= 0 {
+		return encoded{}, fmt.Errorf("samplefile: %s: reading count: malformed varint (corrupt file)", path)
+	}
+	body := len(binaryMagic) + k
+	if remaining := uint64(len(data) - body); count > remaining {
+		return encoded{}, fmt.Errorf("samplefile: %s: header claims %d values but only %d bytes follow (corrupt file)",
+			path, count, remaining)
+	}
+	return encoded{path: path, data: data, body: body, count: count}, nil
+}
+
+// cursor is a resume position in a sample's value stream: the byte offset
+// of the next value's varint, how many values precede it, and the last of
+// them. The zero cursor is "not started".
+type cursor struct {
+	off  int
+	n    uint64
+	last uint64
+}
+
+// resume returns c if a read of the values ≥ lo may continue from it, and
+// the start of the value stream otherwise: when c has not started, when
+// it already consumed a value ≥ lo, or when it does not fit this encoding.
+func (e *encoded) resume(c cursor, lo uint64) cursor {
+	if c.off < e.body || c.off > len(e.data) || c.n > e.count || (c.n > 0 && lo <= c.last) {
+		return cursor{off: e.body}
+	}
+	return c
+}
+
+// decodeAll decodes every value. The header check bounds the count by the
+// file size, so the result is allocated up front.
+func (e *encoded) decodeAll() ([]uint64, int64, error) {
+	vals, _, decoded, err := e.scan(make([]uint64, 0, e.count), cursor{off: e.body}, 0, math.MaxUint64)
+	if err != nil {
+		return nil, decoded, err
+	}
+	return vals, decoded, nil
+}
+
+// estimate sizes the result of a range read of [lo, hi) from c: the
+// values left after c, spread evenly over the rest of the universe, plus
+// an eighth. Sample values are hashed k-mers or similar, so even spread is
+// the usual case, and a short estimate costs one append growth.
+func (e *encoded) estimate(c cursor, lo, hi uint64) int {
+	from := uint64(0)
+	if c.n > 0 {
+		from = c.last + 1
+	}
+	if hi <= lo || lo >= e.universe {
+		return 0
+	}
+	left := float64(e.count - c.n)
+	est := left * float64(min(hi, e.universe)-lo) / float64(e.universe-from)
+	return int(min(est+est/8+16, left))
+}
+
+// scan decodes the value stream from c on. Values below lo are skipped,
+// values in [lo, last] are appended to dst, and the scan stops before the
+// first value above last, which stays unconsumed for the next read. Every
+// decoded value is validated: a well-formed varint, strictly above its
+// predecessor (a zero or wrapping delta is corrupt) and inside the
+// universe. Reaching the last value checks that no bytes follow it. scan
+// returns dst, the advanced cursor and the number of varints decoded.
+func (e *encoded) scan(dst []uint64, c cursor, lo, last uint64) ([]uint64, cursor, int64, error) {
+	data := e.data
+	limit := e.universe - 1 // wraps to the largest uint64 when unbounded
+	off, n, prev := c.off, c.n, c.last
+	var decoded int64
+	for n < e.count {
+		var delta uint64
+		next := off
+		if next < len(data) && data[next] < 0x80 {
+			delta = uint64(data[next])
+			next++
+		} else {
+			var k int
+			delta, k = binary.Uvarint(data[next:])
+			if k <= 0 {
+				return dst, c, decoded, fmt.Errorf("samplefile: %s: value %d: truncated or overlong varint (corrupt file)", e.path, n)
+			}
+			next += k
+		}
+		decoded++
+		v := prev + delta
+		if n > 0 && v <= prev {
+			return dst, c, decoded, fmt.Errorf("samplefile: %s: non-monotone values (corrupt file)", e.path)
+		}
+		if v > limit {
+			return dst, c, decoded, fmt.Errorf("samplefile: %s contains value %d outside the declared universe %d", e.path, v, e.universe)
+		}
+		if v > last {
+			break
+		}
+		if v >= lo {
+			dst = append(dst, v)
+		}
+		off, n, prev = next, n+1, v
+	}
+	if n == e.count && off != len(data) {
+		return dst, c, decoded, fmt.Errorf("samplefile: %s: %d bytes after the last of %d values (corrupt file)", e.path, len(data)-off, e.count)
+	}
+	return dst, cursor{off: off, n: n, last: prev}, decoded, nil
+}
+
+// rangeOf returns the sub-slice of sorted values that fall in [lo, hi).
+func rangeOf(sorted []uint64, lo, hi uint64) []uint64 {
+	start, _ := slices.BinarySearch(sorted, lo)
+	end, _ := slices.BinarySearch(sorted, hi)
+	return sorted[start:end]
 }
 
 // normalize sorts and de-duplicates values.
@@ -300,10 +386,16 @@ type DirDataset struct {
 
 // sampleState tracks one sample's cache entry.
 type sampleState struct {
-	vals   []uint64
+	enc    encoded  // the file in the binary encoding, header checked
+	vals   []uint64 // the whole sample, once SampleErr decoded it
 	err    error
-	loaded bool          // vals/err are valid
+	loaded bool          // enc/vals/err are valid
+	gen    uint64        // counts installs, so a decode outlived by an eviction does not publish
 	flight chan struct{} // non-nil while a load is in flight; closed on install
+
+	// cur is where the last SampleRange stopped. It survives eviction: the
+	// reloaded file has the same bytes, so the next batch resumes there.
+	cur cursor
 
 	// Intrusive LRU links over loaded samples (-1 = none).
 	prev, next int
@@ -313,7 +405,7 @@ var (
 	_ core.DatasetV2       = (*DirDataset)(nil)
 	_ core.IngestStatser   = (*DirDataset)(nil)
 	_ core.RangePrefetcher = (*DirDataset)(nil)
-	_ core.EvictingDataset = (*DirDataset)(nil)
+	_ core.RangeReader     = (*DirDataset)(nil)
 )
 
 // OpenDir lists the sample files matching the glob pattern (e.g. "*.txt" or
@@ -411,24 +503,85 @@ func (d *DirDataset) SampleName(i int) string { return d.names[i] }
 func (d *DirDataset) Path(i int) string { return d.paths[i] }
 
 // SampleErr implements core.DatasetV2: it returns sample i, loading (or
-// reloading, after an eviction) the backing file if needed. Concurrent
-// calls for the same sample share one load; calls for different samples
-// load in parallel. A failed load — unreadable file, corrupt encoding, or
-// a value outside the declared universe — is cached and returned as an
-// error until the entry is evicted (see Evict), never panicking.
+// reloading, after an eviction) the backing file if needed and decoding
+// it whole. The decoded sample is kept with the entry until it is evicted,
+// so repeated whole-sample reads decode once. Concurrent calls for the
+// same sample share one load; calls for different samples load in
+// parallel. A failure — unreadable file, corrupt encoding, or a value
+// outside the declared universe — is cached and returned as an error until
+// the entry is evicted (see Evict), never panicking.
 func (d *DirDataset) SampleErr(i int) ([]uint64, error) {
+	snap, err := d.acquire(i)
+	if err != nil || snap.vals != nil {
+		return snap.vals, err
+	}
+	vals, decoded, err := snap.enc.decodeAll()
+	d.mu.Lock()
+	d.stats.ValuesDecoded += decoded
+	if st := &d.states[i]; st.loaded && st.gen == snap.gen {
+		st.vals, st.err = vals, err
+	}
+	d.mu.Unlock()
+	return vals, err
+}
+
+// SampleRange implements core.RangeReader: it returns the values of sample
+// i in [lo, hi) in a new slice. The values are decoded from where the
+// previous range read of the sample stopped, so a scan through ascending
+// batch ranges decodes each value once (plus, per read, the one value
+// that ends it). A read below that point restarts from the file's first
+// value. Body corruption — a malformed varint, a non-increasing value, a
+// value outside the universe, bytes after the last value — is reported
+// by the read that reaches it and cached like a load error. When SampleErr
+// has decoded the sample and it is still resident, the range is cut from
+// that instead.
+func (d *DirDataset) SampleRange(i int, lo, hi uint64) ([]uint64, error) {
+	snap, err := d.acquire(i)
+	if err != nil || lo >= hi {
+		return nil, err
+	}
+	if snap.vals != nil {
+		return slices.Clone(rangeOf(snap.vals, lo, hi)), nil
+	}
+	enc := &snap.enc
+	c := enc.resume(snap.cur, lo)
+	vals, c, decoded, err := enc.scan(make([]uint64, 0, enc.estimate(c, lo, hi)), c, lo, hi-1)
+	d.mu.Lock()
+	d.stats.ValuesDecoded += decoded
+	st := &d.states[i]
+	if err == nil {
+		st.cur = c
+	} else if st.loaded && st.gen == snap.gen {
+		st.err = err
+	}
+	d.mu.Unlock()
+	return vals, err
+}
+
+// snapshot is what acquire reads from a loaded cache entry.
+type snapshot struct {
+	enc  encoded
+	vals []uint64
+	cur  cursor
+	gen  uint64
+}
+
+// acquire returns sample i's cache entry, loading (or reloading, after an
+// eviction) the backing file if needed, and schedules the read-ahead
+// after i. The error is the entry's cached failure.
+func (d *DirDataset) acquire(i int) (snapshot, error) {
 	if i < 0 || i >= len(d.paths) {
-		return nil, fmt.Errorf("samplefile: sample index %d out of range [0, %d)", i, len(d.paths))
+		return snapshot{}, fmt.Errorf("samplefile: sample index %d out of range [0, %d)", i, len(d.paths))
 	}
 	for {
 		d.mu.Lock()
 		st := &d.states[i]
 		if st.loaded {
 			d.lruTouch(i)
-			vals, err := st.vals, st.err
+			snap, err := snapshot{enc: st.enc, vals: st.vals, cur: st.cur, gen: st.gen}, st.err
 			d.mu.Unlock()
 			d.prefetchAfter(i)
-			return vals, err
+			return snap, err
 		}
 		if st.flight != nil {
 			ch := st.flight
@@ -441,10 +594,7 @@ func (d *DirDataset) SampleErr(i int) ([]uint64, error) {
 
 		// Read ahead of this position while we load sample i ourselves.
 		d.prefetchAfter(i)
-		start := time.Now()
-		vals, err := d.load(i)
-		d.install(i, vals, err, time.Since(start).Seconds())
-		return vals, err
+		return d.loadAndInstall(i)
 	}
 }
 
@@ -511,10 +661,11 @@ func (d *DirDataset) LoadRange(lo, hi int) error {
 	return firstErr
 }
 
-// Evict drops the cached contents of sample i — values or a cached load
-// error alike — so that memory can be reclaimed (or a failed load retried)
-// explicitly. Samples evicted automatically by the resident bound behave
-// identically: the next access reloads the file.
+// Evict drops the cached contents of sample i — file bytes, decoded values
+// or a cached error alike — so that memory can be reclaimed (or a failed
+// load retried) explicitly. Samples evicted automatically by the resident
+// bound behave identically: the next access reloads the file. Where the
+// last range read stopped is kept.
 func (d *DirDataset) Evict(i int) {
 	d.mu.Lock()
 	if d.states[i].loaded {
@@ -549,41 +700,56 @@ func (d *DirDataset) MaxValue() (uint64, error) {
 	return m, nil
 }
 
-// load reads and validates the backing file of sample i. It runs without
-// holding d.mu, so loads for different samples proceed in parallel.
-func (d *DirDataset) load(i int) ([]uint64, error) {
-	values, err := Read(d.paths[i])
+// load reads the backing file of sample i and checks its header; a text
+// file is parsed, checked against the universe and re-encoded in the
+// binary form, so every sample is decoded by the same code. It returns the
+// number of bytes read from disk too. It runs without holding d.mu, so
+// loads for different samples proceed in parallel.
+func (d *DirDataset) load(i int) (encoded, int64, error) {
+	path := d.paths[i]
+	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, err
+		return encoded{}, 0, fmt.Errorf("samplefile: %w", err)
 	}
-	for _, v := range values {
-		if v >= d.attributes {
-			return nil, fmt.Errorf("samplefile: %s contains value %d outside the declared universe %d",
-				d.paths[i], v, d.attributes)
+	read := int64(len(data))
+	if !isBinary(data) {
+		vals, err := parseText(path, data)
+		if err != nil {
+			return encoded{}, read, err
 		}
+		if len(vals) > 0 && vals[len(vals)-1] >= d.attributes {
+			return encoded{}, read, fmt.Errorf("samplefile: %s contains value %d outside the declared universe %d",
+				path, vals[len(vals)-1], d.attributes)
+		}
+		data = appendBinary(nil, vals)
 	}
-	if values == nil {
-		values = []uint64{}
-	}
-	return values, nil
+	enc, err := parseHeader(path, data)
+	enc.universe = d.attributes
+	return enc, read, err
+}
+
+// loadAndInstall loads sample i, whose flight channel is armed, and
+// installs and returns the result.
+func (d *DirDataset) loadAndInstall(i int) (snapshot, error) {
+	start := time.Now()
+	enc, read, err := d.load(i)
+	return d.install(i, enc, read, err, time.Since(start).Seconds())
 }
 
 // loadAsync is the background-loader body: it performs the load for a
 // sample whose flight channel the scheduler already armed, bounded by the
-// parallelism semaphore.
+// parallelism semaphore. The result, a failure included, is installed in
+// the entry, where the sample's readers find it.
 func (d *DirDataset) loadAsync(j int) {
 	d.sem <- struct{}{}
-	start := time.Now()
-	vals, err := d.load(j)
-	elapsed := time.Since(start).Seconds()
-	<-d.sem
-	d.install(j, vals, err, elapsed)
+	defer func() { <-d.sem }()
+	_, _ = d.loadAndInstall(j)
 }
 
 // armLocked reserves the cache slot for a load of sample i that is about
 // to start: it creates the flight channel waiters block on and counts the
 // sample against the resident budget immediately — an in-flight load holds
-// a decoded sample before it installs, so reserving at arm time keeps
+// the sample's bytes before it installs, so reserving at arm time keeps
 // PeakResident an honest bound on simultaneously held samples (cached and
 // in flight alike) and evicts ahead of the load instead of after it.
 // d.mu must be held; armed entries are not in the LRU list and therefore
@@ -606,16 +772,19 @@ func (d *DirDataset) armLocked(i int) {
 // install publishes a finished load: it stores the result, wakes the
 // waiters and moves the sample from its armed reservation (see armLocked)
 // into the LRU list.
-func (d *DirDataset) install(i int, vals []uint64, err error, seconds float64) {
+func (d *DirDataset) install(i int, enc encoded, read int64, err error, seconds float64) (snapshot, error) {
 	d.mu.Lock()
+	defer d.mu.Unlock()
 	st := &d.states[i]
-	st.vals, st.err, st.loaded = vals, err, true
+	st.enc, st.vals, st.err, st.loaded = enc, nil, err, true
+	st.gen++
 	close(st.flight)
 	st.flight = nil
 	d.lruPushFront(i)
 	d.stats.Loads++
+	d.stats.BytesRead += read
 	d.stats.LoadSeconds += seconds
-	d.mu.Unlock()
+	return snapshot{enc: enc, cur: st.cur, gen: st.gen}, err
 }
 
 // armRangeLocked schedules background loads for every sample in [lo, hi)
@@ -708,15 +877,10 @@ func (d *DirDataset) clampRange(lo, hi int) (int, int) {
 	return lo, hi
 }
 
-// EvictsSamples implements core.EvictingDataset: when the resident bound
-// is active, sample slices can be evicted mid-run, so the batch stage must
-// copy the ranges it keeps instead of pinning whole backing arrays.
-func (d *DirDataset) EvictsSamples() bool { return d.maxResident > 0 }
-
 // evictLocked removes sample i from the cache; d.mu must be held.
 func (d *DirDataset) evictLocked(i int) {
 	st := &d.states[i]
-	st.vals, st.err, st.loaded = nil, nil, false
+	st.enc, st.vals, st.err, st.loaded = encoded{}, nil, nil, false
 	d.lruRemove(i)
 	d.stats.Resident--
 	d.stats.Evictions++

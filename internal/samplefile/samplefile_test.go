@@ -120,6 +120,21 @@ func TestBinaryRejectsCorruptFiles(t *testing.T) {
 	if _, err := ReadBinary(filepath.Join(dir, "missing.bin")); err == nil {
 		t.Error("missing file should error")
 	}
+	// A count byte shrunk from 3 to 2 leaves the third value's bytes after
+	// the last counted value: the file is corrupt, not a shorter sample.
+	shrunk := filepath.Join(dir, "shrunk.bin")
+	if err := WriteBinary(shrunk, []uint64{1, 2, 3}); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(shrunk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(binaryMagic)] = 2
+	os.WriteFile(shrunk, data, 0o644)
+	if vals, err := ReadBinary(shrunk); err == nil {
+		t.Errorf("shrunken count header: read %v without error", vals)
+	}
 }
 
 func TestReadAutoDetects(t *testing.T) {
