@@ -3,15 +3,18 @@ package main
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"net"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
 	"genomeatscale/internal/cliutil"
 	"genomeatscale/internal/index"
+	"genomeatscale/internal/samplefile"
 )
 
 func writeSampleFile(t *testing.T, dir, name string, values []string) string {
@@ -265,5 +268,88 @@ func TestRunIndexOutAndStatsJSON(t *testing.T) {
 	defer corpus2.Close()
 	if corpus2.Samples() != 3 {
 		t.Fatalf("streaming index has %d samples", corpus2.Samples())
+	}
+}
+
+// TestRunDirMatchesFiles runs the out-of-core -dir path with the flag set
+// of a prescreened, thresholded run that writes an index, and checks that
+// the retained pairs and the index's neighbours equal those of the same
+// run over the same samples given as positional files.
+func TestRunDirMatchesFiles(t *testing.T) {
+	const m = 4096
+	rng := rand.New(rand.NewSource(5))
+	smpDir, txtDir := t.TempDir(), t.TempDir()
+	var files []string
+	var samples [][]uint64
+	for c := 0; c < 3; c++ {
+		base := rng.Perm(m)[:40]
+		for s := 0; s < 3; s++ {
+			set := map[uint64]bool{}
+			for _, v := range base {
+				set[uint64(v)] = true
+			}
+			for k := 0; k < 12; k++ {
+				set[uint64(rng.Intn(m))] = true
+			}
+			var vals []uint64
+			for v := range set {
+				vals = append(vals, v)
+			}
+			slices.Sort(vals)
+			samples = append(samples, vals)
+			name := fmt.Sprintf("s-%d%d", c, s)
+			if err := samplefile.WriteBinary(filepath.Join(smpDir, name+".smp"), vals); err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(txtDir, name+".txt")
+			if err := samplefile.WriteText(path, vals); err != nil {
+				t.Fatal(err)
+			}
+			files = append(files, path)
+		}
+	}
+	common := []string{"-m", fmt.Sprint(m), "-batches", "2", "-threshold", "0.5", "-sketch-k", "64", "-index-sketch-k", "8"}
+	solve := func(name string, args ...string) (pairs string, corpus *index.Corpus) {
+		t.Helper()
+		dir := t.TempDir()
+		idx := filepath.Join(dir, "corpus.idx")
+		stdout, err := os.Create(filepath.Join(dir, "stdout"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer stdout.Close()
+		if err := run(append(append(append([]string{}, common...), "-index-out", idx), args...), stdout); err != nil {
+			t.Fatalf("%s run: %v", name, err)
+		}
+		content, _ := os.ReadFile(stdout.Name())
+		_, pairs, ok := strings.Cut(string(content), "retained sample pairs:")
+		if !ok || !strings.Contains(pairs, "\t") {
+			t.Fatalf("%s run printed no pairs:\n%s", name, content)
+		}
+		corpus, err = index.Open(idx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { corpus.Close() })
+		return pairs, corpus
+	}
+	wantPairs, wantIdx := solve("files", files...)
+	gotPairs, gotIdx := solve("dir", "-dir", smpDir, "-pattern", "*.smp", "-prefetch", "2")
+	if gotPairs != wantPairs {
+		t.Errorf("-dir pairs differ:\n%s\nwant:\n%s", gotPairs, wantPairs)
+	}
+	for i, vals := range samples {
+		q := index.QueryOptions{TopK: len(samples)}
+		want, err := wantIdx.Query(context.Background(), vals, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := gotIdx.Query(context.Background(), vals, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("sample %d: -dir index neighbours %+v, want %+v", i, got, want)
+		}
 	}
 }

@@ -5,21 +5,6 @@ import (
 	"genomeatscale/internal/samplefile"
 )
 
-// DatasetV2 is the error-propagating dataset access path: SampleErr
-// surfaces load failures (unreadable or corrupt backing files, values
-// outside the declared universe) as errors the engine returns like any
-// other run failure, and LoadRange lets out-of-core implementations
-// overlap loads with compute. Every Dataset handed to an engine is adapted
-// to this path (see AsDatasetV2), so a panicking legacy Sample can no
-// longer take down a run.
-type DatasetV2 = core.DatasetV2
-
-// AsDatasetV2 adapts any Dataset to the error-returning DatasetV2 access
-// path; datasets that already implement it are returned unchanged, and
-// legacy datasets get a wrapper that converts a panicking Sample into an
-// ordinary error.
-func AsDatasetV2(ds Dataset) DatasetV2 { return core.AsV2(ds) }
-
 // IngestStats reports how an out-of-core dataset behaved during a run —
 // loads (including reloads after eviction), evictions, the peak number of
 // simultaneously resident samples, bytes read and values decoded. Runs
@@ -31,7 +16,7 @@ type IngestStats = core.IngestStats
 // bound (MaxResident, default 2×Prefetch when prefetching).
 type SampleDirOptions = samplefile.DirOptions
 
-// SampleDir is a DatasetV2 backed by a directory of sample files, one file
+// SampleDir is a Dataset backed by a directory of sample files, one file
 // per sample (text or the compact binary encoding, auto-detected), loaded
 // lazily and in parallel with single-flight deduplication. With a prefetch
 // window it reads the next block of files while the current block

@@ -32,16 +32,22 @@ func (f *IndexFlags) Active() bool { return *f.Out != "" }
 
 // Write builds the index from ds — reusing the run's packing parameters
 // (mask bits, dense-threshold spec) so served queries hit the same kernels
-// the batch run used — and persists it. A no-op when -index-out is unset.
+// the batch run used — and persists it. Samples are read through
+// SampleErr; the first load failure fails the build with an error naming
+// the sample, and no index is written. A no-op when -index-out is unset.
 func (f *IndexFlags) Write(out io.Writer, ds core.Dataset, opts core.Options) error {
 	if !f.Active() {
 		return nil
 	}
-	c, err := index.Build(ds, index.Options{
+	src := &loadingSource{Dataset: ds}
+	c, err := index.Build(src, index.Options{
 		B:              opts.MaskBits,
 		DenseThreshold: opts.DenseThreshold,
 		SketchK:        *f.SketchK,
 	})
+	if src.err != nil {
+		err = src.err
+	}
 	if err != nil {
 		return err
 	}
@@ -51,6 +57,22 @@ func (f *IndexFlags) Write(out io.Writer, ds core.Dataset, opts core.Options) er
 	fmt.Fprintf(out, "index written to %s (%d samples, %d words packed, sketch k=%d)\n",
 		*f.Out, c.Samples(), c.MemoryWords(), *f.SketchK)
 	return nil
+}
+
+// loadingSource reads a dataset as an index.Source, which has no error
+// channel: a sample that fails to load reads as empty and the first
+// failure is kept in err.
+type loadingSource struct {
+	core.Dataset
+	err error
+}
+
+func (s *loadingSource) Sample(i int) []uint64 {
+	vals, err := s.SampleErr(i)
+	if err != nil && s.err == nil {
+		s.err = fmt.Errorf("index: loading sample %d (%s): %w", i, s.SampleName(i), err)
+	}
+	return vals
 }
 
 // BindStatsJSON registers the -stats-json flag: a machine-readable RunStats

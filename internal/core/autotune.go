@@ -26,7 +26,6 @@ const maxProbeColumns = 32
 // sample cardinalities. It returns the stats and how many columns were
 // probed.
 func sampleDatasetStats(ds Dataset) (costmodel.DatasetStats, int, error) {
-	v2 := AsV2(ds)
 	n := ds.NumSamples()
 	m := ds.NumAttributes()
 	st := costmodel.DatasetStats{Samples: n, Attributes: int(m)}
@@ -40,7 +39,7 @@ func sampleDatasetStats(ds Dataset) (costmodel.DatasetStats, int, error) {
 	var total float64
 	for k := 0; k < probe; k++ {
 		j := k * n / probe
-		vals, err := v2.SampleErr(j)
+		vals, err := ds.SampleErr(j)
 		if err != nil {
 			return st, 0, fmt.Errorf("core: autotune probe of sample %d (%s): %w", j, ds.SampleName(j), err)
 		}

@@ -185,7 +185,11 @@ func TestSampleDatasetStats(t *testing.T) {
 	if st.Samples != 100 || st.Attributes != 2000 {
 		t.Fatalf("dimensions wrong: %+v", st)
 	}
-	truth := Density(ds)
+	var nnz int
+	for i := 0; i < ds.NumSamples(); i++ {
+		nnz += len(ds.Sample(i))
+	}
+	truth := float64(nnz) / 100 / 2000
 	if math.Abs(st.Density-truth) > truth/2 {
 		t.Fatalf("density estimate %g too far from truth %g", st.Density, truth)
 	}

@@ -37,7 +37,7 @@ import (
 // local run, or every rank goroutine of an in-process grid run.
 type batchRun struct {
 	ctx  context.Context
-	ds   DatasetV2
+	ds   Dataset
 	cfg  runConfig
 	res  *Result     // written by the lead process only
 	sink *sinkRunner // driven by the lead process only
@@ -157,28 +157,16 @@ type batchColumn struct {
 }
 
 // sliceBatch extracts the batch range [lo, hi) of the listed samples and
-// returns the non-empty columns. Samples are accessed through the
-// error-returning DatasetV2 path in ascending column order — the access
-// pattern out-of-core datasets prefetch against — and a load failure
-// aborts the batch with a descriptive error instead of panicking mid-run.
-// A RangeReader dataset returns each range in a slice of its own; other
-// datasets keep zero-copy subslices of their samples.
-func sliceBatch(ds DatasetV2, cols []int, lo, hi uint64) ([]batchColumn, error) {
+// returns the non-empty columns. Samples are read in ascending column
+// order — the access pattern out-of-core datasets prefetch against — and
+// a load failure aborts the batch with an error naming the sample.
+func sliceBatch(ds Dataset, cols []int, lo, hi uint64) ([]batchColumn, error) {
 	if lo >= hi {
 		return nil, nil
 	}
-	rr, ranged := ds.(RangeReader)
 	var columns []batchColumn
 	for _, j := range cols {
-		var vals []uint64
-		var err error
-		if ranged {
-			vals, err = rr.SampleRange(j, lo, hi)
-		} else {
-			var sample []uint64
-			sample, err = ds.SampleErr(j)
-			vals = rangeSlice(sample, lo, hi)
-		}
+		vals, err := ds.SampleRange(j, lo, hi)
 		if err != nil {
 			return nil, fmt.Errorf("core: loading sample %d (%s): %w", j, ds.SampleName(j), err)
 		}

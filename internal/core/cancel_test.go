@@ -11,9 +11,10 @@ import (
 	"genomeatscale/internal/tile"
 )
 
-// cancelOnSampleDataset wraps a dataset and fires cancel the moment sample
-// `trigger` is read for the `hits`-th time, placing the cancellation right
-// before the pack stage of the batch being sliced — the mid-pack scenario.
+// cancelOnSampleDataset wraps a dataset and fires cancel the moment a batch
+// range of sample `trigger` is read for the `hits`-th time, placing the
+// cancellation right before the pack stage of the batch being sliced — the
+// mid-pack scenario.
 type cancelOnSampleDataset struct {
 	*InMemoryDataset
 	trigger int
@@ -22,19 +23,19 @@ type cancelOnSampleDataset struct {
 	cancel  context.CancelFunc
 }
 
-func (d *cancelOnSampleDataset) Sample(i int) []uint64 {
+func (d *cancelOnSampleDataset) SampleRange(i int, lo, hi uint64) ([]uint64, error) {
 	if i == d.trigger {
 		d.seen++
 		if d.seen == d.hits {
 			d.cancel()
 		}
 	}
-	return d.InMemoryDataset.Sample(i)
+	return d.InMemoryDataset.SampleRange(i, lo, hi)
 }
 
-// blockOnSampleDataset blocks the rank reading sample `trigger` until the
-// context is cancelled, while every other rank runs ahead to the next BSP
-// barrier — the mid-superstep scenario: most ranks are parked in Sync when
+// blockOnSampleDataset blocks the rank reading a batch range of sample
+// `trigger` until the context is cancelled, while every other rank runs
+// ahead to the next BSP barrier — the mid-superstep scenario: most ranks are parked in Sync when
 // the cancellation lands.
 type blockOnSampleDataset struct {
 	*InMemoryDataset
@@ -42,11 +43,11 @@ type blockOnSampleDataset struct {
 	ctx     context.Context
 }
 
-func (d *blockOnSampleDataset) Sample(i int) []uint64 {
+func (d *blockOnSampleDataset) SampleRange(i int, lo, hi uint64) ([]uint64, error) {
 	if i == d.trigger {
 		<-d.ctx.Done()
 	}
-	return d.InMemoryDataset.Sample(i)
+	return d.InMemoryDataset.SampleRange(i, lo, hi)
 }
 
 // checkCancelled runs fn (which must return promptly once cancelled),

@@ -82,20 +82,6 @@ func TestMustInMemoryDatasetPanics(t *testing.T) {
 	MustInMemoryDataset(nil, [][]uint64{{100}}, 10)
 }
 
-func TestTotalNonzerosAndDensity(t *testing.T) {
-	ds := MustInMemoryDataset(nil, [][]uint64{{0, 1, 2}, {5}, {}}, 10)
-	if TotalNonzeros(ds) != 4 {
-		t.Errorf("TotalNonzeros = %d", TotalNonzeros(ds))
-	}
-	if !approxEqual(Density(ds), 4.0/30.0) {
-		t.Errorf("Density = %v", Density(ds))
-	}
-	empty := MustInMemoryDataset(nil, nil, 10)
-	if Density(empty) != 0 {
-		t.Error("empty dataset density should be 0")
-	}
-}
-
 func TestBatchBoundsCoverUniverse(t *testing.T) {
 	f := func(mRaw uint32, bRaw uint8) bool {
 		m := uint64(mRaw%100000) + 1
@@ -147,7 +133,7 @@ func TestExactJaccardProperties(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	ds := randomDataset(rng, 12, 500, 0.05)
 	s := ExactJaccard(ds)
-	d := ExactDistance(ds)
+	d := func(i, j int) float64 { return 1 - s.At(i, j) } // Jaccard distance
 	n := ds.NumSamples()
 	for i := 0; i < n; i++ {
 		if !approxEqual(s.At(i, i), 1) {
@@ -161,16 +147,13 @@ func TestExactJaccardProperties(t *testing.T) {
 			if !approxEqual(v, s.At(j, i)) {
 				t.Errorf("S not symmetric at (%d,%d)", i, j)
 			}
-			if !approxEqual(d.At(i, j), 1-v) {
-				t.Errorf("D != 1-S at (%d,%d)", i, j)
-			}
 		}
 	}
 	// Triangle inequality of the Jaccard distance (it is a metric).
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
 			for k := 0; k < n; k++ {
-				if d.At(i, k) > d.At(i, j)+d.At(j, k)+1e-9 {
+				if d(i, k) > d(i, j)+d(j, k)+1e-9 {
 					t.Fatalf("triangle inequality violated at (%d,%d,%d)", i, j, k)
 				}
 			}

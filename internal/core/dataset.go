@@ -28,101 +28,41 @@ import (
 // a set of attribute indices drawn from [0, NumAttributes). For genome
 // comparisons a sample is the set of k-mer codes appearing in one
 // sequencing experiment and NumAttributes is 4^k.
+//
+// The batch stage reads each sample one batch range at a time through
+// SampleRange (Listing 1, Eq. 3); the MinHash prescreen and the autotune
+// probe read whole samples through SampleErr. A failure to provide a
+// sample — an unreadable or corrupt backing file, a value outside
+// [0, NumAttributes) — is an error the engine returns like any other run
+// failure. Implementations must support concurrent calls: an in-process
+// grid run reads samples from every rank at once. A wrapper that overrides
+// one read must override the other as well, or the reads it does not
+// override go around it.
 type Dataset interface {
 	// NumSamples returns n, the number of data samples (columns of A).
 	NumSamples() int
 	// NumAttributes returns m, the size of the attribute universe (rows of A).
 	NumAttributes() uint64
-	// Sample returns the sorted, duplicate-free attribute indices of sample i.
-	// The returned slice must not be modified.
-	Sample(i int) []uint64
 	// SampleName returns a human-readable identifier for sample i.
 	SampleName(i int) string
-}
-
-// DatasetV2 is the error-propagating dataset access path used by the
-// execution pipelines. Dataset.Sample has no way to report an I/O failure,
-// so out-of-core implementations historically panicked on a corrupt file —
-// killing a whole multi-million-sample run for one bad input. DatasetV2
-// surfaces those failures as errors instead: the batch stage calls
-// SampleErr, and Engine.Similarity / Engine.Stream return the error like
-// any other run failure.
-//
-// Implementations that load lazily should also use LoadRange to overlap
-// I/O with compute (see samplefile.DirDataset); in-memory implementations
-// can treat it as a no-op.
-//
-// Implementations must support concurrent SampleErr calls: an in-process
-// grid run reads samples from every rank at once. A wrapper that embeds
-// a DatasetV2 and overrides Sample must override SampleErr (and LoadRange)
-// too, or method promotion will route the pipelines around the override.
-type DatasetV2 interface {
-	Dataset
 	// SampleErr returns the sorted, duplicate-free attribute indices of
-	// sample i, or an error when the sample cannot be provided (unreadable
-	// or corrupt backing file, value outside [0, NumAttributes), ...).
-	// The returned slice must not be modified.
+	// sample i. The returned slice must not be modified.
 	SampleErr(i int) ([]uint64, error)
-	// LoadRange eagerly makes samples [lo, hi) available — a prefetch hint
-	// that lets loads proceed in parallel with compute. It returns the
-	// first load error encountered; implementations with nothing to load
-	// return nil.
-	LoadRange(lo, hi int) error
-}
-
-// RangeReader is an optional DatasetV2 extension for datasets that can
-// read one value range of a sample without providing the whole sample:
-// SampleRange returns the values of sample i in [lo, hi), sorted, in a
-// slice the caller owns. The batch stage reads each batch through it, so
-// an out-of-core loader can decode only the batch's share of each file
-// and the batch holds no reference into the loader's cache. Failures are
-// reported like SampleErr's. Implementations must support concurrent
-// calls, like SampleErr. A wrapper that embeds a RangeReader and overrides
-// SampleErr must override SampleRange too, or the batch stage reads around
-// the override.
-type RangeReader interface {
+	// SampleRange returns the values of sample i in [lo, hi), sorted; it
+	// returns no values when lo ≥ hi. The returned slice must not be
+	// modified.
 	SampleRange(i int, lo, hi uint64) ([]uint64, error)
 }
 
-// RangePrefetcher is an optional DatasetV2 extension: PrefetchRange
+// RangePrefetcher is an optional Dataset extension: PrefetchRange
 // schedules background loads of samples [lo, hi) and returns immediately,
-// without waiting for them — the non-blocking form of LoadRange. The
-// engine uses it to begin the next batch's leading loads while the
-// current batch's Gram accumulation computes; load errors are not lost,
-// they re-surface from SampleErr when the scan reaches the sample.
+// without waiting for them. The engine uses it to begin the next batch's
+// leading loads while the current batch's Gram accumulation computes;
+// load errors are not lost, they re-surface from the next read of the
+// sample.
 type RangePrefetcher interface {
 	PrefetchRange(lo, hi int)
 }
-
-// AsV2 adapts any Dataset to the error-returning DatasetV2 access path.
-// A dataset that already implements DatasetV2 is returned unchanged;
-// otherwise a wrapper is returned whose SampleErr converts a panicking
-// Sample (the only failure channel the legacy interface has) into an
-// ordinary error, and whose LoadRange is a no-op. The pipelines route every
-// sample access through this adapter, so no Dataset implementation can
-// take down a run by panicking during a load.
-func AsV2(ds Dataset) DatasetV2 {
-	if v2, ok := ds.(DatasetV2); ok {
-		return v2
-	}
-	return legacyV2{ds}
-}
-
-// legacyV2 adapts a panic-on-error Dataset to DatasetV2.
-type legacyV2 struct {
-	Dataset
-}
-
-func (a legacyV2) SampleErr(i int) (vals []uint64, err error) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			err = fmt.Errorf("core: sample %d: %v", i, rec)
-		}
-	}()
-	return a.Dataset.Sample(i), nil
-}
-
-func (a legacyV2) LoadRange(lo, hi int) error { return nil }
 
 // InMemoryDataset is the simplest Dataset: all samples held in memory.
 type InMemoryDataset struct {
@@ -171,31 +111,23 @@ func (d *InMemoryDataset) NumSamples() int { return len(d.samples) }
 // NumAttributes implements Dataset.
 func (d *InMemoryDataset) NumAttributes() uint64 { return d.attributes }
 
-// Sample implements Dataset.
+// Sample returns sample i; the returned slice must not be modified. It
+// makes an InMemoryDataset an index.Source.
 func (d *InMemoryDataset) Sample(i int) []uint64 { return d.samples[i] }
+
+// SampleErr implements Dataset; an in-memory sample cannot fail.
+func (d *InMemoryDataset) SampleErr(i int) ([]uint64, error) { return d.samples[i], nil }
+
+// SampleRange implements Dataset with a subslice of the sample, no copy.
+func (d *InMemoryDataset) SampleRange(i int, lo, hi uint64) ([]uint64, error) {
+	if lo >= hi {
+		return nil, nil
+	}
+	return rangeSlice(d.samples[i], lo, hi), nil
+}
 
 // SampleName implements Dataset.
 func (d *InMemoryDataset) SampleName(i int) string { return d.names[i] }
-
-// TotalNonzeros returns the total number of (attribute, sample) pairs, i.e.
-// the number of nonzeros of the indicator matrix A.
-func TotalNonzeros(ds Dataset) int64 {
-	var total int64
-	for i := 0; i < ds.NumSamples(); i++ {
-		total += int64(len(ds.Sample(i)))
-	}
-	return total
-}
-
-// Density returns nnz(A) / (m·n).
-func Density(ds Dataset) float64 {
-	n := ds.NumSamples()
-	m := ds.NumAttributes()
-	if n == 0 || m == 0 {
-		return 0
-	}
-	return float64(TotalNonzeros(ds)) / (float64(m) * float64(n))
-}
 
 // dedupSorted sorts a copy of xs and removes duplicates.
 func dedupSorted(xs []uint64) []uint64 {

@@ -178,7 +178,7 @@ func (e *Engine) run(ctx context.Context, ds Dataset, sink TileSink, oneBand boo
 	start := time.Now()
 	res := &Result{N: ds.NumSamples(), Names: sampleNames(ds)}
 	res.Stats.Tuning = cfg.tuning
-	r := &batchRun{ctx: ctx, ds: AsV2(ds), cfg: cfg, res: res, sink: &sinkRunner{sink: sink, stats: &res.Stats}}
+	r := &batchRun{ctx: ctx, ds: ds, cfg: cfg, res: res, sink: &sinkRunner{sink: sink, stats: &res.Stats}}
 	if cfg.local() {
 		err = e.runLocal(r, oneBand)
 	} else {
@@ -208,10 +208,10 @@ func sampleNames(ds Dataset) []string {
 // nothing outlives the run on its behalf; datasets without the hint (all
 // in-memory ones) have nothing to overlap. Memory-bounded loaders clamp
 // the hint to their resident budget, and a failed background load is
-// cached by the dataset and re-surfaces from SampleErr when the next scan
-// reaches the sample, so no failure is lost.
-func prefetchNextScan(v2 DatasetV2, n int) {
-	if rp, ok := v2.(RangePrefetcher); ok {
+// cached by the dataset and re-surfaces when the next scan reads the
+// sample, so no failure is lost.
+func prefetchNextScan(ds Dataset, n int) {
+	if rp, ok := ds.(RangePrefetcher); ok {
 		rp.PrefetchRange(0, n)
 	}
 }

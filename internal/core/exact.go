@@ -40,7 +40,7 @@ func intersectionSize(x, y []uint64) int {
 // ExactJaccard computes the full similarity matrix by direct set
 // intersection, without the algebraic machinery. It is the semantic oracle
 // the other paths are verified against, and is practical only for small n.
-func ExactJaccard(ds Dataset) *sparse.Dense[float64] {
+func ExactJaccard(ds *InMemoryDataset) *sparse.Dense[float64] {
 	n := ds.NumSamples()
 	out := sparse.MustDense[float64](n, n)
 	for i := 0; i < n; i++ {
@@ -55,10 +55,4 @@ func ExactJaccard(ds Dataset) *sparse.Dense[float64] {
 		}
 	}
 	return out
-}
-
-// ExactDistance returns the exact Jaccard distance matrix 1 − ExactJaccard.
-func ExactDistance(ds Dataset) *sparse.Dense[float64] {
-	s := ExactJaccard(ds)
-	return sparse.Map(s, func(v float64) float64 { return 1 - v })
 }

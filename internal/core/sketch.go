@@ -78,7 +78,7 @@ func sketchRecall(sc sketchConfig) float64 {
 // range by batch range, evaluates the pairwise estimate gate on the
 // shared worker pool, and returns the survivor mask together with the
 // tier's statistics. Sample load failures propagate as run errors.
-func prescreen(ctx context.Context, v2 DatasetV2, n int, m uint64, cfg runConfig) (*bitmat.PairMask, *SketchStats, error) {
+func prescreen(ctx context.Context, ds Dataset, n int, m uint64, cfg runConfig) (*bitmat.PairMask, *SketchStats, error) {
 	sc := cfg.sketch
 	opts := cfg.opts
 	start := time.Now()
@@ -107,9 +107,9 @@ func prescreen(ctx context.Context, v2 DatasetV2, n int, m uint64, cfg runConfig
 			continue
 		}
 		err := par.ForEachCtx(ctx, cfg.workers, n, func(j int) {
-			sample, err := v2.SampleErr(j)
+			sample, err := ds.SampleErr(j)
 			if err != nil {
-				errs[j] = fmt.Errorf("core: sketch prescreen: loading sample %d (%s): %w", j, v2.SampleName(j), err)
+				errs[j] = fmt.Errorf("core: sketch prescreen: loading sample %d (%s): %w", j, ds.SampleName(j), err)
 				return
 			}
 			builders[j].Add(rangeSlice(sample, lo, hi))
@@ -123,7 +123,7 @@ func prescreen(ctx context.Context, v2 DatasetV2, n int, m uint64, cfg runConfig
 			}
 		}
 		if l+1 < opts.BatchCount {
-			prefetchNextScan(v2, n)
+			prefetchNextScan(ds, n)
 		}
 	}
 

@@ -37,8 +37,9 @@ import (
 	"genomeatscale/internal/tile"
 )
 
-// Source is the sample input a corpus is built from. core.Dataset
-// satisfies it, as does any in-memory sample list.
+// Source is the sample input a corpus is built from. core.InMemoryDataset
+// satisfies it, as does any in-memory sample list; cliutil reads an
+// out-of-core core.Dataset through it.
 type Source interface {
 	// NumSamples returns the number of samples.
 	NumSamples() int

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -253,8 +254,9 @@ func TestPrefetchEvictionBound(t *testing.T) {
 }
 
 // TestDirDatasetMatchesInMemory cross-checks the out-of-core loader
-// against the in-memory dataset across prefetch windows and both execution
-// paths.
+// against the in-memory dataset of the same samples: random whole-sample
+// and range reads, runs across prefetch windows and both execution paths,
+// and MinHash-prescreened runs.
 func TestDirDatasetMatchesInMemory(t *testing.T) {
 	dir := t.TempDir()
 	const n, m = 18, 250
@@ -263,29 +265,106 @@ func TestDirDatasetMatchesInMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := similarity(mem, core.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, prefetch := range []int{0, 2, 16} {
-		for _, procs := range []int{1, 3} {
+
+	t.Run("reads", func(t *testing.T) {
+		for _, prefetch := range []int{0, 2} {
 			ds, err := OpenDirOptions(dir, m, DirOptions{Prefetch: prefetch})
 			if err != nil {
 				t.Fatal(err)
 			}
-			opts := core.DefaultOptions()
-			opts.Procs = procs
-			opts.BatchCount = 2
+			checkRange := func(i int, lo, hi uint64) {
+				t.Helper()
+				got, err := ds.SampleRange(i, lo, hi)
+				want, _ := mem.SampleRange(i, lo, hi)
+				if err != nil || !slices.Equal(got, want) {
+					t.Fatalf("prefetch=%d: SampleRange(%d, %d, %d) = %v, %v; want %v", prefetch, i, lo, hi, got, err, want)
+				}
+			}
+			// Fixed edges on every sample: a full range, a range, one below
+			// it, and empty ranges (lo = hi, lo > hi).
+			for i := 0; i < n; i++ {
+				checkRange(i, 0, m)
+				checkRange(i, m/2, m)
+				checkRange(i, 0, m/2)
+				checkRange(i, 7, 7)
+				checkRange(i, 200, 30)
+			}
+			rng := rand.New(rand.NewSource(int64(41 + prefetch)))
+			for op := 0; op < 400; op++ {
+				i := rng.Intn(n)
+				if rng.Intn(4) == 0 {
+					got, err := ds.SampleErr(i)
+					want, _ := mem.SampleErr(i)
+					if err != nil || !slices.Equal(got, want) {
+						t.Fatalf("prefetch=%d: SampleErr(%d) = %v, %v; want %v", prefetch, i, got, err, want)
+					}
+					continue
+				}
+				checkRange(i, uint64(rng.Intn(m+1)), uint64(rng.Intn(m+1)))
+			}
+		}
+	})
+
+	t.Run("runs", func(t *testing.T) {
+		ref, err := similarity(mem, core.DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, prefetch := range []int{0, 2, 16} {
+			for _, procs := range []int{1, 3} {
+				ds, err := OpenDirOptions(dir, m, DirOptions{Prefetch: prefetch})
+				if err != nil {
+					t.Fatal(err)
+				}
+				opts := core.DefaultOptions()
+				opts.Procs = procs
+				opts.BatchCount = 2
+				res, err := similarity(ds, opts)
+				if err != nil {
+					t.Fatalf("prefetch=%d procs=%d: %v", prefetch, procs, err)
+				}
+				sameSimilarity(t, fmt.Sprintf("prefetch=%d procs=%d", prefetch, procs), res, ref, n)
+			}
+		}
+	})
+
+	// The prescreen reads whole samples and the exact tier batch ranges of
+	// the same files; with a small resident window both reload.
+	t.Run("prescreen", func(t *testing.T) {
+		opts := core.DefaultOptions()
+		opts.BatchCount = 3
+		opts.Sketch = core.SketchOptions{Threshold: 0.2}
+		ref, err := similarity(mem, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := ref.Stats.Sketch; st.PairsSurvived >= st.PairsScreened {
+			t.Fatalf("the gate pruned nothing (%d of %d pairs survived)", st.PairsSurvived, st.PairsScreened)
+		}
+		for _, prefetch := range []int{0, 2} {
+			ds, err := OpenDirOptions(dir, m, DirOptions{Prefetch: prefetch})
+			if err != nil {
+				t.Fatal(err)
+			}
 			res, err := similarity(ds, opts)
 			if err != nil {
-				t.Fatalf("prefetch=%d procs=%d: %v", prefetch, procs, err)
+				t.Fatalf("prefetch=%d: %v", prefetch, err)
 			}
-			for i := 0; i < n; i++ {
-				for j := 0; j < n; j++ {
-					if res.Similarity(i, j) != ref.Similarity(i, j) {
-						t.Fatalf("prefetch=%d procs=%d: S(%d,%d) mismatch", prefetch, procs, i, j)
-					}
-				}
+			if got, want := res.Stats.Sketch.PairsSurvived, ref.Stats.Sketch.PairsSurvived; got != want {
+				t.Errorf("prefetch=%d: %d pairs survived the gate, in memory %d", prefetch, got, want)
+			}
+			sameSimilarity(t, fmt.Sprintf("prefetch=%d", prefetch), res, ref, n)
+		}
+	})
+}
+
+// sameSimilarity fails t unless res and ref hold the same n×n similarities.
+func sameSimilarity(t *testing.T, what string, res, ref *core.Result, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			if res.Similarity(i, j) != ref.Similarity(i, j) {
+				t.Fatalf("%s: S(%d,%d) = %v, in memory %v", what, i, j, res.Similarity(i, j), ref.Similarity(i, j))
 			}
 		}
 	}

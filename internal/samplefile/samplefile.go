@@ -12,16 +12,16 @@
 //   - binary: a small header followed by delta-encoded varint values, which
 //     is far more compact for the hypersparse k-mer sets of real samples.
 //
-// DirDataset exposes a directory of such files as a core.DatasetV2: samples
+// DirDataset exposes a directory of such files as a core.Dataset: samples
 // load lazily — in parallel, with per-sample single-flight deduplication —
 // and failures (unreadable files, corrupt encodings, values outside the
 // declared universe) propagate as errors through the pipelines instead of
 // panicking. A cache entry holds the file's bytes in the binary encoding
 // (text files are parsed and re-encoded at load), about two bytes per
-// value; a load checks only the header. Batch reads (core.RangeReader)
-// decode just their value range, resuming where the sample's previous
-// range read stopped, so a multi-batch scan decodes each value about once
-// however often eviction makes it reload the file. A header error shows
+// value; a load checks only the header. Batch reads (SampleRange) decode
+// just their value range, resuming where the sample's previous range read
+// stopped, so a multi-batch scan decodes each value about once however
+// often eviction makes it reload the file. A header error shows
 // at load, a body error in the batch read that reaches it; the batch
 // ranges partition the universe, so a run still meets every byte. With a
 // prefetch window configured, the loader reads the next block of samples
@@ -354,7 +354,7 @@ type DirOptions struct {
 	MaxResident int
 }
 
-// DirDataset is a core.DatasetV2 backed by a directory of sample files,
+// DirDataset is a core.Dataset backed by a directory of sample files,
 // one file per sample, loaded lazily. Loads are deduplicated per sample
 // (single-flight) and run outside the metadata lock, so concurrent readers
 // — the virtual ranks of a grid run — load different files in
@@ -402,10 +402,9 @@ type sampleState struct {
 }
 
 var (
-	_ core.DatasetV2       = (*DirDataset)(nil)
+	_ core.Dataset         = (*DirDataset)(nil)
 	_ core.IngestStatser   = (*DirDataset)(nil)
 	_ core.RangePrefetcher = (*DirDataset)(nil)
-	_ core.RangeReader     = (*DirDataset)(nil)
 )
 
 // OpenDir lists the sample files matching the glob pattern (e.g. "*.txt" or
@@ -502,7 +501,7 @@ func (d *DirDataset) SampleName(i int) string { return d.names[i] }
 // Path returns the backing file of sample i.
 func (d *DirDataset) Path(i int) string { return d.paths[i] }
 
-// SampleErr implements core.DatasetV2: it returns sample i, loading (or
+// SampleErr implements core.Dataset: it returns sample i, loading (or
 // reloading, after an eviction) the backing file if needed and decoding
 // it whole. The decoded sample is kept with the entry until it is evicted,
 // so repeated whole-sample reads decode once. Concurrent calls for the
@@ -525,11 +524,11 @@ func (d *DirDataset) SampleErr(i int) ([]uint64, error) {
 	return vals, err
 }
 
-// SampleRange implements core.RangeReader: it returns the values of sample
-// i in [lo, hi) in a new slice. The values are decoded from where the
-// previous range read of the sample stopped, so a scan through ascending
-// batch ranges decodes each value once (plus, per read, the one value
-// that ends it). A read below that point restarts from the file's first
+// SampleRange implements core.Dataset: it returns the values of sample i
+// in [lo, hi) in a new slice, so a batch holds no reference into the
+// cache. The values are decoded from where the previous range read of the
+// sample stopped, so a scan through ascending batch ranges decodes each
+// value once (plus, per read, the one value that ends it). A read below that point restarts from the file's first
 // value. Body corruption — a malformed varint, a non-increasing value, a
 // value outside the universe, bytes after the last value — is reported
 // by the read that reaches it and cached like a load error. When SampleErr
@@ -598,22 +597,8 @@ func (d *DirDataset) acquire(i int) (snapshot, error) {
 	}
 }
 
-// Sample implements the legacy core.Dataset contract, which has no error
-// channel: a load failure panics. The execution pipelines never call it —
-// they go through SampleErr — so the panic can only reach callers using
-// the legacy interface directly.
-func (d *DirDataset) Sample(i int) []uint64 {
-	vals, err := d.SampleErr(i)
-	if err != nil {
-		//gas:invariant documented legacy interface contract: execution pipelines use SampleErr; the panic can only reach direct legacy callers
-		panic(fmt.Sprintf("samplefile: %v (use SampleErr for error propagation)", err))
-	}
-	return vals
-}
-
-// LoadRange implements core.DatasetV2: it eagerly loads samples [lo, hi)
-// across the parallel loaders and waits for them, returning the first load
-// error. On a memory-bounded dataset the range is clamped to the resident
+// LoadRange eagerly loads samples [lo, hi) across the parallel loaders
+// and waits for them, returning the first load error. On a memory-bounded dataset the range is clamped to the resident
 // budget — LoadRange is a prefetch hint, not a pin, so asking for more
 // than fits would only evict what it just loaded.
 func (d *DirDataset) LoadRange(lo, hi int) error {
@@ -680,24 +665,6 @@ func (d *DirDataset) IngestStats() core.IngestStats {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.stats
-}
-
-// MaxValue returns the largest attribute value across all samples (loading
-// them if needed); useful for choosing the universe size when it is not
-// known a priori. The scan honors the prefetch window and resident bound
-// like any other sequential pass.
-func (d *DirDataset) MaxValue() (uint64, error) {
-	var m uint64
-	for i := range d.paths {
-		s, err := d.SampleErr(i)
-		if err != nil {
-			return 0, err
-		}
-		if len(s) > 0 && s[len(s)-1] > m {
-			m = s[len(s)-1]
-		}
-	}
-	return m, nil
 }
 
 // load reads the backing file of sample i and checks its header; a text

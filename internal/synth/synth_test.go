@@ -133,7 +133,11 @@ func TestGenerateDensityAndDeterminism(t *testing.T) {
 	if ds.NumSamples() != 50 || ds.NumAttributes() != 2000 {
 		t.Fatalf("shape %d x %d", ds.NumSamples(), ds.NumAttributes())
 	}
-	got := core.Density(ds)
+	var nnz int
+	for j := 0; j < ds.NumSamples(); j++ {
+		nnz += len(ds.Sample(j))
+	}
+	got := float64(nnz) / (50 * 2000)
 	if math.Abs(got-0.05) > 0.01 {
 		t.Errorf("empirical density %v, want ≈0.05", got)
 	}
