@@ -251,9 +251,9 @@ func TestServedTopKMatchesBatch(t *testing.T) {
 	for q := range samples {
 		var resp queryResponse
 		postJSON(t, ts, "/v1/query", queryRequest{Values: samples[q]}, &resp)
-		for _, p := range index.TopPairs(q, resp.Neighbors) {
-			if p.I == q {
-				pairs = append(pairs, p)
+		for _, nb := range resp.Neighbors {
+			if nb.Sample > q { // keep each unordered pair once
+				pairs = append(pairs, tile.Pair{I: q, J: nb.Sample, Similarity: nb.Similarity})
 			}
 		}
 	}

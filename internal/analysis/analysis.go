@@ -88,16 +88,6 @@ func (p *Pass) IsTestFile(pos token.Pos) bool {
 	return strings.HasSuffix(p.Fset.Position(pos).Filename, "_test.go")
 }
 
-// FileOf returns the *ast.File containing pos, or nil.
-func (p *Pass) FileOf(pos token.Pos) *ast.File {
-	for _, f := range p.Files {
-		if f.FileStart <= pos && pos < f.FileEnd {
-			return f
-		}
-	}
-	return nil
-}
-
 // Filename returns the base name of the file containing pos.
 func (p *Pass) Filename(pos token.Pos) string {
 	return filepath.Base(p.Fset.Position(pos).Filename)

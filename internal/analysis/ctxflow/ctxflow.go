@@ -7,7 +7,7 @@
 // threads ctx through BSP barriers and worker pools precisely so a
 // cancelled run unwinds everywhere), as does calling a callee's ctx-less
 // variant when a ...Ctx sibling exists (par.ForEach vs par.ForEachCtx,
-// bitmat's GramAccumulate vs GramAccumulateCtx, bsp.Run vs bsp.RunCtx).
+// bsp.Run vs bsp.RunCtx).
 //
 // One idiom is allowed: the nil-guard `if ctx == nil { ctx = context.
 // Background() }` at a public API boundary, which only runs when no

@@ -106,7 +106,7 @@ func TestGramAccumulateArenaMatches(t *testing.T) {
 		want, seed := seededAccumulator(rng, cols)
 		p.GramAccumulate(want)
 		for _, workers := range []int{1, 2, 4, 7} {
-			got := seed.Clone()
+			got := cloneDense(seed)
 			if err := p.GramAccumulateCtxArena(ctx, got, workers, arena); err != nil {
 				t.Fatalf("workers=%d: %v", workers, err)
 			}

@@ -143,12 +143,6 @@ func (p *Packed) Release() {
 	arena.putPacked(p)
 }
 
-// PopcountTotal returns the total number of set bits, i.e. the number of
-// indicator nonzeros represented by the packed matrix.
-func (p *Packed) PopcountTotal() int {
-	return bitutil.PopcountSlice(p.words) + bitutil.PopcountSlice(p.slab)
-}
-
 // Col returns the word-row indices and packed words of column j. For sparse
 // columns the returned slices are views into the internal streams; for
 // dense columns they are freshly allocated from the column's nonzero slab

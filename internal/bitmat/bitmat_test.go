@@ -74,8 +74,8 @@ func TestPackColumnsBasic(t *testing.T) {
 	if p.NNZWords() != 3 {
 		t.Fatalf("NNZWords = %d, want 3", p.NNZWords())
 	}
-	if p.PopcountTotal() != 4 {
-		t.Fatalf("PopcountTotal = %d, want 4", p.PopcountTotal())
+	if pc := p.ColPopcounts(); pc[0]+pc[1] != 4 {
+		t.Fatalf("ColPopcounts = %v, want 4 bits in total", pc)
 	}
 	wr, ws := p.Col(0)
 	if len(wr) != 2 || wr[0] != 0 || wr[1] != 1 {

@@ -116,23 +116,18 @@ func (p *Packed) GramAccumulateWorkers(into *sparse.Dense[int64], workers int) {
 	p.gramAccumulate(nil, into, workers, nil, nil)
 }
 
-// GramAccumulateCtx is GramAccumulateWorkers with cooperative cancellation:
-// the tiled accumulation polls ctx between tiles and returns ctx.Err() once
-// cancelled, leaving `into` partially accumulated (callers abandon the run).
-// A cancellable context also routes the workers <= 1 case through the tile
-// loop — executed serially, in tile order — so even single-worker kernels
-// have interruption points; B is an int64 sum, so the accumulation order
-// does not change the result. A nil or never-cancellable context is exactly
-// GramAccumulateWorkers.
-func (p *Packed) GramAccumulateCtx(ctx context.Context, into *sparse.Dense[int64], workers int) error {
-	return p.gramAccumulate(ctx, into, workers, nil, nil)
-}
-
-// GramAccumulateCtxArena is GramAccumulateCtx drawing its transient buffers
-// — the tile list and the per-worker tile accumulators — from an Arena, so
-// a batch loop that calls it repeatedly allocates nothing in steady state.
-// The result is bit-identical to the arena-free paths; a nil arena is
-// exactly GramAccumulateCtx. The arena must not be shared with a concurrent
+// GramAccumulateCtxArena is GramAccumulateWorkers with cooperative
+// cancellation, drawing its transient buffers — the tile list and the
+// per-worker tile accumulators — from an Arena, so a batch loop that calls
+// it repeatedly allocates nothing in steady state. The tiled accumulation
+// polls ctx between tiles and returns ctx.Err() once cancelled, leaving
+// `into` partially accumulated (callers abandon the run). A cancellable
+// context also routes the workers <= 1 case through the tile loop —
+// executed serially, in tile order — so even single-worker kernels have
+// interruption points; B is an int64 sum, so the accumulation order does
+// not change the result. A nil arena allocates the buffers per call; with
+// a nil or never-cancellable context and a nil arena this is exactly
+// GramAccumulateWorkers. The arena must not be shared with a concurrent
 // Gram call (see Arena).
 func (p *Packed) GramAccumulateCtxArena(ctx context.Context, into *sparse.Dense[int64], workers int, arena *Arena) error {
 	return p.gramAccumulate(ctx, into, workers, arena, nil)

@@ -20,7 +20,14 @@ func seededAccumulator(rng *rand.Rand, n int) (*sparse.Dense[int64], *sparse.Den
 	for i := range a.Data {
 		a.Data[i] = rng.Int63n(50)
 	}
-	return a, a.Clone()
+	return a, cloneDense(a)
+}
+
+// cloneDense returns a deep copy of d.
+func cloneDense(d *sparse.Dense[int64]) *sparse.Dense[int64] {
+	out := sparse.MustDense[int64](d.Rows, d.Cols)
+	copy(out.Data, d.Data)
+	return out
 }
 
 // TestGramAccumulateWorkersMatchesSerial: the tiled parallel kernel must be
@@ -45,7 +52,7 @@ func TestGramAccumulateWorkersMatchesSerial(t *testing.T) {
 				}
 			}
 			for _, workers := range []int{0, 2, 3, 4, 7} {
-				got := seed.Clone()
+				got := cloneDense(seed)
 				p.GramAccumulateWorkers(got, workers)
 				if !sparse.Equal(want, got, func(a, b int64) bool { return a == b }) {
 					t.Fatalf("b=%d trial=%d workers=%d: parallel Gram differs from serial (%dx%d)",
@@ -205,9 +212,9 @@ func FuzzFromEntries(f *testing.F) {
 	})
 }
 
-// TestGramAccumulateCtx: an uncancelled context is exactly the plain
-// kernel (bit-identical for every workers value, including the serial
-// fast path); a cancelled one stops the accumulation and returns
+// TestGramAccumulateCtx: with no arena, an uncancelled context is exactly
+// the plain kernel (bit-identical for every workers value, including the
+// serial fast path); a cancelled one stops the accumulation and returns
 // ctx.Err() on both the serial and the tiled route.
 func TestGramAccumulateCtx(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
@@ -216,15 +223,15 @@ func TestGramAccumulateCtx(t *testing.T) {
 	p.GramAccumulate(want)
 
 	for _, workers := range []int{1, 4} {
-		got := seed.Clone()
-		if err := p.GramAccumulateCtx(context.Background(), got, workers); err != nil {
+		got := cloneDense(seed)
+		if err := p.GramAccumulateCtxArena(context.Background(), got, workers, nil); err != nil {
 			t.Fatal(err)
 		}
 		if !sparse.Equal(want, got, func(a, b int64) bool { return a == b }) {
 			t.Fatalf("workers=%d: ctx kernel differs from plain kernel", workers)
 		}
-		got = seed.Clone()
-		if err := p.GramAccumulateCtx(nil, got, workers); err != nil {
+		got = cloneDense(seed)
+		if err := p.GramAccumulateCtxArena(nil, got, workers, nil); err != nil {
 			t.Fatal(err)
 		}
 		if !sparse.Equal(want, got, func(a, b int64) bool { return a == b }) {
@@ -233,7 +240,7 @@ func TestGramAccumulateCtx(t *testing.T) {
 
 		cancelled, cancel := context.WithCancel(context.Background())
 		cancel()
-		if err := p.GramAccumulateCtx(cancelled, seed.Clone(), workers); !errors.Is(err, context.Canceled) {
+		if err := p.GramAccumulateCtxArena(cancelled, cloneDense(seed), workers, nil); !errors.Is(err, context.Canceled) {
 			t.Fatalf("workers=%d: want context.Canceled, got %v", workers, err)
 		}
 	}

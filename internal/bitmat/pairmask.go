@@ -82,10 +82,6 @@ func (m *PairMask) AnyInRange(i, j0, j1 int) bool {
 	return false
 }
 
-// AnyPartner reports whether column i survives with any partner at all,
-// itself included.
-func (m *PairMask) AnyPartner(i int) bool { return m.AnyInRange(i, 0, m.n) }
-
 // AnyPartnerOffDiag reports whether column i survives with any partner
 // other than itself — the candidate-column test the batch stage uses to
 // drop columns from packing altogether. The diagonal does not count: a

@@ -78,11 +78,11 @@ func TestPairMaskRanges(t *testing.T) {
 	if !m.AnyInRange(3, 120, 130) || m.AnyInRange(3, 0, 127) || m.AnyInRange(3, 128, 130) {
 		t.Fatal("AnyInRange word-boundary handling is wrong")
 	}
-	if !m.AnyPartner(127) || m.AnyPartner(64) {
-		t.Fatal("AnyPartner is wrong")
+	if !m.AnyInRange(127, 0, m.N()) || m.AnyInRange(64, 0, m.N()) {
+		t.Fatal("AnyInRange over all partners is wrong")
 	}
 	m.Set(64, 64)
-	if !m.AnyPartner(64) || !m.Pair(64, 64) {
+	if !m.AnyInRange(64, 0, m.N()) || !m.Pair(64, 64) {
 		t.Fatal("diagonal set must count as a partner")
 	}
 }

@@ -1,22 +1,12 @@
 // Package bitutil provides low-level bit manipulation helpers used by the
 // bitmask-compression stage of SimilarityAtScale (Section III-B of the
-// paper): population counts, word packing, and a growable bitset.
+// paper): population counts and packed-word sizing.
 package bitutil
 
 import (
 	"fmt"
 	"math/bits"
 )
-
-// WordBits is the number of bits in a packing word. The paper considers
-// b = 32 or b = 64; we pack into 64-bit words and expose narrower logical
-// widths through the mask helpers below.
-const WordBits = 64
-
-// Popcount returns the number of set bits in x.
-func Popcount(x uint64) int {
-	return bits.OnesCount64(x)
-}
 
 // PopcountAnd returns popcount(x & y), the core scalar operation of the
 // Jaccard semiring kernel (Eq. 7 in the paper).
@@ -28,7 +18,7 @@ func PopcountAnd(x, y uint64) int {
 // dispatches to the best installed slab kernel (see Kernel): AVX-512
 // VPOPCNTQ where available, the portable 8-way unrolling otherwise.
 func PopcountSlice(xs []uint64) int {
-	return activeImpl.Load().slice(xs)
+	return activeImpl.slice(xs)
 }
 
 // PopcountAndSlice returns sum_i popcount(a[i] & b[i]) for the common
@@ -38,204 +28,14 @@ func PopcountSlice(xs []uint64) int {
 // Kernel): AVX-512 VPOPCNTQ where available, the portable 8-way unrolling
 // otherwise; every kernel returns bit-identical results.
 func PopcountAndSlice(a, b []uint64) int {
-	return activeImpl.Load().andSlice(a, b)
+	return activeImpl.andSlice(a, b)
 }
 
 // WordsFor returns the number of b-bit words needed to hold n bits.
 func WordsFor(n int, b int) int {
 	if b <= 0 {
-		//gas:invariant word widths are the package's own WordBits or a validated packing width; this guards direct misuse
+		//gas:invariant word widths are validated packing widths; this guards direct misuse
 		panic(fmt.Sprintf("bitutil: non-positive word width %d", b))
 	}
 	return (n + b - 1) / b
-}
-
-// MaskWidth returns a mask with the low b bits set. b must be in [1,64].
-func MaskWidth(b int) uint64 {
-	if b <= 0 || b > 64 {
-		//gas:invariant mask widths are validated packing widths in [1,64] wherever derived from configuration
-		panic(fmt.Sprintf("bitutil: invalid mask width %d", b))
-	}
-	if b == 64 {
-		return ^uint64(0)
-	}
-	return (uint64(1) << uint(b)) - 1
-}
-
-// Bitset is a simple growable bitset. The zero value is an empty set.
-type Bitset struct {
-	words []uint64
-	n     int // logical length in bits
-}
-
-// NewBitset returns a bitset able to hold n bits, all initially zero.
-func NewBitset(n int) *Bitset {
-	if n < 0 {
-		//gas:invariant bitset lengths are derived from attribute counts and slice lengths, never negative on input-reachable paths
-		panic("bitutil: negative bitset length")
-	}
-	return &Bitset{words: make([]uint64, WordsFor(n, WordBits)), n: n}
-}
-
-// Len returns the logical length of the bitset in bits.
-func (s *Bitset) Len() int { return s.n }
-
-// grow ensures the bitset can address bit i.
-func (s *Bitset) grow(i int) {
-	if i < s.n {
-		return
-	}
-	s.n = i + 1
-	need := WordsFor(s.n, WordBits)
-	for len(s.words) < need {
-		s.words = append(s.words, 0)
-	}
-}
-
-// Set sets bit i, growing the bitset if needed.
-func (s *Bitset) Set(i int) {
-	if i < 0 {
-		//gas:invariant bit indices come from loops over [0, n); a negative index is a caller bug
-		panic("bitutil: negative bit index")
-	}
-	s.grow(i)
-	s.words[i/WordBits] |= 1 << uint(i%WordBits)
-}
-
-// Clear clears bit i. Clearing beyond the current length is a no-op.
-func (s *Bitset) Clear(i int) {
-	if i < 0 {
-		//gas:invariant bit indices come from loops over [0, n); a negative index is a caller bug
-		panic("bitutil: negative bit index")
-	}
-	if i >= s.n {
-		return
-	}
-	s.words[i/WordBits] &^= 1 << uint(i%WordBits)
-}
-
-// Get reports whether bit i is set. Bits beyond the length read as false.
-func (s *Bitset) Get(i int) bool {
-	if i < 0 {
-		//gas:invariant bit indices come from loops over [0, n); a negative index is a caller bug
-		panic("bitutil: negative bit index")
-	}
-	if i >= s.n {
-		return false
-	}
-	return s.words[i/WordBits]&(1<<uint(i%WordBits)) != 0
-}
-
-// Count returns the number of set bits.
-func (s *Bitset) Count() int {
-	return PopcountSlice(s.words)
-}
-
-// Words exposes the underlying packed words (read-only use expected).
-func (s *Bitset) Words() []uint64 { return s.words }
-
-// Union sets s to the union of s and t.
-func (s *Bitset) Union(t *Bitset) {
-	if t.n > s.n {
-		s.grow(t.n - 1)
-	}
-	for i, w := range t.words {
-		s.words[i] |= w
-	}
-}
-
-// IntersectCount returns |s ∩ t| without materialising the intersection.
-func (s *Bitset) IntersectCount(t *Bitset) int {
-	return PopcountAndSlice(s.words, t.words)
-}
-
-// NextSet returns the index of the first set bit at or after i, and true,
-// or (0, false) if there is none.
-func (s *Bitset) NextSet(i int) (int, bool) {
-	if i < 0 {
-		i = 0
-	}
-	for i < s.n {
-		w := s.words[i/WordBits] >> uint(i%WordBits)
-		if w != 0 {
-			j := i + bits.TrailingZeros64(w)
-			if j >= s.n {
-				return 0, false
-			}
-			return j, true
-		}
-		i = (i/WordBits + 1) * WordBits
-	}
-	return 0, false
-}
-
-// Indices returns all set bit positions in increasing order.
-func (s *Bitset) Indices() []int {
-	out := make([]int, 0, s.Count())
-	for i, ok := s.NextSet(0); ok; i, ok = s.NextSet(i + 1) {
-		out = append(out, i)
-	}
-	return out
-}
-
-// PackBits packs a slice of booleans into 64-bit words (LSB-first).
-func PackBits(bitsIn []bool) []uint64 {
-	out := make([]uint64, WordsFor(len(bitsIn), WordBits))
-	for i, b := range bitsIn {
-		if b {
-			out[i/WordBits] |= 1 << uint(i%WordBits)
-		}
-	}
-	return out
-}
-
-// UnpackBits expands packed words into n booleans.
-func UnpackBits(words []uint64, n int) []bool {
-	out := make([]bool, n)
-	for i := 0; i < n; i++ {
-		w := i / WordBits
-		if w < len(words) && words[w]&(1<<uint(i%WordBits)) != 0 {
-			out[i] = true
-		}
-	}
-	return out
-}
-
-// PackIndices packs a sorted (or unsorted) list of set-bit indices drawn
-// from [0, n) into 64-bit words.
-func PackIndices(indices []int, n int) []uint64 {
-	out := make([]uint64, WordsFor(n, WordBits))
-	for _, i := range indices {
-		if i < 0 || i >= n {
-			//gas:invariant indices are set-bit positions produced against the same n by the caller; out-of-range is a caller bug
-			panic(fmt.Sprintf("bitutil: index %d out of range [0,%d)", i, n))
-		}
-		out[i/WordBits] |= 1 << uint(i%WordBits)
-	}
-	return out
-}
-
-// ReverseBits64 reverses the bit order of x. Used by hashing helpers.
-func ReverseBits64(x uint64) uint64 {
-	return bits.Reverse64(x)
-}
-
-// Log2Ceil returns ceil(log2(x)) for x >= 1.
-func Log2Ceil(x uint64) int {
-	if x == 0 {
-		//gas:invariant documented contract: x >= 1; callers pass counts that were already checked positive
-		panic("bitutil: Log2Ceil(0)")
-	}
-	if x == 1 {
-		return 0
-	}
-	return 64 - bits.LeadingZeros64(x-1)
-}
-
-// NextPow2 returns the smallest power of two >= x (x >= 1).
-func NextPow2(x uint64) uint64 {
-	if x == 0 {
-		return 1
-	}
-	return uint64(1) << uint(Log2Ceil(x))
 }

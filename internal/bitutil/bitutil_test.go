@@ -2,29 +2,9 @@ package bitutil
 
 import (
 	"math/bits"
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
-
-func TestPopcount(t *testing.T) {
-	cases := []struct {
-		x    uint64
-		want int
-	}{
-		{0, 0},
-		{1, 1},
-		{0xFFFFFFFFFFFFFFFF, 64},
-		{0x8000000000000000, 1},
-		{0xAAAAAAAAAAAAAAAA, 32},
-		{0x0123456789ABCDEF, 32},
-	}
-	for _, c := range cases {
-		if got := Popcount(c.x); got != c.want {
-			t.Errorf("Popcount(%#x) = %d, want %d", c.x, got, c.want)
-		}
-	}
-}
 
 func TestPopcountAnd(t *testing.T) {
 	if got := PopcountAnd(0xFF00, 0x0FF0); got != 4 {
@@ -78,219 +58,4 @@ func TestWordsForPanics(t *testing.T) {
 		}
 	}()
 	WordsFor(1, 0)
-}
-
-func TestMaskWidth(t *testing.T) {
-	if MaskWidth(64) != ^uint64(0) {
-		t.Error("MaskWidth(64) wrong")
-	}
-	if MaskWidth(1) != 1 {
-		t.Error("MaskWidth(1) wrong")
-	}
-	if MaskWidth(8) != 0xFF {
-		t.Error("MaskWidth(8) wrong")
-	}
-}
-
-func TestMaskWidthPanics(t *testing.T) {
-	for _, b := range []int{0, -1, 65} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("MaskWidth(%d) did not panic", b)
-				}
-			}()
-			MaskWidth(b)
-		}()
-	}
-}
-
-func TestBitsetBasic(t *testing.T) {
-	s := NewBitset(100)
-	if s.Len() != 100 {
-		t.Fatalf("Len = %d, want 100", s.Len())
-	}
-	s.Set(0)
-	s.Set(63)
-	s.Set(64)
-	s.Set(99)
-	if s.Count() != 4 {
-		t.Errorf("Count = %d, want 4", s.Count())
-	}
-	for _, i := range []int{0, 63, 64, 99} {
-		if !s.Get(i) {
-			t.Errorf("bit %d should be set", i)
-		}
-	}
-	if s.Get(1) || s.Get(65) {
-		t.Error("unexpected set bit")
-	}
-	s.Clear(63)
-	if s.Get(63) {
-		t.Error("bit 63 should be cleared")
-	}
-	if s.Count() != 3 {
-		t.Errorf("Count after clear = %d, want 3", s.Count())
-	}
-}
-
-func TestBitsetGrow(t *testing.T) {
-	var s Bitset // zero value usable
-	s.Set(500)
-	if !s.Get(500) {
-		t.Error("bit 500 should be set after growth")
-	}
-	if s.Len() != 501 {
-		t.Errorf("Len = %d, want 501", s.Len())
-	}
-	if s.Get(1000) {
-		t.Error("out-of-range Get should be false")
-	}
-	s.Clear(2000) // no-op beyond length
-	if s.Len() != 501 {
-		t.Error("Clear beyond length must not grow")
-	}
-}
-
-func TestBitsetUnionIntersect(t *testing.T) {
-	a := NewBitset(200)
-	b := NewBitset(200)
-	for i := 0; i < 200; i += 2 {
-		a.Set(i)
-	}
-	for i := 0; i < 200; i += 3 {
-		b.Set(i)
-	}
-	want := 0
-	for i := 0; i < 200; i++ {
-		if i%2 == 0 && i%3 == 0 {
-			want++
-		}
-	}
-	if got := a.IntersectCount(b); got != want {
-		t.Errorf("IntersectCount = %d, want %d", got, want)
-	}
-	a.Union(b)
-	wantU := 0
-	for i := 0; i < 200; i++ {
-		if i%2 == 0 || i%3 == 0 {
-			wantU++
-		}
-	}
-	if got := a.Count(); got != wantU {
-		t.Errorf("union count = %d, want %d", got, wantU)
-	}
-}
-
-func TestBitsetNextSetAndIndices(t *testing.T) {
-	s := NewBitset(300)
-	idx := []int{3, 64, 65, 190, 299}
-	for _, i := range idx {
-		s.Set(i)
-	}
-	got := s.Indices()
-	if len(got) != len(idx) {
-		t.Fatalf("Indices len = %d, want %d", len(got), len(idx))
-	}
-	for i := range idx {
-		if got[i] != idx[i] {
-			t.Errorf("Indices[%d] = %d, want %d", i, got[i], idx[i])
-		}
-	}
-	if _, ok := s.NextSet(300); ok {
-		t.Error("NextSet past end should report false")
-	}
-	if j, ok := s.NextSet(-5); !ok || j != 3 {
-		t.Errorf("NextSet(-5) = %d,%v want 3,true", j, ok)
-	}
-}
-
-func TestPackUnpackRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for trial := 0; trial < 20; trial++ {
-		n := rng.Intn(300)
-		in := make([]bool, n)
-		for i := range in {
-			in[i] = rng.Intn(2) == 1
-		}
-		words := PackBits(in)
-		out := UnpackBits(words, n)
-		for i := range in {
-			if in[i] != out[i] {
-				t.Fatalf("trial %d: bit %d mismatch", trial, i)
-			}
-		}
-	}
-}
-
-func TestPackIndices(t *testing.T) {
-	words := PackIndices([]int{0, 5, 64, 127}, 128)
-	if PopcountSlice(words) != 4 {
-		t.Error("PackIndices wrong popcount")
-	}
-	if words[0]&1 == 0 || words[0]&(1<<5) == 0 {
-		t.Error("low word wrong")
-	}
-	if words[1]&1 == 0 || words[1]&(1<<63) == 0 {
-		t.Error("high word wrong")
-	}
-}
-
-func TestPackIndicesPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic for out-of-range index")
-		}
-	}()
-	PackIndices([]int{128}, 128)
-}
-
-func TestLog2CeilNextPow2(t *testing.T) {
-	cases := []struct {
-		x    uint64
-		log  int
-		pow2 uint64
-	}{
-		{1, 0, 1}, {2, 1, 2}, {3, 2, 4}, {4, 2, 4}, {5, 3, 8},
-		{1023, 10, 1024}, {1024, 10, 1024}, {1025, 11, 2048},
-	}
-	for _, c := range cases {
-		if got := Log2Ceil(c.x); got != c.log {
-			t.Errorf("Log2Ceil(%d) = %d, want %d", c.x, got, c.log)
-		}
-		if got := NextPow2(c.x); got != c.pow2 {
-			t.Errorf("NextPow2(%d) = %d, want %d", c.x, got, c.pow2)
-		}
-	}
-	if NextPow2(0) != 1 {
-		t.Error("NextPow2(0) should be 1")
-	}
-}
-
-func TestBitsetIntersectCountMatchesBruteForce(t *testing.T) {
-	f := func(xs, ys []uint16) bool {
-		a := NewBitset(1 << 16)
-		b := NewBitset(1 << 16)
-		inA := map[int]bool{}
-		inB := map[int]bool{}
-		for _, x := range xs {
-			a.Set(int(x))
-			inA[int(x)] = true
-		}
-		for _, y := range ys {
-			b.Set(int(y))
-			inB[int(y)] = true
-		}
-		want := 0
-		for k := range inA {
-			if inB[k] {
-				want++
-			}
-		}
-		return a.IntersectCount(b) == want
-	}
-	cfg := &quick.Config{MaxCount: 50}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Error(err)
-	}
 }

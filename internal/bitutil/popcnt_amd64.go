@@ -2,8 +2,6 @@
 
 package bitutil
 
-import "os"
-
 // Declarations for the assembly routines in popcnt_amd64.s.
 func cpuid(op, sub uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv0() (eax, edx uint32)
@@ -59,18 +57,7 @@ func asmKernelSupported() bool {
 }
 
 func init() {
-	if os.Getenv("GENOMEATSCALE_NOASM") == "" && asmKernelSupported() {
-		activeImpl.Store(avx512Impl)
+	if asmKernelSupported() {
+		activeImpl = avx512Impl
 	}
-}
-
-// EnableBestKernel re-installs the best kernel the host supports (undoing
-// ForcePortable). It reports the name of the kernel now active.
-func EnableBestKernel() string {
-	if os.Getenv("GENOMEATSCALE_NOASM") == "" && asmKernelSupported() {
-		activeImpl.Store(avx512Impl)
-	} else {
-		activeImpl.Store(portableImpl)
-	}
-	return Kernel()
 }

@@ -14,15 +14,9 @@ package bitutil
 //     assembly kernel — the portable 8-way kernel is the only choice;
 //  2. on amd64 the init in popcnt_amd64.go probes CPUID for
 //     AVX-512F + AVX-512VPOPCNTDQ and OS zmm-state support and, when all
-//     are present, installs the assembly kernel;
-//  3. setting GENOMEATSCALE_NOASM (to any non-empty value) or calling
-//     ForcePortable() keeps/restores the portable kernel at runtime, which
-//     is how benchmarks measure the asm-vs-portable delta on one binary.
+//     are present, installs the assembly kernel.
 
-import (
-	"math/bits"
-	"sync/atomic"
-)
+import "math/bits"
 
 // kernelImpl is one installed slab-kernel implementation.
 type kernelImpl struct {
@@ -37,52 +31,14 @@ var portableImpl = &kernelImpl{
 	slice:    PopcountSlice8,
 }
 
-// activeImpl is the kernel the dispatched entry points use. It is set at
-// package init (after CPU feature detection) and by ForcePortable; reads
-// go through an atomic pointer so tests and benchmarks may switch kernels
-// while other goroutines compute. Package init functions run in file-name
-// order, so the amd64 detection init (popcnt_amd64.go) may have installed
-// the assembly kernel before this init runs — hence the nil guard.
-var activeImpl atomic.Pointer[kernelImpl]
-
-func init() {
-	if activeImpl.Load() == nil {
-		activeImpl.Store(portableImpl)
-	}
-}
+// activeImpl is the kernel the dispatched entry points use. It starts as
+// the portable kernel; on amd64 the detection init in popcnt_amd64.go
+// replaces it once with the assembly kernel, before any caller runs.
+var activeImpl = portableImpl
 
 // Kernel reports the name of the slab popcount kernel the dispatched entry
 // points currently use: "portable-8way" or "avx512-vpopcntq".
-func Kernel() string { return activeImpl.Load().name }
-
-// ForcePortable switches the dispatched entry points to the portable 8-way
-// kernel, regardless of CPU capabilities, so the portable baseline can be
-// exercised on hosts where the assembly kernel was auto-installed;
-// EnableBestKernel restores the auto-detected choice.
-func ForcePortable() { activeImpl.Store(portableImpl) }
-
-// PopcountAndSlice4 is the previous-generation 4-way unrolled
-// AND+popcount kernel, retained as the reference baseline the differential
-// kernel tests check every dispatched kernel against.
-// Slices of unequal length are handled by treating missing words as zero.
-func PopcountAndSlice4(a, b []uint64) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	var a0, a1, a2, a3 int
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		a0 += bits.OnesCount64(a[i] & b[i])
-		a1 += bits.OnesCount64(a[i+1] & b[i+1])
-		a2 += bits.OnesCount64(a[i+2] & b[i+2])
-		a3 += bits.OnesCount64(a[i+3] & b[i+3])
-	}
-	for ; i < n; i++ {
-		a0 += bits.OnesCount64(a[i] & b[i])
-	}
-	return a0 + a1 + a2 + a3
-}
+func Kernel() string { return activeImpl.name }
 
 // PopcountAndSlice8 is the portable 8-way unrolled AND+popcount kernel:
 // eight independent accumulator chains keep eight POPCNT results in flight

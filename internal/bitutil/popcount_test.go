@@ -30,12 +30,10 @@ func refPopcount(xs []uint64) int {
 }
 
 // kernelsUnderTest enumerates every AND+popcount implementation reachable
-// in this build: the 4-way reference baseline, the portable 8-way kernel,
-// the dispatched entry point, and (on capable amd64 hosts) the assembly
-// kernel directly.
+// in this build: the portable 8-way kernel, the dispatched entry point, and
+// (on capable amd64 hosts) the assembly kernel directly.
 func kernelsUnderTest() map[string]func(a, b []uint64) int {
 	ks := map[string]func(a, b []uint64) int{
-		"portable-4way": PopcountAndSlice4,
 		"portable-8way": PopcountAndSlice8,
 		"dispatched":    PopcountAndSlice,
 	}
@@ -149,26 +147,6 @@ func TestPopcountSliceKernels(t *testing.T) {
 				t.Fatalf("kernel %s: n=%d: got %d, want %d", name, n, got, want)
 			}
 		}
-	}
-}
-
-// TestForcePortable exercises the runtime kernel switch: after
-// ForcePortable the dispatched entry points must report and use the
-// portable kernel; EnableBestKernel restores the auto-detected choice.
-func TestForcePortable(t *testing.T) {
-	orig := Kernel()
-	defer EnableBestKernel()
-	ForcePortable()
-	if Kernel() != "portable-8way" {
-		t.Fatalf("after ForcePortable: kernel %q", Kernel())
-	}
-	a := []uint64{0xdeadbeef, ^uint64(0), 0}
-	b := []uint64{0xffffffff, 0x0f0f0f0f, 42}
-	if got, want := PopcountAndSlice(a, b), refPopcountAnd(a, b); got != want {
-		t.Fatalf("portable dispatch: got %d, want %d", got, want)
-	}
-	if restored := EnableBestKernel(); restored != orig {
-		t.Fatalf("EnableBestKernel restored %q, initial kernel was %q", restored, orig)
 	}
 }
 

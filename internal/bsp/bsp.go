@@ -103,17 +103,6 @@ func (s *Stats) MaxFlops() int64 {
 	return m
 }
 
-// MaxBytesSent returns the largest per-rank injected volume.
-func (s *Stats) MaxBytesSent() int64 {
-	var m int64
-	for _, b := range s.BytesSentPerRank {
-		if b > m {
-			m = b
-		}
-	}
-	return m
-}
-
 // SumHRelations returns Σ_s HRelations[s], the total bandwidth-critical
 // volume of the run.
 func (s *Stats) SumHRelations() int64 {
@@ -122,17 +111,6 @@ func (s *Stats) SumHRelations() int64 {
 		t += h
 	}
 	return t
-}
-
-// MaxMemWords returns the largest per-rank reported memory footprint.
-func (s *Stats) MaxMemWords() int64 {
-	var m int64
-	for _, w := range s.MemWordsPerRank {
-		if w > m {
-			m = w
-		}
-	}
-	return m
 }
 
 // memHub is the shared state behind one in-process run: the barrier, the
@@ -279,7 +257,6 @@ type Proc struct {
 	rank int
 	np   int
 	t    Transport
-	ctx  context.Context
 
 	stats   *Stats
 	statsMu *sync.Mutex
@@ -293,12 +270,6 @@ type Proc struct {
 
 // Rank returns this rank's id in [0, NProcs).
 func (p *Proc) Rank() int { return p.rank }
-
-// Ctx returns the context the run was started with (context.Background for
-// plain Run). Rank functions poll it between local compute phases; ranks
-// blocked at a superstep barrier are unwound by the runtime itself when the
-// context is cancelled.
-func (p *Proc) Ctx() context.Context { return p.ctx }
 
 // NProcs returns the number of ranks in the run.
 func (p *Proc) NProcs() int { return p.np }
@@ -432,10 +403,6 @@ func (p *Proc) RecvAll(tag int) []Message {
 	return out
 }
 
-// PendingMessages returns the number of delivered-but-unclaimed messages;
-// useful for tests asserting that protocols drain their traffic.
-func (p *Proc) PendingMessages() int { return len(p.inbox) }
-
 // nextCollectiveTag returns the reserved tag for the next collective call.
 // SPMD programs call collectives in the same order on every rank, so the
 // per-rank sequence numbers agree.
@@ -455,7 +422,7 @@ func Run(p int, fn func(*Proc) error) (*Stats, error) {
 // RunCtx is Run with cancellation: when ctx is cancelled the runtime aborts
 // the run — every rank blocked at a superstep barrier is woken immediately
 // and unwound, ranks in local compute phases observe the abort at their
-// next Sync (or sooner, via Proc.Ctx polling in the rank function) — all
+// next Sync (or sooner, if the rank function polls ctx itself) — all
 // rank goroutines are joined, and RunCtx returns ctx.Err() alongside the
 // partial statistics. No goroutines outlive the call.
 func RunCtx(ctx context.Context, p int, fn func(*Proc) error) (*Stats, error) {
@@ -489,7 +456,7 @@ func RunCtx(ctx context.Context, p int, fn func(*Proc) error) (*Stats, error) {
 		go func(rank int) {
 			defer wg.Done()
 			tr := &MemTransport{hub: hub, rank: rank}
-			proc := &Proc{rank: rank, np: p, t: tr, ctx: ctx, stats: stats, statsMu: &statsMu}
+			proc := &Proc{rank: rank, np: p, t: tr, stats: stats, statsMu: &statsMu}
 			errs[rank] = runOne(tr, proc, fn)
 		}(r)
 	}

@@ -3,6 +3,7 @@ package bsp
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 )
 
@@ -56,7 +57,7 @@ func TestPointToPointDelivery(t *testing.T) {
 func TestMessagesNotVisibleBeforeSync(t *testing.T) {
 	_, err := Run(2, func(p *Proc) error {
 		p.Send(1-p.Rank(), 1, []byte{1, 2, 3})
-		if p.PendingMessages() != 0 {
+		if len(p.inbox) != 0 {
 			return errors.New("message visible before superstep boundary")
 		}
 		p.Sync()
@@ -101,8 +102,8 @@ func TestErrorPropagationAborts(t *testing.T) {
 		}
 		// Other ranks wait at a barrier that rank 2 never reaches; the abort
 		// must unblock them.
-		Barrier(p)
-		Barrier(p)
+		p.Sync()
+		p.Sync()
 		return nil
 	})
 	if err == nil {
@@ -118,7 +119,7 @@ func TestPanicPropagation(t *testing.T) {
 		if p.Rank() == 0 {
 			panic("boom")
 		}
-		Barrier(p)
+		p.Sync()
 		return nil
 	})
 	if err == nil {
@@ -133,7 +134,7 @@ func TestEarlyFinishDoesNotDeadlock(t *testing.T) {
 			return nil
 		}
 		for i := 0; i < 5; i++ {
-			Barrier(p)
+			p.Sync()
 		}
 		return nil
 	})
@@ -162,8 +163,8 @@ func TestFlopsAndMemoryAccounting(t *testing.T) {
 	if stats.FlopsPerRank[0] != 100 {
 		t.Errorf("FlopsPerRank[0] = %d, want 100", stats.FlopsPerRank[0])
 	}
-	if stats.MaxMemWords() != 200 {
-		t.Errorf("MaxMemWords = %d, want 200", stats.MaxMemWords())
+	if m := slices.Max(stats.MemWordsPerRank); m != 200 {
+		t.Errorf("max MemWordsPerRank = %d, want 200", m)
 	}
 }
 
@@ -189,8 +190,8 @@ func TestHRelationIsMaxPerRank(t *testing.T) {
 	if stats.BytesSentPerRank[0] != 24 || stats.BytesRecvPerRank[1] != 8 {
 		t.Errorf("per-rank accounting wrong: %v / %v", stats.BytesSentPerRank, stats.BytesRecvPerRank)
 	}
-	if stats.MaxBytesSent() != 24 {
-		t.Errorf("MaxBytesSent = %d, want 24", stats.MaxBytesSent())
+	if m := slices.Max(stats.BytesSentPerRank); m != 24 {
+		t.Errorf("max BytesSentPerRank = %d, want 24", m)
 	}
 	if stats.SumHRelations() != 24 {
 		t.Errorf("SumHRelations = %d, want 24", stats.SumHRelations())

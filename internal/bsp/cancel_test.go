@@ -23,8 +23,8 @@ func TestRunCtxCancelUnblocksBarrier(t *testing.T) {
 		if p.Rank() == 3 {
 			// Stand-in for a long local compute phase: this rank never
 			// reaches the barrier the other three are parked at.
-			<-p.Ctx().Done()
-			return p.Ctx().Err()
+			<-ctx.Done()
+			return ctx.Err()
 		}
 		p.Sync() // parks: rank 3 never arrives
 		return nil
@@ -49,8 +49,8 @@ func TestRunCtxCancelBetweenSupersteps(t *testing.T) {
 			cancel()
 		}
 		for {
-			if p.Ctx().Err() != nil {
-				return p.Ctx().Err()
+			if ctx.Err() != nil {
+				return ctx.Err()
 			}
 			p.Sync()
 		}

@@ -3,18 +3,11 @@ package bsp
 import "fmt"
 
 // The collectives below mirror the MPI operations the paper's Cyclops
-// backend relies on (broadcast, reduction, all-to-all redistribution,
-// prefix sums). Each collective is implemented directly on top of the BSP
-// point-to-point layer so its communication volume and superstep count are
-// visible to the accounting in Stats. Programs must call collectives in the
-// same order on every rank (SPMD), which is how the reserved tags stay
-// aligned.
-
-// Barrier synchronises all ranks without exchanging data.
-func Barrier(p *Proc) {
-	p.nextCollectiveTag()
-	p.Sync()
-}
+// backend relies on (broadcast, reduction, all-to-all redistribution).
+// Each collective is implemented directly on top of the BSP point-to-point
+// layer so its communication volume and superstep count are visible to the
+// accounting in Stats. Programs must call collectives in the same order on
+// every rank (SPMD), which is how the reserved tags stay aligned.
 
 // Bcast distributes root's value to every rank and returns it. One
 // superstep; root injects (p-1)·|x| bytes, matching the allreduce-versus-
@@ -115,32 +108,6 @@ func AllReduceSlice[T any](p *Proc, xs []T, op func(T, T) T) []T {
 	})
 }
 
-// ReduceSlice elementwise-folds equal-length slices at root only.
-func ReduceSlice[T any](p *Proc, root int, xs []T, op func(T, T) T) ([]T, bool) {
-	return Reduce(p, root, append([]T(nil), xs...), func(a, b []T) []T {
-		if len(a) != len(b) {
-			//gas:invariant all ranks fold equal-length slices by the collective's contract; a mismatch is a protocol bug, not input
-			panic(fmt.Sprintf("bsp: ReduceSlice length mismatch %d vs %d", len(a), len(b)))
-		}
-		out := make([]T, len(a))
-		for i := range a {
-			out[i] = op(a[i], b[i])
-		}
-		return out
-	})
-}
-
-// ExScan returns the exclusive prefix fold of x across ranks:
-// rank r receives op(x_0, ..., x_{r-1}), and rank 0 receives identity.
-func ExScan[T any](p *Proc, x T, op func(T, T) T, identity T) T {
-	vals := AllGather(p, x)
-	acc := identity
-	for r := 0; r < p.Rank(); r++ {
-		acc = op(acc, vals[r])
-	}
-	return acc
-}
-
 // AllToAll delivers out[r] to rank r and returns the slice of values this
 // rank received, indexed by sender. out must have length NProcs. One
 // superstep; this is the redistribution primitive the grid engine routes
@@ -163,29 +130,4 @@ func AllToAll[T any](p *Proc, out []T) []T {
 		in[m.From] = m.Payload.(T)
 	}
 	return in
-}
-
-// GatherVariable collects variable-size slices from all ranks at root and
-// concatenates them in rank order.
-func GatherVariable[T any](p *Proc, root int, xs []T) []T {
-	parts := Gather(p, root, xs)
-	if p.Rank() != root {
-		return nil
-	}
-	var out []T
-	for _, part := range parts {
-		out = append(out, part...)
-	}
-	return out
-}
-
-// AllGatherVariable collects variable-size slices from all ranks on every
-// rank, concatenated in rank order.
-func AllGatherVariable[T any](p *Proc, xs []T) []T {
-	parts := AllGather(p, xs)
-	var out []T
-	for _, part := range parts {
-		out = append(out, part...)
-	}
-	return out
 }

@@ -10,7 +10,7 @@ import (
 func TestBarrierCountsSupersteps(t *testing.T) {
 	stats, err := Run(5, func(p *Proc) error {
 		for i := 0; i < 3; i++ {
-			Barrier(p)
+			p.Sync()
 		}
 		return nil
 	})
@@ -21,7 +21,7 @@ func TestBarrierCountsSupersteps(t *testing.T) {
 		t.Errorf("Supersteps = %d, want 3", stats.Supersteps)
 	}
 	if stats.TotalBytes != 0 {
-		t.Errorf("Barrier should not move data, moved %d bytes", stats.TotalBytes)
+		t.Errorf("a barrier should not move data, moved %d bytes", stats.TotalBytes)
 	}
 }
 
@@ -131,42 +131,6 @@ func TestAllReduceSlice(t *testing.T) {
 	}
 }
 
-func TestReduceSlice(t *testing.T) {
-	const procs = 3
-	_, err := Run(procs, func(p *Proc) error {
-		xs := []int64{1, int64(p.Rank())}
-		got, ok := ReduceSlice(p, 0, xs, func(a, b int64) int64 { return a + b })
-		if p.Rank() == 0 {
-			if !ok || got[0] != procs || got[1] != 3 {
-				return fmt.Errorf("ReduceSlice = %v,%v", got, ok)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestExScanMatchesSequentialPrefix(t *testing.T) {
-	const procs = 8
-	_, err := Run(procs, func(p *Proc) error {
-		x := int64(p.Rank() * 10)
-		got := ExScan(p, x, func(a, b int64) int64 { return a + b }, 0)
-		var want int64
-		for r := 0; r < p.Rank(); r++ {
-			want += int64(r * 10)
-		}
-		if got != want {
-			return fmt.Errorf("rank %d: ExScan = %d, want %d", p.Rank(), got, want)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestAllToAll(t *testing.T) {
 	const procs = 5
 	_, err := Run(procs, func(p *Proc) error {
@@ -198,35 +162,13 @@ func TestAllToAllLengthPanics(t *testing.T) {
 	}
 }
 
-func TestGatherVariableAndAllGatherVariable(t *testing.T) {
-	const procs = 4
-	_, err := Run(procs, func(p *Proc) error {
-		xs := make([]int64, p.Rank()) // rank r contributes r elements, each = r
-		for i := range xs {
-			xs[i] = int64(p.Rank())
-		}
-		all := AllGatherVariable(p, xs)
-		if len(all) != 0+1+2+3 {
-			return fmt.Errorf("rank %d: AllGatherVariable len = %d", p.Rank(), len(all))
-		}
-		rooted := GatherVariable(p, 1, xs)
-		if p.Rank() == 1 && len(rooted) != 6 {
-			return fmt.Errorf("GatherVariable len = %d, want 6", len(rooted))
-		}
-		if p.Rank() != 1 && rooted != nil {
-			return fmt.Errorf("rank %d: non-root received data", p.Rank())
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 // SortedAllGatherKeys all-gathers per-rank integer keys into one sorted
 // list on every rank: a deterministic global ordering for tests.
 func SortedAllGatherKeys(p *Proc, keys []int) []int {
-	all := AllGatherVariable(p, keys)
+	var all []int
+	for _, part := range AllGather(p, keys) {
+		all = append(all, part...)
+	}
 	sort.Ints(all)
 	return all
 }
@@ -283,9 +225,8 @@ func TestCollectivesDrainInbox(t *testing.T) {
 		AllGather(p, int64(p.Rank()))
 		AllReduce(p, int64(1), func(a, b int64) int64 { return a + b })
 		AllToAll(p, [][]int64{{1}, {2}, {3}, {4}})
-		ExScan(p, int64(p.Rank()), func(a, b int64) int64 { return a + b }, 0)
-		if p.PendingMessages() != 0 {
-			return fmt.Errorf("rank %d: %d stale messages", p.Rank(), p.PendingMessages())
+		if len(p.inbox) != 0 {
+			return fmt.Errorf("rank %d: %d stale messages", p.Rank(), len(p.inbox))
 		}
 		return nil
 	})

@@ -21,7 +21,7 @@ import (
 //	ABORT  u32 from | u32 step | u32 culprit | utf8 message
 //
 // The length prefix is capped (Options.MaxFrame) before any allocation, the
-// same header-bomb discipline as samplefile.ReadBinary: a corrupt or
+// same header-bomb discipline as the samplefile binary reader: a corrupt or
 // malicious length header is an error, not an OOM.
 const (
 	frameHello = byte(iota + 1)

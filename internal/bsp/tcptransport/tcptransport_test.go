@@ -101,15 +101,19 @@ func TestTCPCollectives(t *testing.T) {
 		if got != 200 {
 			return fmt.Errorf("Bcast = %d, want 200", got)
 		}
-		// GatherVariable to rank 0 concatenates in rank order.
-		rows := bsp.GatherVariable(proc, 0, []uint64{uint64(proc.Rank()), uint64(proc.Rank())})
+		// Gather slices to rank 0, indexed by sender rank.
+		parts := bsp.Gather(proc, 0, []uint64{uint64(proc.Rank()), uint64(proc.Rank())})
 		if proc.Rank() == 0 {
+			var rows []uint64
+			for _, part := range parts {
+				rows = append(rows, part...)
+			}
 			if len(rows) != 2*p {
-				return fmt.Errorf("GatherVariable: %d values, want %d", len(rows), 2*p)
+				return fmt.Errorf("Gather: %d values, want %d", len(rows), 2*p)
 			}
 			for i, v := range rows {
 				if v != uint64(i/2) {
-					return fmt.Errorf("GatherVariable[%d] = %d, want %d", i, v, i/2)
+					return fmt.Errorf("Gather: value %d = %d, want %d", i, v, i/2)
 				}
 			}
 		}

@@ -163,7 +163,7 @@ func RunRank(ctx context.Context, t Transport, fn func(*Proc) error) (*Stats, er
 		}()
 	}
 
-	proc := &Proc{rank: rank, np: np, t: t, ctx: ctx, stats: stats, statsMu: statsMu}
+	proc := &Proc{rank: rank, np: np, t: t, stats: stats, statsMu: statsMu}
 	err := runOne(t, proc, fn)
 	close(watcherDone)
 

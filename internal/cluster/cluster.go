@@ -1,10 +1,8 @@
 // Package cluster implements the downstream analyses the paper motivates as
 // consumers of the Jaccard distance matrix (Figure 1, parts 7–9 and
-// Section II): hierarchical clustering for sample grouping and guide trees
-// (UPGMA and neighbour-joining with Newick output, the standard inputs for
-// phylogenetic analysis and large-scale multiple sequence alignment), and
-// k-medoids clustering, which works with an arbitrary metric such as the
-// Jaccard distance.
+// Section II): neighbour-joining guide trees with Newick output, the
+// standard input for phylogenetic analysis and large-scale multiple
+// sequence alignment.
 package cluster
 
 import (
@@ -30,14 +28,6 @@ type Tree struct {
 
 // IsLeaf reports whether the node is a leaf.
 func (t *Tree) IsLeaf() bool { return t.Left == nil && t.Right == nil }
-
-// Leaves returns the leaf names in left-to-right order.
-func (t *Tree) Leaves() []string {
-	if t.IsLeaf() {
-		return []string{t.Name}
-	}
-	return append(t.Left.Leaves(), t.Right.Leaves()...)
-}
 
 // Newick serialises the tree in Newick format (with branch lengths), the
 // interchange format consumed by phylogenetics and MSA tools such as the
@@ -94,76 +84,6 @@ func validateDistances(d *sparse.Dense[float64], names []string) error {
 		}
 	}
 	return nil
-}
-
-// UPGMA builds a rooted tree by average-linkage agglomerative clustering of
-// the distance matrix (Unweighted Pair Group Method with Arithmetic mean).
-// Branch lengths place each merge at half the inter-cluster distance, so an
-// ultrametric input yields an exact dendrogram.
-func UPGMA(d *sparse.Dense[float64], names []string) (*Tree, error) {
-	if err := validateDistances(d, names); err != nil {
-		return nil, err
-	}
-	n := d.Rows
-	nodes := make([]*Tree, n)
-	heights := make([]float64, n)
-	for i := range nodes {
-		nodes[i] = &Tree{Name: names[i], Size: 1}
-	}
-	// Working copy of distances between active clusters.
-	dist := make([][]float64, n)
-	for i := range dist {
-		dist[i] = append([]float64(nil), d.Row(i)...)
-	}
-	active := make([]bool, n)
-	for i := range active {
-		active[i] = true
-	}
-	remaining := n
-	for remaining > 1 {
-		// Find the closest pair of active clusters.
-		bi, bj := -1, -1
-		best := math.Inf(1)
-		for i := 0; i < n; i++ {
-			if !active[i] {
-				continue
-			}
-			for j := i + 1; j < n; j++ {
-				if !active[j] {
-					continue
-				}
-				if dist[i][j] < best {
-					best = dist[i][j]
-					bi, bj = i, j
-				}
-			}
-		}
-		// Merge bj into bi.
-		height := best / 2
-		left, right := nodes[bi], nodes[bj]
-		left.Length = height - heights[bi]
-		right.Length = height - heights[bj]
-		merged := &Tree{Left: left, Right: right, Size: left.Size + right.Size}
-		// Average-linkage update of distances to the merged cluster.
-		for k := 0; k < n; k++ {
-			if !active[k] || k == bi || k == bj {
-				continue
-			}
-			newDist := (dist[bi][k]*float64(left.Size) + dist[bj][k]*float64(right.Size)) / float64(left.Size+right.Size)
-			dist[bi][k] = newDist
-			dist[k][bi] = newDist
-		}
-		nodes[bi] = merged
-		heights[bi] = height
-		active[bj] = false
-		remaining--
-	}
-	for i := 0; i < n; i++ {
-		if active[i] {
-			return nodes[i], nil
-		}
-	}
-	return nil, fmt.Errorf("cluster: internal error, no root found")
 }
 
 // NeighborJoining builds a tree with the Saitou–Nei neighbour-joining
@@ -259,38 +179,4 @@ func NeighborJoining(d *sparse.Dense[float64], names []string) (*Tree, error) {
 	left.Length = dist[i][j] / 2
 	right.Length = dist[i][j] / 2
 	return &Tree{Left: left, Right: right, Size: left.Size + right.Size}, nil
-}
-
-// CopheneticDistance returns the tree distance between two leaves (the sum
-// of branch lengths on the path connecting them); tests use it to verify
-// that tree construction preserves the structure of the input distances.
-func CophenticDistancePairs(t *Tree) map[[2]string]float64 {
-	out := make(map[[2]string]float64)
-	var walk func(node *Tree) map[string]float64
-	walk = func(node *Tree) map[string]float64 {
-		if node.IsLeaf() {
-			return map[string]float64{node.Name: 0}
-		}
-		left := walk(node.Left)
-		right := walk(node.Right)
-		for a, da := range left {
-			for b, db := range right {
-				key := [2]string{a, b}
-				if b < a {
-					key = [2]string{b, a}
-				}
-				out[key] = da + node.Left.Length + db + node.Right.Length
-			}
-		}
-		merged := make(map[string]float64, len(left)+len(right))
-		for a, da := range left {
-			merged[a] = da + node.Left.Length
-		}
-		for b, db := range right {
-			merged[b] = db + node.Right.Length
-		}
-		return merged
-	}
-	walk(t)
-	return out
 }

@@ -331,7 +331,12 @@ type TuningReport struct {
 type IngestStats struct {
 	// Loads is the number of sample loads performed, including reloads of
 	// previously evicted samples (so Loads − NumSamples measures the
-	// re-read cost of the memory bound).
+	// re-read cost of the memory bound). When the sketch prescreen runs
+	// over a samplefile.DirDataset with read-ahead on, its parallel reads
+	// race the read-ahead window and the count depends on timing: four
+	// such runs over 256 files made 514–575 loads, while with one compute
+	// worker and one loader (-workers 1 -load-workers 1) it was 512 every
+	// time.
 	Loads int64
 	// Evictions is the number of samples dropped from memory to stay
 	// within the resident budget.
@@ -349,7 +354,8 @@ type IngestStats struct {
 	// later, by the reads that use them, and their time is not included.
 	LoadSeconds float64
 	// BytesRead is the number of sample-file bytes read from disk,
-	// reloads included.
+	// reloads included. It follows Loads, so it too depends on timing for
+	// a prescreened run with read-ahead on.
 	BytesRead int64
 	// ValuesDecoded is the number of values decoded from the binary
 	// encoding, counting a value again each time it is decoded. A scan

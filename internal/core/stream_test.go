@@ -85,8 +85,8 @@ func TestStreamCollectMatchesLegacy(t *testing.T) {
 						if !sparse.Equal(legacy.D, collect.D(), floatEq) {
 							t.Error("streamed D not byte-identical to legacy gather")
 						}
-						if collect.N() != n || len(collect.Names()) != n {
-							t.Errorf("sink saw n=%d with %d names, want %d", collect.N(), len(collect.Names()), n)
+						if collect.B().Rows != n || len(collect.Names()) != n {
+							t.Errorf("sink saw n=%d with %d names, want %d", collect.B().Rows, len(collect.Names()), n)
 						}
 						if streamed.Stats.TilesEmitted == 0 {
 							t.Error("streaming run must count emitted tiles")

@@ -106,11 +106,6 @@ func (p Proxy) Generate(cfg ScaledConfig) (*core.InMemoryDataset, error) {
 	})
 }
 
-// TotalNonzeros estimates Z = m·n·density of the full (unscaled) dataset.
-func (p Proxy) TotalNonzeros() float64 {
-	return float64(p.Attributes) * float64(p.Samples) * p.Density
-}
-
 // ToolComparison is one row of Table II: the scale reached by an
 // alignment-free genetic-distance tool.
 type ToolComparison struct {
@@ -151,16 +146,4 @@ func TableII() []ToolComparison {
 			SourceStatement: "computed from cleaned and assembled sequences (Section V-A2)",
 		},
 	}
-}
-
-// LargestScale returns the row with the most samples; Table II's point is
-// that GenomeAtScale reaches the largest problem size and parallelism.
-func LargestScale(rows []ToolComparison) ToolComparison {
-	var best ToolComparison
-	for _, r := range rows {
-		if r.Samples > best.Samples {
-			best = r
-		}
-	}
-	return best
 }

@@ -27,17 +27,6 @@ func TestProxyDescriptionsMatchPaper(t *testing.T) {
 	}
 }
 
-func TestTotalNonzeros(t *testing.T) {
-	k := Kingsford()
-	z := k.TotalNonzeros()
-	perSample := z / float64(k.Samples)
-	// ≈41M distinct 19-mers per RNASeq sample is the order of magnitude the
-	// density in the paper implies.
-	if perSample < 1e6 || perSample > 1e9 {
-		t.Errorf("Kingsford per-sample nonzeros = %v", perSample)
-	}
-}
-
 func TestGenerateScaledKingsford(t *testing.T) {
 	ds, err := Kingsford().Generate(ScaledConfig{
 		Samples:      100,
@@ -126,11 +115,10 @@ func TestTableII(t *testing.T) {
 	}
 	// The headline claim of Table II: GenomeAtScale reaches the largest
 	// sample count and node count.
-	best := LargestScale(rows)
-	if best.Tool != "GenomeAtScale" {
-		t.Errorf("largest scale should be GenomeAtScale, got %s", best.Tool)
-	}
 	for _, r := range rows {
+		if r.Tool != "GenomeAtScale" && r.Samples >= gas.Samples {
+			t.Errorf("%s sample count should be below GenomeAtScale", r.Tool)
+		}
 		if r.Tool != "GenomeAtScale" && r.ComputeNodes >= gas.ComputeNodes {
 			t.Errorf("%s node count should be below GenomeAtScale", r.Tool)
 		}

@@ -31,14 +31,6 @@ type Context struct {
 	Row, Col, Layer int
 }
 
-// NewContext arranges the run's ranks as a processor grid with the
-// requested replication factor (clamped by grid.Choose so every rank is
-// used) and locates this rank in it. NProcs of a live BSP world is
-// positive, so MustChoose cannot fail here.
-func NewContext(p *bsp.Proc, replication int) *Context {
-	return NewContextWithGrid(p, grid.MustChoose(p.NProcs(), replication))
-}
-
 // NewContextWithGrid binds a rank to a pre-chosen grid. The reusable engine
 // in internal/core chooses the grid once at construction (it is a pure
 // function of Procs and Replication) and shares it across calls; g must

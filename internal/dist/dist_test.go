@@ -11,9 +11,16 @@ import (
 
 	"genomeatscale/internal/bitmat"
 	"genomeatscale/internal/bsp"
+	"genomeatscale/internal/grid"
 	"genomeatscale/internal/sparse"
 	"genomeatscale/internal/tile"
 )
+
+// newContext arranges the run's ranks as a processor grid with the
+// requested replication factor and locates this rank in it.
+func newContext(p *bsp.Proc, replication int) *Context {
+	return NewContextWithGrid(p, grid.MustChoose(p.NProcs(), replication))
+}
 
 func TestContextGridAndOwnership(t *testing.T) {
 	const n = 17
@@ -22,7 +29,7 @@ func TestContextGridAndOwnership(t *testing.T) {
 	} {
 		owned := make([][]int, cfg.procs)
 		_, err := bsp.Run(cfg.procs, func(p *bsp.Proc) error {
-			ctx := NewContext(p, cfg.repl)
+			ctx := newContext(p, cfg.repl)
 			if got := ctx.Grid.Size(); got != cfg.procs {
 				return fmt.Errorf("grid %s uses %d ranks, want %d", ctx.Grid, got, cfg.procs)
 			}
@@ -74,7 +81,7 @@ func TestFilterVectorReplicate(t *testing.T) {
 	sort.Slice(wantSorted, func(i, j int) bool { return wantSorted[i] < wantSorted[j] })
 
 	_, err := bsp.Run(procs, func(p *bsp.Proc) error {
-		got, err := NewFilterVector(NewContext(p, 1)).Replicate(sealedPart(length, 0, writes[p.Rank()]))
+		got, err := NewFilterVector(newContext(p, 1)).Replicate(sealedPart(length, 0, writes[p.Rank()]))
 		if err != nil {
 			return err
 		}
@@ -199,7 +206,7 @@ func TestGramEngineMatchesLocalGram(t *testing.T) {
 			var got *sparse.Dense[int64]
 			var gotS *sparse.Dense[float64]
 			stats, err := bsp.Run(cfg.procs, func(p *bsp.Proc) error {
-				ctx := NewContext(p, cfg.repl)
+				ctx := newContext(p, cfg.repl)
 				// workers: 2 exercises the tiled parallel local kernel under
 				// every grid shape; results must be identical to serial.
 				engine := NewGramEngine(ctx, cfg.cols, 2, bitmat.DenseAuto)
@@ -265,7 +272,7 @@ func TestGramEngineAccumulatesBatches(t *testing.T) {
 
 	var got *sparse.Dense[int64]
 	_, err := bsp.Run(4, func(p *bsp.Proc) error {
-		ctx := NewContext(p, 2)
+		ctx := newContext(p, 2)
 		engine := NewGramEngine(ctx, cols, 0, bitmat.DenseAuto) // 0 = all CPUs
 
 		for _, batch := range []*bitmat.Packed{a, b} {
@@ -300,7 +307,7 @@ func TestGramEngineEmptyBatch(t *testing.T) {
 	for _, procs := range []int{1, 4, 6} {
 		var got *sparse.Dense[int64]
 		_, err := bsp.Run(procs, func(p *bsp.Proc) error {
-			ctx := NewContext(p, 2)
+			ctx := newContext(p, 2)
 			engine := NewGramEngine(ctx, 5, 1, bitmat.DenseAuto)
 			if err := engine.AddBatch(nil, 0, 64, 0); err != nil {
 				return err
@@ -371,7 +378,7 @@ func TestGramEngineRejectsPeerData(t *testing.T) {
 				ts[r] = corruptingTransport{Transport: ts[r], corrupt: c.corrupt}
 			}
 			_, errs := bsp.RunCluster(context.Background(), ts, func(p *bsp.Proc) error {
-				engine := NewGramEngine(NewContext(p, 1), cols, 1, bitmat.DenseAuto)
+				engine := NewGramEngine(newContext(p, 1), cols, 1, bitmat.DenseAuto)
 				var mine []bitmat.PackedEntry
 				for _, e := range all {
 					if e.Col%procs == p.Rank() {

@@ -148,7 +148,7 @@ func TestFilterVectorMatchesCompact(t *testing.T) {
 			_, errs := bsp.RunCluster(context.Background(), bsp.MemCluster(procs), func(p *bsp.Proc) error {
 				part := sealedPart(c.length, 0, perRank[p.Rank()])
 				sentBits[p.Rank()] = part.bitset && part.count >= len(part.words)
-				got, err := NewFilterVector(NewContext(p, 1)).Replicate(part)
+				got, err := NewFilterVector(newContext(p, 1)).Replicate(part)
 				if err != nil {
 					return err
 				}
@@ -190,7 +190,7 @@ func TestFilterCommunication(t *testing.T) {
 	stats, errs := bsp.RunCluster(context.Background(), bsp.MemCluster(procs), func(p *bsp.Proc) error {
 		part := sealedPart(length, 0, perRank[p.Rank()])
 		distinct[p.Rank()] = part.Count()
-		_, err := NewFilterVector(NewContext(p, 1)).Replicate(part)
+		_, err := NewFilterVector(newContext(p, 1)).Replicate(part)
 		return err
 	})
 	const header = 16

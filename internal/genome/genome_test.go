@@ -2,11 +2,13 @@ package genome
 
 import (
 	"bytes"
+	"fmt"
 	"path/filepath"
 	"strings"
 	"testing"
 	"testing/quick"
 
+	"genomeatscale/internal/core"
 	"genomeatscale/internal/synth"
 )
 
@@ -440,4 +442,73 @@ func TestGenerateFamilyErrors(t *testing.T) {
 	if _, err := GenerateSampleFamily(FamilyConfig{AncestorLength: 100}, SampleOptions{ExtractorOptions: ExtractorOptions{K: 0}}); err == nil {
 		t.Error("bad sample options should error")
 	}
+}
+
+// EncodeKmer packs a k-length sequence into a 2-bit-per-base code. It
+// returns an error for invalid bases or unsupported k.
+func EncodeKmer(seq []byte) (uint64, error) {
+	k := len(seq)
+	if k == 0 || k > MaxK {
+		return 0, fmt.Errorf("genome: k must be in [1,%d], got %d", MaxK, k)
+	}
+	var code uint64
+	for _, b := range seq {
+		c := baseCode(b)
+		if c < 0 {
+			return 0, fmt.Errorf("genome: invalid base %q", string(b))
+		}
+		code = code<<2 | uint64(c)
+	}
+	return code, nil
+}
+
+// DecodeKmer expands a 2-bit packed code back into a k-length sequence.
+func DecodeKmer(code uint64, k int) []byte {
+	out := make([]byte, k)
+	for i := k - 1; i >= 0; i-- {
+		switch code & 3 {
+		case 0:
+			out[i] = 'A'
+		case 1:
+			out[i] = 'C'
+		case 2:
+			out[i] = 'G'
+		case 3:
+			out[i] = 'T'
+		}
+		code >>= 2
+	}
+	return out
+}
+
+// ReverseComplement returns the reverse-complement of a raw sequence;
+// unknown bases map to 'N'.
+func ReverseComplement(seq []byte) []byte {
+	out := make([]byte, len(seq))
+	for i, b := range seq {
+		var c byte
+		switch b {
+		case 'A', 'a':
+			c = 'T'
+		case 'C', 'c':
+			c = 'G'
+		case 'G', 'g':
+			c = 'C'
+		case 'T', 't':
+			c = 'A'
+		default:
+			c = 'N'
+		}
+		out[len(seq)-1-i] = c
+	}
+	return out
+}
+
+// Jaccard returns the exact Jaccard similarity of two samples built with
+// the same k.
+func (s Sample) Jaccard(other Sample) (float64, error) {
+	if s.K != other.K {
+		return 0, fmt.Errorf("genome: cannot compare samples with k=%d and k=%d", s.K, other.K)
+	}
+	return core.JaccardPair(s.Kmers, other.Kmers), nil
 }

@@ -57,15 +57,6 @@ func BuildSampleFromRecords(name string, records []Record, opts SampleOptions) (
 	return BuildSample(name, seqs, opts)
 }
 
-// Jaccard returns the exact Jaccard similarity of two samples built with
-// the same k.
-func (s Sample) Jaccard(other Sample) (float64, error) {
-	if s.K != other.K {
-		return 0, fmt.Errorf("genome: cannot compare samples with k=%d and k=%d", s.K, other.K)
-	}
-	return core.JaccardPair(s.Kmers, other.Kmers), nil
-}
-
 // BuildDataset assembles SimilarityAtScale input from samples that all use
 // the same k. The attribute universe is the full k-mer space 4^k, which is
 // what makes the indicator matrix hypersparse (Section III-B).

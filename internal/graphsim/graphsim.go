@@ -14,7 +14,6 @@ import (
 
 	"genomeatscale/internal/core"
 	"genomeatscale/internal/sparse"
-	"genomeatscale/internal/synth"
 )
 
 // Graph is a simple undirected graph on vertices 0..N-1.
@@ -187,23 +186,4 @@ func PredictLinks(g *Graph, similarity *sparse.Dense[float64], k int) [][2]int {
 		out = append(out, [2]int{c.u, c.v})
 	}
 	return out
-}
-
-// RandomGraph generates an Erdős–Rényi style graph with the given edge
-// probability, used by examples and benchmarks.
-func RandomGraph(n int, edgeProb float64, seed uint64) *Graph {
-	if edgeProb < 0 || edgeProb > 1 {
-		//gas:invariant edge probabilities are generator configuration validated at the app layer; this guards direct misuse
-		panic(fmt.Sprintf("graphsim: edge probability %v out of [0,1]", edgeProb))
-	}
-	g := NewGraph(n)
-	rng := synth.NewRNG(seed ^ 0x6A4B)
-	for u := 0; u < n; u++ {
-		for v := u + 1; v < n; v++ {
-			if rng.Float64() < edgeProb {
-				g.AddEdge(u, v)
-			}
-		}
-	}
-	return g
 }

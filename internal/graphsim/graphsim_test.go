@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"genomeatscale/internal/core"
+	"genomeatscale/internal/synth"
 )
 
 func approx(a, b float64) bool { return math.Abs(a-b) < 1e-12 }
@@ -69,8 +70,23 @@ func TestVertexSimilarityKnownGraph(t *testing.T) {
 	}
 }
 
+// randomGraph generates an Erdős–Rényi style graph with the given edge
+// probability.
+func randomGraph(n int, edgeProb float64, seed uint64) *Graph {
+	g := NewGraph(n)
+	rng := synth.NewRNG(seed ^ 0x6A4B)
+	for u := 0; u < n; u++ {
+		for v := u + 1; v < n; v++ {
+			if rng.Float64() < edgeProb {
+				g.AddEdge(u, v)
+			}
+		}
+	}
+	return g
+}
+
 func TestVertexSimilarityMatchesDirectDefinition(t *testing.T) {
-	g := RandomGraph(25, 0.2, 9)
+	g := randomGraph(25, 0.2, 9)
 	res, err := VertexSimilarity(g, core.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
@@ -88,7 +104,7 @@ func TestVertexSimilarityMatchesDirectDefinition(t *testing.T) {
 }
 
 func TestVertexSimilarityDistributedPath(t *testing.T) {
-	g := RandomGraph(15, 0.25, 4)
+	g := randomGraph(15, 0.25, 4)
 	opts := core.DefaultOptions()
 	opts.Procs = 4
 	distRes, err := VertexSimilarity(g, opts)
@@ -176,31 +192,6 @@ func TestPredictLinks(t *testing.T) {
 	if len(many) != 2 {
 		t.Errorf("PredictLinks with large k = %v", many)
 	}
-}
-
-func TestRandomGraphProperties(t *testing.T) {
-	g := RandomGraph(40, 0.1, 3)
-	if g.N != 40 {
-		t.Fatal("wrong vertex count")
-	}
-	h := RandomGraph(40, 0.1, 3)
-	if g.NumEdges() != h.NumEdges() {
-		t.Error("same seed must give the same graph")
-	}
-	empty := RandomGraph(10, 0, 1)
-	if empty.NumEdges() != 0 {
-		t.Error("probability 0 must give no edges")
-	}
-	full := RandomGraph(10, 1, 1)
-	if full.NumEdges() != 45 {
-		t.Errorf("probability 1 must give complete graph, got %d edges", full.NumEdges())
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	RandomGraph(5, 2, 1)
 }
 
 func TestEmptyGraphDataset(t *testing.T) {

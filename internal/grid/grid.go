@@ -46,17 +46,6 @@ func (g Grid) Rank(row, col, layer int) int {
 	return layer*g.Rows*g.Cols + row*g.Cols + col
 }
 
-// LayerPeers returns the ranks with the same (row, col) across all layers;
-// these are the ranks that participate in the inter-layer reduction of the
-// 3D algorithm.
-func (g Grid) LayerPeers(row, col int) []int {
-	out := make([]int, g.Layers)
-	for l := 0; l < g.Layers; l++ {
-		out[l] = g.Rank(row, col, l)
-	}
-	return out
-}
-
 // RowPeers returns the ranks sharing grid row `row` within layer `layer`.
 func (g Grid) RowPeers(row, layer int) []int {
 	out := make([]int, g.Cols)
@@ -175,23 +164,10 @@ func BlockOwner(n, parts, i int) int {
 	return extra + (i-cutoff)/base
 }
 
-// CyclicOwner returns the owner of item i under a cyclic (round-robin)
-// distribution over `parts` owners, the distribution used for reading input
-// files ("for(i = my_rank; i < n; i += num_procs)" in Listing 2).
-func CyclicOwner(parts, i int) int {
-	if parts <= 0 {
-		//gas:invariant parts is NProcs of a live BSP world, which is positive by construction
-		panic(fmt.Sprintf("grid: non-positive part count %d", parts))
-	}
-	if i < 0 {
-		//gas:invariant item indices come from loops over [0, n); a negative index is a caller bug
-		panic(fmt.Sprintf("grid: negative item %d", i))
-	}
-	return i % parts
-}
-
 // CyclicItems returns the items in [0, n) owned by `rank` under a cyclic
-// distribution over `parts` owners.
+// (round-robin) distribution over `parts` owners, the distribution used for
+// reading input files ("for(i = my_rank; i < n; i += num_procs)" in
+// Listing 2).
 func CyclicItems(n, parts, rank int) []int {
 	if rank < 0 || rank >= parts {
 		//gas:invariant ranks come from the BSP runtime and are always in [0, NProcs)

@@ -34,7 +34,6 @@ import (
 	"genomeatscale/internal/index/indexfile"
 	"genomeatscale/internal/minhash"
 	"genomeatscale/internal/par"
-	"genomeatscale/internal/tile"
 )
 
 // Source is the sample input a corpus is built from. core.InMemoryDataset
@@ -706,25 +705,6 @@ func (c *Corpus) Query(ctx context.Context, values []uint64, opts QueryOptions) 
 		return nil, nil
 	}
 	return sel.sorted(), nil
-}
-
-// TopPairs adapts a query result to the batch tile.Pair convention for a
-// query that is itself corpus sample q: each neighbor j becomes the
-// upper-triangle pair (min(q,j), max(q,j)). Self pairs are dropped. The
-// order is preserved, which matches tile.SortPairs for a fixed q.
-func TopPairs(q int, neighbors []Neighbor) []tile.Pair {
-	out := make([]tile.Pair, 0, len(neighbors))
-	for _, nb := range neighbors {
-		if nb.Sample == q {
-			continue
-		}
-		i, j := q, nb.Sample
-		if j < i {
-			i, j = j, i
-		}
-		out = append(out, tile.Pair{I: i, J: j, Similarity: nb.Similarity})
-	}
-	return out
 }
 
 // Append adds one sample to the corpus as a new segment and returns its

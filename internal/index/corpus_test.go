@@ -404,3 +404,22 @@ func TestCountersAndInfoAccessors(t *testing.T) {
 		t.Fatal("unbacked corpus has a path")
 	}
 }
+
+// TopPairs adapts a query result to the batch tile.Pair convention for a
+// query that is itself corpus sample q: each neighbor j becomes the
+// upper-triangle pair (min(q,j), max(q,j)). Self pairs are dropped. The
+// order is preserved, which matches tile.SortPairs for a fixed q.
+func TopPairs(q int, neighbors []Neighbor) []tile.Pair {
+	out := make([]tile.Pair, 0, len(neighbors))
+	for _, nb := range neighbors {
+		if nb.Sample == q {
+			continue
+		}
+		i, j := q, nb.Sample
+		if j < i {
+			i, j = j, i
+		}
+		out = append(out, tile.Pair{I: i, J: j, Similarity: nb.Similarity})
+	}
+	return out
+}

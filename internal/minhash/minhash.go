@@ -1,6 +1,6 @@
-// Package minhash implements a bottom-k MinHash sketch and the Mash
-// distance, the locality-sensitive-hashing baseline the paper positions
-// itself against (Section I: MinHash "often lead[s] to inaccurate
+// Package minhash implements a bottom-k MinHash sketch, the
+// locality-sensitive-hashing baseline the paper positions itself against
+// (Section I: MinHash "often lead[s] to inaccurate
 // approximations of d_J for highly similar pairs ... and tend[s] to be
 // ineffective for computation of a distance between highly dissimilar sets
 // unless very large sketch sizes are used"). The accuracy benchmarks use
@@ -151,31 +151,6 @@ func EstimateAtLeast(a, b Sketch, tau float64) (bool, error) {
 	return float64(shared)/float64(taken) >= tau, nil
 }
 
-// MashDistance converts a Jaccard estimate into the Mash distance for
-// k-mers of length k (Ondov et al. 2016, Eq. 4):
-// D = -(1/k) · ln(2j / (1 + j)), clamped to [0, 1]. A non-positive k is a
-// propagated error, not a panic, so corrupt parameters surface as run
-// errors on the engine path.
-func MashDistance(jaccard float64, k int) (float64, error) {
-	if k <= 0 {
-		return 0, fmt.Errorf("minhash: k-mer length must be positive, got %d", k)
-	}
-	if jaccard <= 0 {
-		return 1, nil
-	}
-	if jaccard >= 1 {
-		return 0, nil
-	}
-	d := -math.Log(2*jaccard/(1+jaccard)) / float64(k)
-	if d > 1 {
-		d = 1
-	}
-	if d < 0 {
-		d = 0
-	}
-	return d, nil
-}
-
 // Builder accumulates a bottom-k sketch incrementally. Because
 // bottom-k(A ∪ B) = bottom-k(bottom-k(A) ∪ bottom-k(B)), feeding a
 // sample's attribute values batch range by batch range yields exactly the
@@ -261,33 +236,4 @@ func (b *Builder) compact() {
 func (b *Builder) Sketch() Sketch {
 	b.compact()
 	return Sketch{Size: b.size, Hashes: slices.Clone(b.sorted)}
-}
-
-// EstimateMatrix estimates the full pairwise Jaccard similarity matrix from
-// per-sample sketches; it is the sketch-based counterpart of
-// core.ExactJaccard used by the accuracy benchmarks.
-func EstimateMatrix(sketches []Sketch) ([][]float64, error) {
-	n := len(sketches)
-	out := make([][]float64, n)
-	for i := range out {
-		out[i] = make([]float64, n)
-		// The diagonal goes through the estimator too, so an empty sample's
-		// self-similarity is 0, matching the exact kernel's convention.
-		est, err := EstimateJaccard(sketches[i], sketches[i])
-		if err != nil {
-			return nil, err
-		}
-		out[i][i] = est
-	}
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			est, err := EstimateJaccard(sketches[i], sketches[j])
-			if err != nil {
-				return nil, err
-			}
-			out[i][j] = est
-			out[j][i] = est
-		}
-	}
-	return out, nil
 }

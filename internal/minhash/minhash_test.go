@@ -239,79 +239,6 @@ func TestSmallSketchLosesAccuracy(t *testing.T) {
 	}
 }
 
-func TestMashDistance(t *testing.T) {
-	mash := func(j float64, k int) float64 {
-		d, err := minhash.MashDistance(j, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return d
-	}
-	if mash(1, 21) != 0 {
-		t.Error("J=1 → distance 0")
-	}
-	if mash(0, 21) != 1 {
-		t.Error("J=0 → distance 1")
-	}
-	d := mash(0.9, 21)
-	if d <= 0 || d >= 0.01 {
-		t.Errorf("minhash.MashDistance(0.9,21) = %v, expected small positive", d)
-	}
-	// Monotonicity: higher similarity → smaller distance.
-	prev := 1.0
-	for _, j := range []float64{0.1, 0.3, 0.5, 0.7, 0.9, 0.99} {
-		d := mash(j, 31)
-		if d >= prev {
-			t.Errorf("MashDistance not monotone at J=%v", j)
-		}
-		prev = d
-	}
-}
-
-// A non-positive k is a propagated error, not a panic (the PR 5 "corrupt
-// input is a run error" rule).
-func TestMashDistanceError(t *testing.T) {
-	for _, k := range []int{0, -3} {
-		if _, err := minhash.MashDistance(0.5, k); err == nil {
-			t.Errorf("k=%d should error", k)
-		}
-	}
-}
-
-func TestEstimateMatrix(t *testing.T) {
-	rng := synth.NewRNG(9)
-	x, y := synth.PairWithJaccard(rng, 1<<40, 2000, 0.5)
-	sketches := []minhash.Sketch{minhash.MustNew(x, 500), minhash.MustNew(y, 500), minhash.MustNew(nil, 500)}
-	m, err := minhash.EstimateMatrix(sketches)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(m) != 3 {
-		t.Fatal("wrong matrix size")
-	}
-	for i := range m {
-		want := 1.0
-		if len(sketches[i].Hashes) == 0 {
-			want = 0 // empty sample: J(∅, ∅) = 0, matching the exact kernel
-		}
-		if m[i][i] != want {
-			t.Errorf("diagonal[%d] = %v, want %v", i, m[i][i], want)
-		}
-		for j := range m {
-			if m[i][j] != m[j][i] {
-				t.Error("matrix must be symmetric")
-			}
-		}
-	}
-	if math.Abs(m[0][1]-0.5) > 0.1 {
-		t.Errorf("m[0][1] = %v, want ≈0.5", m[0][1])
-	}
-	bad := []minhash.Sketch{minhash.MustNew(x, 10), minhash.MustNew(y, 20)}
-	if _, err := minhash.EstimateMatrix(bad); err == nil {
-		t.Error("mismatched sketches should error")
-	}
-}
-
 // TestBuilderMatchesNew pins the property the engine's batch-wise sketch
 // pass relies on: feeding a sample's values to a Builder in arbitrary
 // chunks yields exactly the sketch New builds from the full value list.

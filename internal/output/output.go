@@ -89,55 +89,6 @@ func WriteTSV(w io.Writer, names []string, m *sparse.Dense[float64]) error {
 	return bw.Flush()
 }
 
-// ReadTSV reads a matrix written by WriteTSV, returning the names and the
-// dense matrix.
-func ReadTSV(r io.Reader) ([]string, *sparse.Dense[float64], error) {
-	scanner := bufio.NewScanner(r)
-	scanner.Buffer(make([]byte, 1024*1024), 256*1024*1024)
-	if !scanner.Scan() {
-		return nil, nil, fmt.Errorf("output: empty TSV input")
-	}
-	header := strings.Split(scanner.Text(), "\t")
-	if len(header) < 2 || header[0] != "sample" {
-		return nil, nil, fmt.Errorf("output: malformed TSV header")
-	}
-	names := header[1:]
-	n := len(names)
-	m := sparse.MustDense[float64](n, n)
-	row := 0
-	for scanner.Scan() {
-		line := strings.TrimRight(scanner.Text(), "\r\n")
-		if line == "" {
-			continue
-		}
-		cells := strings.Split(line, "\t")
-		if len(cells) != n+1 {
-			return nil, nil, fmt.Errorf("output: row %d has %d cells, want %d", row+1, len(cells), n+1)
-		}
-		if row >= n {
-			return nil, nil, fmt.Errorf("output: more rows than header columns")
-		}
-		if cells[0] != names[row] {
-			return nil, nil, fmt.Errorf("output: row %d labelled %q, want %q", row+1, cells[0], names[row])
-		}
-		for j := 0; j < n; j++ {
-			v, err := strconv.ParseFloat(cells[j+1], 64)
-			if err != nil {
-				return nil, nil, fmt.Errorf("output: row %d col %d: %w", row+1, j+1, err)
-			}
-			m.Set(row, j, v)
-		}
-		row++
-	}
-	if err := scanner.Err(); err != nil {
-		return nil, nil, fmt.Errorf("output: %w", err)
-	}
-	if row != n {
-		return nil, nil, fmt.Errorf("output: got %d data rows, want %d", row, n)
-	}
-	return names, m, nil
-}
-
 // Pair is one above-threshold sample pair.
 type Pair struct {
 	I, J       int

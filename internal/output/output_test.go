@@ -76,46 +76,20 @@ func TestWritePHYLIPErrors(t *testing.T) {
 	}
 }
 
+// TestTSVRoundTrip pins WriteTSV's bytes: a header row of names, then one
+// labelled row per sample with six-decimal cells.
 func TestTSVRoundTrip(t *testing.T) {
 	names, s, _ := sampleResult(t)
 	var buf bytes.Buffer
 	if err := WriteTSV(&buf, names, s); err != nil {
 		t.Fatal(err)
 	}
-	gotNames, m, err := ReadTSV(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(gotNames) != len(names) {
-		t.Fatalf("names = %v", gotNames)
-	}
-	for i := range names {
-		if gotNames[i] != names[i] {
-			t.Errorf("name %d = %q", i, gotNames[i])
-		}
-		for j := range names {
-			if math.Abs(m.At(i, j)-s.At(i, j)) > 1e-6 {
-				t.Errorf("(%d,%d) = %v, want %v", i, j, m.At(i, j), s.At(i, j))
-			}
-		}
-	}
-}
-
-func TestReadTSVErrors(t *testing.T) {
-	cases := []string{
-		"",
-		"wrong\theader\n",
-		"sample\ta\tb\na\t0.5\n", // short row
-		"sample\ta\tb\nwrong\t1.0\t0.5\nb\t0.5\t1.0\n", // bad row label
-		"sample\ta\tb\na\t1.0\tx\nb\t0.5\t1.0\n",       // bad number
-		"sample\ta\nb\t1.0\n",                          // label mismatch
-		"sample\ta\na\t1.0\nextra\t0.5\n",              // too many rows
-		"sample\ta\tb\na\t1.0\t0.5\n",                  // too few rows
-	}
-	for i, in := range cases {
-		if _, _, err := ReadTSV(strings.NewReader(in)); err == nil {
-			t.Errorf("case %d should error", i)
-		}
+	const want = "sample\talpha\tbeta with space\ta-very-long-sample-name\n" +
+		"alpha\t1.000000\t0.500000\t0.000000\n" +
+		"beta with space\t0.500000\t1.000000\t0.000000\n" +
+		"a-very-long-sample-name\t0.000000\t0.000000\t1.000000\n"
+	if got := buf.String(); got != want {
+		t.Errorf("WriteTSV wrote\n%q\nwant\n%q", got, want)
 	}
 }
 

@@ -165,51 +165,3 @@ func (tw *TileWriter) Flush() error {
 	}
 	return tw.bw.Flush()
 }
-
-// PairWriter is a tile sink that streams the upper-triangle sample pairs
-// (i < j) with similarity at or above a threshold as a three-column TSV —
-// the fully incremental near-duplicate output: nothing is buffered beyond
-// the io buffer, regardless of n.
-type PairWriter struct {
-	w     io.Writer
-	tau   float64
-	bw    *bufio.Writer
-	names []string
-}
-
-// NewPairWriter returns a pair-streaming sink; tau filters pairs the same
-// way TopPairs does (similarity ≥ tau; use 0 to keep every pair).
-func NewPairWriter(w io.Writer, tau float64) *PairWriter {
-	return &PairWriter{w: w, tau: tau}
-}
-
-// Start writes the header.
-func (pw *PairWriter) Start(n int, names []string) error {
-	pw.bw = bufio.NewWriter(pw.w)
-	pw.names = append([]string(nil), names...)
-	_, err := fmt.Fprintln(pw.bw, "sample_a\tsample_b\tjaccard")
-	return err
-}
-
-// Emit writes the tile's qualifying pairs in row-major order.
-func (pw *PairWriter) Emit(t *tile.Tile) error {
-	if pw.bw == nil {
-		return fmt.Errorf("output: PairWriter.Emit before Start")
-	}
-	var err error
-	tile.ForEachUpperPair(t, func(i, j int, sim float64) {
-		if err != nil || sim < pw.tau {
-			return
-		}
-		_, err = fmt.Fprintf(pw.bw, "%s\t%s\t%.6f\n", pw.names[i], pw.names[j], sim)
-	})
-	return err
-}
-
-// Flush flushes the buffer.
-func (pw *PairWriter) Flush() error {
-	if pw.bw == nil {
-		return fmt.Errorf("output: PairWriter.Flush before Start")
-	}
-	return pw.bw.Flush()
-}

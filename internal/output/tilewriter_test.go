@@ -140,39 +140,3 @@ func TestTileWriterIncompleteRunErrors(t *testing.T) {
 		t.Error("Flush with missing rows must error")
 	}
 }
-
-func TestPairWriterMatchesTopPairs(t *testing.T) {
-	rng := rand.New(rand.NewSource(34))
-	n := 9
-	names, s, d := randomMatrices(rng, n)
-	tau := 0.4
-
-	var streamed bytes.Buffer
-	runSink(t, NewPairWriter(&streamed, tau), n, names, blockTiles(s, d, 3, 4))
-
-	pairs, err := TopPairs(names, s, tau)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// PairWriter emits in (i, j) order; TopPairs sorts by similarity. The
-	// line sets must match.
-	gotLines := strings.Split(strings.TrimRight(streamed.String(), "\n"), "\n")
-	var batch bytes.Buffer
-	if err := WritePairs(&batch, pairs); err != nil {
-		t.Fatal(err)
-	}
-	wantLines := strings.Split(strings.TrimRight(batch.String(), "\n"), "\n")
-	if gotLines[0] != wantLines[0] {
-		t.Fatalf("header mismatch: %q vs %q", gotLines[0], wantLines[0])
-	}
-	sort.Strings(gotLines)
-	sort.Strings(wantLines)
-	if len(gotLines) != len(wantLines) {
-		t.Fatalf("got %d lines, want %d", len(gotLines), len(wantLines))
-	}
-	for i := range gotLines {
-		if gotLines[i] != wantLines[i] {
-			t.Fatalf("line %d: %q vs %q", i, gotLines[i], wantLines[i])
-		}
-	}
-}

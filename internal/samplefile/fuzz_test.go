@@ -42,11 +42,7 @@ func FuzzReadBinary(f *testing.F) {
 	f.Add([]byte("12\n34\n"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		path := filepath.Join(t.TempDir(), "fuzz.smp")
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Skip()
-		}
-		vals, err := ReadBinary(path)
+		vals, err := decodeBinary("fuzz.smp", data)
 		if err != nil {
 			return // rejected input: fine, as long as it did not panic
 		}
@@ -62,7 +58,7 @@ func FuzzReadBinary(f *testing.F) {
 		if err := WriteBinary(again, vals); err != nil {
 			t.Fatalf("re-encoding accepted values failed: %v", err)
 		}
-		got, err := ReadBinary(again)
+		got, err := Read(again)
 		if err != nil {
 			t.Fatalf("re-reading round-tripped file failed: %v", err)
 		}
@@ -109,7 +105,7 @@ func TestReadBinaryHeaderBombRejected(t *testing.T) {
 	data := append(append([]byte{}, binaryMagic[:]...), buf[:n]...)
 	path := filepath.Join(t.TempDir(), "bomb.smp")
 	os.WriteFile(path, data, 0o644)
-	_, err := ReadBinary(path)
+	_, err := Read(path)
 	if err == nil || !bytes.Contains([]byte(err.Error()), []byte("corrupt")) {
 		t.Errorf("header bomb: err = %v, want corrupt-file rejection", err)
 	}

@@ -73,7 +73,7 @@ func rangeSamples(rng *rand.Rand, m uint64) [][]uint64 {
 
 // TestSampleRangeMatchesSlice is the differential check of the resuming
 // range decoder: every SampleRange must equal the oracle's filter of the
-// whole file (ReadBinary), over random partitions of the universe, with
+// whole file (Read), over random partitions of the universe, with
 // evictions between batches, repeated scans, reads below the cursor,
 // whole-sample reads mixed in, and concurrent readers (run with -race). A
 // failure names its seed; re-run it alone with -samplerange.seed.
@@ -106,7 +106,7 @@ func sampleRangeCase(t *testing.T, seed int64) error {
 		if err := WriteBinary(path, s); err != nil {
 			return err
 		}
-		vals, err := ReadBinary(path)
+		vals, err := Read(path)
 		if err != nil {
 			return err
 		}

@@ -79,16 +79,6 @@ func WriteText(path string, values []uint64) (err error) {
 	return nil
 }
 
-// ReadText reads a text sample file. Blank lines and '#' comments are
-// ignored; values are sorted and de-duplicated on return.
-func ReadText(path string) ([]uint64, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("samplefile: %w", err)
-	}
-	return parseText(path, data)
-}
-
 // parseText parses the text encoding held in data.
 func parseText(path string, data []byte) ([]uint64, error) {
 	var out []uint64
@@ -143,15 +133,6 @@ func appendBinary(dst []byte, sorted []uint64) []byte {
 		prev = v
 	}
 	return dst
-}
-
-// ReadBinary reads a binary sample file written by WriteBinary.
-func ReadBinary(path string) ([]uint64, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("samplefile: %w", err)
-	}
-	return decodeBinary(path, data)
 }
 
 // Read loads a sample file, auto-detecting the encoding from the magic. A
@@ -497,9 +478,6 @@ func (d *DirDataset) NumAttributes() uint64 { return d.attributes }
 
 // SampleName implements core.Dataset.
 func (d *DirDataset) SampleName(i int) string { return d.names[i] }
-
-// Path returns the backing file of sample i.
-func (d *DirDataset) Path(i int) string { return d.paths[i] }
 
 // SampleErr implements core.Dataset: it returns sample i, loading (or
 // reloading, after an eviction) the backing file if needed and decoding

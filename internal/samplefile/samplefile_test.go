@@ -18,7 +18,7 @@ func TestTextRoundTrip(t *testing.T) {
 	if err := WriteText(path, values); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadText(path)
+	got, err := Read(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestReadTextSkipsCommentsAndRejectsGarbage(t *testing.T) {
 	dir := t.TempDir()
 	good := filepath.Join(dir, "good.txt")
 	os.WriteFile(good, []byte("# header\n3\n\n1\n"), 0o644)
-	got, err := ReadText(good)
+	got, err := Read(good)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,10 +46,10 @@ func TestReadTextSkipsCommentsAndRejectsGarbage(t *testing.T) {
 	}
 	bad := filepath.Join(dir, "bad.txt")
 	os.WriteFile(bad, []byte("12\nnot-a-number\n"), 0o644)
-	if _, err := ReadText(bad); err == nil {
+	if _, err := Read(bad); err == nil {
 		t.Error("garbage line should error")
 	}
-	if _, err := ReadText(filepath.Join(dir, "missing.txt")); err == nil {
+	if _, err := Read(filepath.Join(dir, "missing.txt")); err == nil {
 		t.Error("missing file should error")
 	}
 }
@@ -60,7 +60,7 @@ func TestBinaryRoundTrip(t *testing.T) {
 	if err := WriteBinary(path, values); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadBinary(path)
+	got, err := Read(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestBinaryRoundTripProperty(t *testing.T) {
 		if err := WriteBinary(path, raw); err != nil {
 			return false
 		}
-		got, err := ReadBinary(path)
+		got, err := Read(path)
 		if err != nil {
 			return false
 		}
@@ -107,17 +107,15 @@ func TestBinaryRoundTripProperty(t *testing.T) {
 
 func TestBinaryRejectsCorruptFiles(t *testing.T) {
 	dir := t.TempDir()
-	notBinary := filepath.Join(dir, "text.bin")
-	os.WriteFile(notBinary, []byte("12\n34\n"), 0o644)
-	if _, err := ReadBinary(notBinary); err == nil {
+	if _, err := decodeBinary("text.bin", []byte("12\n34\n")); err == nil {
 		t.Error("text file should not parse as binary")
 	}
 	truncated := filepath.Join(dir, "trunc.bin")
 	os.WriteFile(truncated, append(append([]byte{}, binaryMagic[:]...), 0x05), 0o644)
-	if _, err := ReadBinary(truncated); err == nil {
+	if _, err := Read(truncated); err == nil {
 		t.Error("truncated file should error")
 	}
-	if _, err := ReadBinary(filepath.Join(dir, "missing.bin")); err == nil {
+	if _, err := Read(filepath.Join(dir, "missing.bin")); err == nil {
 		t.Error("missing file should error")
 	}
 	// A count byte shrunk from 3 to 2 leaves the third value's bytes after
@@ -132,7 +130,7 @@ func TestBinaryRejectsCorruptFiles(t *testing.T) {
 	}
 	data[len(binaryMagic)] = 2
 	os.WriteFile(shrunk, data, 0o644)
-	if vals, err := ReadBinary(shrunk); err == nil {
+	if vals, err := Read(shrunk); err == nil {
 		t.Errorf("shrunken count header: read %v without error", vals)
 	}
 }

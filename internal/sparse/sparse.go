@@ -47,22 +47,6 @@ func (d *Dense[T]) Set(i, j int, v T) { d.Data[i*d.Cols+j] = v }
 // Row returns a view of row i.
 func (d *Dense[T]) Row(i int) []T { return d.Data[i*d.Cols : (i+1)*d.Cols] }
 
-// Clone returns a deep copy.
-func (d *Dense[T]) Clone() *Dense[T] {
-	out := MustDense[T](d.Rows, d.Cols)
-	copy(out.Data, d.Data)
-	return out
-}
-
-// Map returns a new dense matrix with f applied elementwise.
-func Map[T, U any](d *Dense[T], f func(T) U) *Dense[U] {
-	out := MustDense[U](d.Rows, d.Cols)
-	for i, v := range d.Data {
-		out.Data[i] = f(v)
-	}
-	return out
-}
-
 // Equal reports whether two dense matrices are elementwise equal under eq.
 func Equal[T any](a, b *Dense[T], eq func(T, T) bool) bool {
 	if a.Rows != b.Rows || a.Cols != b.Cols {

@@ -65,9 +65,6 @@ func (s Summary) String() string {
 	return fmt.Sprintf("%.4g ± %.2g (n=%d)", s.Mean, s.CI95, s.Count)
 }
 
-// Mean returns the arithmetic mean of xs (0 for empty input).
-func Mean(xs []float64) float64 { return Summarize(xs).Mean }
-
 // DiscardWarmup returns xs without its first `warmup` elements; if fewer
 // elements exist, an empty slice is returned. The paper discards the first
 // three batches of each run to exclude start-up costs.
@@ -86,60 +83,4 @@ func DiscardWarmup(xs []float64, warmup int) []float64 {
 // considering the first three batches").
 func BatchSummary(batchSeconds []float64, warmup int) Summary {
 	return Summarize(DiscardWarmup(batchSeconds, warmup))
-}
-
-// ProjectTotal extrapolates the total runtime of a full dataset from the
-// mean per-batch time and the total number of batches needed, the way the
-// paper reports "projected total time" for the Kingsford and BIGSI runs.
-func ProjectTotal(meanBatchSeconds float64, totalBatches int) float64 {
-	if totalBatches < 0 {
-		return 0
-	}
-	return meanBatchSeconds * float64(totalBatches)
-}
-
-// Speedup returns base/current; it is the strong-scaling speed-up used in
-// the Fig. 2a discussion (e.g. "42.2× relative to single node").
-func Speedup(baseSeconds, currentSeconds float64) float64 {
-	if currentSeconds == 0 {
-		return math.Inf(1)
-	}
-	return baseSeconds / currentSeconds
-}
-
-// ParallelEfficiency returns Speedup / (p/p0), the strong-scaling
-// efficiency relative to a baseline processor count p0.
-func ParallelEfficiency(baseSeconds, currentSeconds float64, p0, p int) float64 {
-	if p <= 0 || p0 <= 0 {
-		return 0
-	}
-	return Speedup(baseSeconds, currentSeconds) / (float64(p) / float64(p0))
-}
-
-// WeakScalingEfficiency returns (workRatio / timeRatio): with work per
-// processor held constant an ideal system yields 1. The paper reports a
-// 64× work increase with a 35.3× time increase as a 1.81× "efficiency
-// improvement" (Fig. 2f); this helper reproduces that arithmetic.
-func WeakScalingEfficiency(workRatio, timeRatio float64) float64 {
-	if timeRatio == 0 {
-		return math.Inf(1)
-	}
-	return workRatio / timeRatio
-}
-
-// GeometricMean returns the geometric mean of positive observations; zero
-// or negative entries are skipped.
-func GeometricMean(xs []float64) float64 {
-	var logSum float64
-	count := 0
-	for _, x := range xs {
-		if x > 0 {
-			logSum += math.Log(x)
-			count++
-		}
-	}
-	if count == 0 {
-		return 0
-	}
-	return math.Exp(logSum / float64(count))
 }

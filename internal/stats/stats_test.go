@@ -43,15 +43,6 @@ func TestSummarizeKnown(t *testing.T) {
 	}
 }
 
-func TestMean(t *testing.T) {
-	if Mean([]float64{1, 2, 3}) != 2 {
-		t.Error("Mean wrong")
-	}
-	if Mean(nil) != 0 {
-		t.Error("Mean of empty should be 0")
-	}
-}
-
 func TestDiscardWarmup(t *testing.T) {
 	xs := []float64{10, 20, 30, 40}
 	if got := DiscardWarmup(xs, 2); len(got) != 2 || got[0] != 30 {
@@ -74,56 +65,6 @@ func TestBatchSummaryMatchesPaperMethodology(t *testing.T) {
 	}
 	if s.Mean != 10 {
 		t.Errorf("Mean = %v, want 10", s.Mean)
-	}
-}
-
-func TestProjectTotal(t *testing.T) {
-	if ProjectTotal(2.5, 100) != 250 {
-		t.Error("ProjectTotal wrong")
-	}
-	if ProjectTotal(2.5, -1) != 0 {
-		t.Error("negative batches should be 0")
-	}
-}
-
-func TestSpeedupAndEfficiency(t *testing.T) {
-	if Speedup(100, 25) != 4 {
-		t.Error("Speedup wrong")
-	}
-	if !math.IsInf(Speedup(1, 0), 1) {
-		t.Error("Speedup by zero should be +Inf")
-	}
-	if ParallelEfficiency(100, 25, 1, 4) != 1 {
-		t.Error("perfect efficiency should be 1")
-	}
-	if ParallelEfficiency(100, 50, 1, 4) != 0.5 {
-		t.Error("half efficiency should be 0.5")
-	}
-	if ParallelEfficiency(1, 1, 0, 4) != 0 {
-		t.Error("invalid p0 should be 0")
-	}
-}
-
-func TestWeakScalingEfficiency(t *testing.T) {
-	// The paper's Fig. 2f arithmetic: 64× more work, 35.3× more time → 1.81×.
-	got := WeakScalingEfficiency(64, 35.3)
-	if math.Abs(got-1.813) > 0.01 {
-		t.Errorf("WeakScalingEfficiency = %v, want ≈1.81", got)
-	}
-	if !math.IsInf(WeakScalingEfficiency(1, 0), 1) {
-		t.Error("zero time ratio should be +Inf")
-	}
-}
-
-func TestGeometricMean(t *testing.T) {
-	if math.Abs(GeometricMean([]float64{1, 4, 16})-4) > 1e-12 {
-		t.Error("GeometricMean wrong")
-	}
-	if GeometricMean([]float64{0, -1}) != 0 {
-		t.Error("non-positive only should be 0")
-	}
-	if math.Abs(GeometricMean([]float64{0, 4, 4})-4) > 1e-12 {
-		t.Error("zeros must be skipped")
 	}
 }
 

@@ -163,17 +163,6 @@ func Generate(cfg Config) (*core.InMemoryDataset, error) {
 	return core.NewInMemoryDataset(names, samples, cfg.Attributes)
 }
 
-// MustGenerate is Generate that panics on error, for benchmarks and
-// examples with static configurations.
-func MustGenerate(cfg Config) *core.InMemoryDataset {
-	ds, err := Generate(cfg)
-	if err != nil {
-		//gas:invariant documented Must helper for benchmarks and examples; Generate is the checked path
-		panic(err)
-	}
-	return ds
-}
-
 // PairWithJaccard builds two samples over [0, attributes) whose exact
 // Jaccard similarity is close to the requested target, by sharing a
 // fraction of a common pool. It is used by the accuracy experiments that

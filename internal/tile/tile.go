@@ -125,9 +125,6 @@ func (c *Collect) Emit(t *Tile) error {
 	return nil
 }
 
-// N returns the sample count announced by Start.
-func (c *Collect) N() int { return c.n }
-
 // Names returns the sample names announced by Start.
 func (c *Collect) Names() []string { return c.names }
 
