@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"genomeatscale/internal/bitmat"
@@ -16,10 +17,12 @@ import (
 //
 //	sliceBatch    — range-slice each of its samples' attributes (Eq. 3)
 //	              — accumulate the per-sample cardinalities â (Eq. 4)
-//	target.filter — mark the batch's nonzero rows into f(l) (Eq. 5), a
-//	                bitset with a per-word prefix popcount or, for a
-//	                hypersparse batch, a sorted row list (dist.RowRank),
-//	                and complete it across processes
+//	target.filter — mark the batch's rows into f(l) (Eq. 5), a bitset
+//	                with a per-word prefix popcount or, for a hypersparse
+//	                batch, a sorted row list (dist.RowRank). The local
+//	                target keeps only the rows two of its columns share
+//	                and takes every B_jj from â; the grid keeps every
+//	                nonzero row and completes f(l) across processes
 //	packBatch     — compact each value to its row's rank in f(l) (Eq. 6)
 //	                and pack the ranks into MaskBits-wide words (Â(l),
 //	                Section III-B)
@@ -68,9 +71,9 @@ func (r *batchRun) loop(cols []int, lead bool, tg target) error {
 	ctx, opts, res := r.ctx, r.cfg.opts, r.res
 	n, m := res.N, r.ds.NumAttributes()
 	counts := make([]int64, n)
-	// The coordinate-entry scratch is reused across batches: both targets
-	// consume a batch's entries before the next batch packs.
-	var entries []bitmat.PackedEntry
+	// The pack buffers are reused across batches: both targets consume a
+	// batch's entries before the next batch packs.
+	var pack packBuffers
 
 	for l := 0; l < opts.BatchCount; l++ {
 		if err := ctx.Err(); err != nil {
@@ -98,7 +101,8 @@ func (r *batchRun) loop(cols []int, lead bool, tg target) error {
 			return fmt.Errorf("batch %d: %w", l, err)
 		}
 		active := f.Count()
-		if entries, err = packBatch(ctx, columns, f, lo, opts.MaskBits, r.cfg.workers, entries); err != nil {
+		entries, err := packBatch(ctx, columns, f, lo, opts.MaskBits, r.cfg.workers, &pack)
+		if err != nil {
 			return err
 		}
 		if lead && l+1 < opts.BatchCount {
@@ -180,36 +184,45 @@ func sliceBatch(ds Dataset, cols []int, lo, hi uint64) ([]batchColumn, error) {
 
 // markColumns resets f for the batch [lo, hi) and marks every value of
 // columns into it (Eq. 5): no row list, no sort, no copy. The value count
-// picks f's form (see dist.RowRank).
-func markColumns(f *dist.RowRank, columns []batchColumn, lo, hi uint64) {
+// picks f's form (see dist.RowRank); shared makes f keep only the rows that
+// two of the columns share.
+func markColumns(f *dist.RowRank, columns []batchColumn, lo, hi uint64, shared bool) {
 	values := 0
 	for _, c := range columns {
 		values += len(c.vals)
 	}
-	f.Reset(hi-lo, values)
+	f.Reset(hi-lo, values, shared)
 	for _, c := range columns {
 		f.Mark(c.vals, lo)
 	}
 	f.Seal()
 }
 
+// packBuffers are packBatch's buffers, reused batch to batch.
+type packBuffers struct {
+	entries []bitmat.PackedEntry   // the batch's entries, in column order
+	perCol  [][]bitmat.PackedEntry // parallel pack: each column's entries
+	errs    []error                // parallel pack: each column's error
+}
+
 // packBatch compacts each column's values to their ranks in the batch's
 // filter (Eq. 6) and packs them into MaskBits-wide words, emitting the
-// packed matrix Â(l) in coordinate form, sorted by (col, wordRow). f must
-// contain every row present in columns (guaranteed when it was marked from
-// them). Columns are independent, so with workers > 1 they are packed on
-// the shared worker pool and the per-column slices concatenated in column
-// order — the emitted coordinate sequence is identical for every workers
-// value; with one worker the columns append into a single slice with no
-// intermediate allocation. Both paths poll ctx between columns, so a
-// cancelled run abandons the pack mid-batch and returns ctx.Err().
+// packed matrix Â(l) in coordinate form, sorted by (col, wordRow). A
+// filter that is not shared must contain every row present in columns
+// (guaranteed when it was marked from them); a shared one drops the rows it
+// lacks, and a column with no shared row emits no entries. Columns are
+// independent, so with workers > 1 they are packed on the shared worker
+// pool into per-column slices, concatenated in column order — the emitted
+// coordinate sequence is identical for every workers value; with one worker
+// the columns append into a single slice. Both paths poll ctx between
+// columns, so a cancelled run abandons the pack mid-batch and returns
+// ctx.Err().
 //
-// reuse, when non-nil, is a slice whose backing array the emitted entries
-// overwrite and may grow — the batch loop passes the previous batch's
-// (consumed) entries so steady state re-packs in place.
-func packBatch(ctx context.Context, columns []batchColumn, f *dist.RowRank, lo uint64, maskBits, workers int, reuse []bitmat.PackedEntry) ([]bitmat.PackedEntry, error) {
+// The returned entries alias buf, whose slices the next call overwrites and
+// may grow, so steady state re-packs in place.
+func packBatch(ctx context.Context, columns []batchColumn, f *dist.RowRank, lo uint64, maskBits, workers int, buf *packBuffers) ([]bitmat.PackedEntry, error) {
+	entries := buf.entries[:0]
 	if par.Resolve(workers) <= 1 || len(columns) <= 1 {
-		entries := reuse[:0]
 		var err error
 		for _, cr := range columns {
 			if ctx != nil {
@@ -221,12 +234,16 @@ func packBatch(ctx context.Context, columns []batchColumn, f *dist.RowRank, lo u
 				return nil, err
 			}
 		}
+		buf.entries = entries
 		return entries, nil
 	}
-	perCol := make([][]bitmat.PackedEntry, len(columns))
-	errs := make([]error, len(columns))
+	if len(buf.perCol) < len(columns) {
+		buf.perCol = append(buf.perCol, make([][]bitmat.PackedEntry, len(columns)-len(buf.perCol))...)
+		buf.errs = make([]error, len(columns))
+	}
+	perCol, errs := buf.perCol[:len(columns)], buf.errs[:len(columns)]
 	if err := par.ForEachCtx(ctx, workers, len(columns), func(k int) {
-		perCol[k], errs[k] = packColumnInto(nil, columns[k], f, lo, maskBits)
+		perCol[k], errs[k] = packColumnInto(perCol[k][:0], columns[k], f, lo, maskBits)
 	}); err != nil {
 		return nil, err
 	}
@@ -237,13 +254,11 @@ func packBatch(ctx context.Context, columns []batchColumn, f *dist.RowRank, lo u
 		}
 		total += len(perCol[k])
 	}
-	entries := reuse[:0]
-	if cap(entries) < total {
-		entries = make([]bitmat.PackedEntry, 0, total)
-	}
+	entries = slices.Grow(entries, total)
 	for _, part := range perCol {
 		entries = append(entries, part...)
 	}
+	buf.entries = entries
 	return entries, nil
 }
 
@@ -251,14 +266,20 @@ func packBatch(ctx context.Context, columns []batchColumn, f *dist.RowRank, lo u
 // coordinate words appended to entries (the per-column unit of work of
 // packBatch). Each value's compacted row is its rank in f — a popcount in
 // the bitset form, a gallop from the previous rank in the list form — so a
-// column costs O(values in the column), whatever the batch's size.
+// column costs O(values in the column), whatever the batch's size. A value
+// whose row a shared f lacks is skipped; its rank is still a lower bound
+// for the next value's. Any other missing row is an error.
 func packColumnInto(entries []bitmat.PackedEntry, cr batchColumn, f *dist.RowRank, lo uint64, maskBits int) ([]bitmat.PackedEntry, error) {
+	shared := f.Shared()
 	prevWord, wordEnd := -1, 0 // current word and its first rank past the end
 	var cur uint64
 	rank := 0
 	for _, v := range cr.vals {
 		var ok bool
 		if rank, ok = f.Rank(v-lo, rank); !ok {
+			if shared {
+				continue
+			}
 			return nil, fmt.Errorf("core: row %d missing from filter", v-lo)
 		}
 		if rank >= wordEnd {

@@ -48,9 +48,9 @@ type Dataset interface {
 	// SampleErr returns the sorted, duplicate-free attribute indices of
 	// sample i. The returned slice must not be modified.
 	SampleErr(i int) ([]uint64, error)
-	// SampleRange returns the values of sample i in [lo, hi), sorted; it
-	// returns no values when lo ≥ hi. The returned slice must not be
-	// modified.
+	// SampleRange returns the values of sample i in [lo, hi), sorted and
+	// duplicate-free; it returns no values when lo ≥ hi. The returned
+	// slice must not be modified.
 	SampleRange(i int, lo, hi uint64) ([]uint64, error)
 }
 

@@ -10,7 +10,6 @@ import (
 	"genomeatscale/internal/costmodel"
 	"genomeatscale/internal/minhash"
 	"genomeatscale/internal/par"
-	"genomeatscale/internal/sparse"
 )
 
 // This file is the MinHash prescreening tier (Options.Sketch): before the
@@ -180,17 +179,15 @@ func prescreen(ctx context.Context, ds Dataset, n int, m uint64, cfg runConfig) 
 
 // maskBatchColumns restricts one batch's columns to the prescreen
 // candidates — samples with at least one surviving partner besides
-// themselves — so the packed batch and its empty-row filter (Eq. 5), which
-// is marked from the kept columns, only carry rows the exact tier can
-// still use. It runs after the cardinality accumulation,
-// which always sees every column: â stays exact for pruned samples too.
+// themselves — so the packed batch and its shared-row filter (Eq. 5), which
+// is marked from the kept columns, only carry rows two candidates share.
+// It runs after the cardinality accumulation, which always sees every
+// column: â stays exact for pruned samples too.
 //
-// The diagonal does not keep a column alive: a sample whose only
-// surviving pair is itself is dropped here and its B_jj restored from the
-// exact cardinality afterwards (restoreIsolatedDiagonals), because the
-// Gram kernel would compute exactly that value at much greater cost. On
-// thresholded corpora where most samples have no near-duplicate this is
-// where the prescreening tier's packing/compaction savings come from.
+// The diagonal does not keep a column alive: the local target sets every
+// surviving B_jj from â (localTarget.finish), not from the Gram kernel. On thresholded corpora where most samples have no
+// near-duplicate this is where the prescreening tier's packing/compaction
+// savings come from.
 func maskBatchColumns(columns []batchColumn, mask *bitmat.PairMask) []batchColumn {
 	kept := columns[:0]
 	for _, c := range columns {
@@ -199,20 +196,4 @@ func maskBatchColumns(columns []batchColumn, mask *bitmat.PairMask) []batchColum
 		}
 	}
 	return kept
-}
-
-// restoreIsolatedDiagonals fills in B_jj for the samples maskBatchColumns
-// dropped: their only surviving pair is their own diagonal, their columns
-// were never packed, so the Gram accumulator holds 0 there. The true
-// value is the sample's exact cardinality — a column's intersection with
-// itself — which is byte-identical (the same int64) to what the kernel
-// computes for packed columns, so downstream finalization (S_jj = 1 for
-// non-empty samples) cannot tell the difference. Pruned empty samples
-// keep B_jj = 0: their diagonal is not in the mask.
-func restoreIsolatedDiagonals(b *sparse.Dense[int64], mask *bitmat.PairMask, cards []int64) {
-	for j, c := range cards {
-		if mask.Pair(j, j) && !mask.AnyPartnerOffDiag(j) {
-			b.Set(j, j, c)
-		}
-	}
 }

@@ -18,7 +18,9 @@ import (
 // localTarget is the single-process target. Every sample is visible, so
 // the filter vector needs no exchange (marking every column's values is the
 // whole of it) and the Gram accumulates into one dense n×n matrix with the
-// popcount kernel. No BSP runtime is started.
+// popcount kernel. No BSP runtime is started. The filter keeps only the
+// rows two columns share — the only rows an off-diagonal B_ij sums — and
+// finish sets each diagonal B_jj to the exact cardinality â_j.
 type localTarget struct {
 	*batchRun
 	b    *sparse.Dense[int64] // the accumulated Gram; becomes the tiles' B
@@ -70,7 +72,7 @@ func (t *localTarget) filter(columns []batchColumn, lo, hi uint64) ([]batchColum
 		// pairs.
 		columns = maskBatchColumns(columns, t.mask)
 	}
-	markColumns(&t.rows, columns, lo, hi)
+	markColumns(&t.rows, columns, lo, hi, true)
 	return columns, &t.rows, nil
 }
 
@@ -85,14 +87,19 @@ func (t *localTarget) gram(ctx context.Context, entries []bitmat.PackedEntry, ac
 	return err
 }
 
-// finish derives S and D band by band (Eq. 2) and emits each band as one
-// full-width tile whose B aliases the accumulator. The band buffers are
-// reused across bands, so the resident derived output never exceeds one
-// tile. B is exactly symmetric and the Eq. 2 scalar is symmetric in
-// (i, j), so deriving every (i, j) directly needs no mirroring pass.
+// finish sets every B_jj = â_j: a column's intersection with itself, the
+// int64 the kernel would give over every row, where the shared-row pack
+// gives it only the shared ones. The prescreen mask keeps every non-empty
+// sample's diagonal (a sketch estimates 1 against itself, at or above any
+// gate), and an empty sample's B_jj is 0 either way. It then derives S and
+// D band by band (Eq. 2) and emits each band as one full-width tile whose B
+// aliases the accumulator. The band buffers are reused across bands, so
+// the resident derived output never exceeds one tile. B is exactly
+// symmetric and the Eq. 2 scalar is symmetric in (i, j), so deriving every
+// (i, j) directly needs no mirroring pass.
 func (t *localTarget) finish(ctx context.Context, counts []int64, emit func(*Tile) error) ([]int64, error) {
-	if t.mask != nil {
-		restoreIsolatedDiagonals(t.b, t.mask, counts)
+	for j, c := range counts {
+		t.b.Set(j, j, c)
 	}
 	n, band := t.b.Rows, t.bandRows
 	sbuf := make([]float64, band*n)
@@ -157,7 +164,7 @@ func runGrid(r *batchRun) error {
 }
 
 func (t *gridTarget) filter(columns []batchColumn, lo, hi uint64) ([]batchColumn, *dist.RowRank, error) {
-	markColumns(&t.part, columns, lo, hi)
+	markColumns(&t.part, columns, lo, hi, false)
 	f, err := t.fv.Replicate(&t.part)
 	return columns, f, err
 }

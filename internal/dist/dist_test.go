@@ -101,14 +101,22 @@ func TestFilterVectorReplicate(t *testing.T) {
 }
 
 func TestFilterVectorWriteOutOfRange(t *testing.T) {
-	var f RowRank
-	f.Reset(10, 1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("out-of-range mark must panic")
-		}
-	}()
-	f.Mark([]uint64{15}, 5)
+	// One value over 10 rows picks the bitset form, none the list form.
+	for _, c := range []struct {
+		values int
+		shared bool
+	}{{1, false}, {1, true}, {0, false}, {0, true}} {
+		func() {
+			var f RowRank
+			f.Reset(10, c.values, c.shared)
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%+v: out-of-range mark must panic", c)
+				}
+			}()
+			f.Mark([]uint64{15}, 5)
+		}()
+	}
 }
 
 func TestCompact(t *testing.T) {

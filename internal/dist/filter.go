@@ -21,12 +21,21 @@ import (
 //     the caller's previous position.
 //
 // Either way the filter's words are bounded by the values marked into it.
+//
+// A shared filter (Reset with shared set) keeps only the rows marked at
+// least twice: with each column's values strictly increasing, the rows that
+// two columns of the batch share. Those are the only rows an off-diagonal
+// B_ij sums over; a row one column alone has reaches only B_jj, which the
+// local target takes from the exact cardinality â_j (Eq. 4) instead.
+//
 // A RowRank is reused batch to batch: Reset keeps its buffers.
 type RowRank struct {
 	length uint64
 	values int // values the filter was Reset for; its share of the form rule
 	bitset bool
+	shared bool     // keep only rows marked at least twice
 	words  []uint64 // bitset form: bit r%64 of words[r/64] is row r
+	seen   []uint64 // shared bitset form: rows marked at least once
 	prefix []int    // bitset form: set bits in words[:w]
 	rows   []uint64 // list form: sorted distinct rows
 	count  int
@@ -37,41 +46,77 @@ func bitsetWords(length uint64) uint64 { return length/64 + min(length%64, 1) }
 
 // Reset empties the filter for a batch of length rows into which `values`
 // row marks (duplicates included) will be written, and picks its form.
-func (f *RowRank) Reset(length uint64, values int) {
-	f.length, f.values, f.count = length, values, 0
+// shared makes Seal keep only the rows marked at least twice.
+func (f *RowRank) Reset(length uint64, values int, shared bool) {
+	f.length, f.values, f.shared, f.count = length, values, shared, 0
 	nw := bitsetWords(length)
 	f.bitset = values >= 0 && nw <= uint64(values)
 	f.rows = f.rows[:0]
 	if f.bitset {
 		f.words = resize(f.words, int(nw))
 		clear(f.words)
-	}
-}
-
-// Mark writes the rows v − lo of the batch values vals (Eq. 5). Values may
-// repeat and arrive in any order across calls; every v − lo must lie in
-// [0, length).
-func (f *RowRank) Mark(vals []uint64, lo uint64) {
-	for _, v := range vals {
-		r := v - lo
-		switch {
-		case r >= f.length:
-			//gas:invariant callers mark the values of their own batch range [lo, lo+length), sliced from sorted samples
-			panic(fmt.Sprintf("dist: filter row %d out of range [0,%d)", r, f.length))
-		case f.bitset:
-			f.words[r/64] |= 1 << (r % 64)
-		default:
-			f.rows = append(f.rows, r)
+		if shared {
+			f.seen = resize(f.seen, int(nw))
+			clear(f.seen)
 		}
 	}
 }
 
+// Shared reports whether the filter keeps only rows marked at least twice.
+func (f *RowRank) Shared() bool { return f.shared }
+
+// Mark writes the rows v − lo of the batch values vals (Eq. 5). Values may
+// repeat and arrive in any order across calls; every v − lo must lie in
+// [0, length). A shared bitset sets a row's bit in words once seen has it.
+func (f *RowRank) Mark(vals []uint64, lo uint64) {
+	switch {
+	case !f.bitset:
+		for _, v := range vals {
+			r := v - lo
+			if r >= f.length {
+				f.outOfRange(r)
+			}
+			f.rows = append(f.rows, r)
+		}
+	case f.shared:
+		words, seen := f.words, f.seen
+		for _, v := range vals {
+			r := v - lo
+			if r >= f.length {
+				f.outOfRange(r)
+			}
+			w, bit := r/64, uint64(1)<<(r%64)
+			words[w] |= seen[w] & bit
+			seen[w] |= bit
+		}
+	default:
+		words := f.words
+		for _, v := range vals {
+			r := v - lo
+			if r >= f.length {
+				f.outOfRange(r)
+			}
+			words[r/64] |= 1 << (r % 64)
+		}
+	}
+}
+
+func (f *RowRank) outOfRange(r uint64) {
+	//gas:invariant callers mark the values of their own batch range [lo, lo+length), sliced from sorted samples
+	panic(fmt.Sprintf("dist: filter row %d out of range [0,%d)", r, f.length))
+}
+
 // Seal completes the filter after the last Mark: the prefix popcount of the
-// bitset form, or the sort and de-duplication of the list form.
+// bitset form, or the sort and de-duplication of the list form — which a
+// shared filter makes keep only the rows that occur at least twice.
 func (f *RowRank) Seal() {
 	if !f.bitset {
 		slices.Sort(f.rows)
-		f.rows = slices.Compact(f.rows)
+		if f.shared {
+			f.rows = keepRepeated(f.rows)
+		} else {
+			f.rows = slices.Compact(f.rows)
+		}
 		f.count = len(f.rows)
 		return
 	}
@@ -84,7 +129,20 @@ func (f *RowRank) Seal() {
 	f.count = n
 }
 
-// Count returns the number of nonzero rows, the batch's packed row count.
+// keepRepeated compacts sorted rows in place to one copy of each row that
+// occurs at least twice.
+func keepRepeated(rows []uint64) []uint64 {
+	out := rows[:0] // never overtakes i−1: each kept row takes two inputs
+	for i := 1; i < len(rows); i++ {
+		if rows[i] == rows[i-1] && (len(out) == 0 || out[len(out)-1] != rows[i]) {
+			out = append(out, rows[i])
+		}
+	}
+	return out
+}
+
+// Count returns the number of rows in the filter, the batch's packed row
+// count: the nonzero rows, or the shared rows of a shared filter.
 func (f *RowRank) Count() int { return f.count }
 
 // Rank returns the compacted index of row (Eq. 6) and whether the row is
@@ -177,7 +235,7 @@ func (f *FilterVector) merge(length uint64, parts []filterPart) error {
 	for _, p := range parts {
 		values += p.Values
 	}
-	all.Reset(length, values)
+	all.Reset(length, values, false)
 	for k, p := range parts {
 		if err := all.checkPart(p); err != nil {
 			return fmt.Errorf("dist: filter part of rank %d: %w", k, err)

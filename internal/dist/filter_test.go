@@ -4,7 +4,9 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"genomeatscale/internal/bsp"
@@ -13,11 +15,55 @@ import (
 // sealedPart builds one process's filter over a batch of length rows that
 // starts at value lo, from the given values.
 func sealedPart(length, lo uint64, vals []uint64) *RowRank {
+	return sealed(length, lo, vals, false)
+}
+
+// sealedShared is sealedPart for a shared filter.
+func sealedShared(length, lo uint64, vals []uint64) *RowRank {
+	return sealed(length, lo, vals, true)
+}
+
+func sealed(length, lo uint64, vals []uint64, shared bool) *RowRank {
 	f := &RowRank{}
-	f.Reset(length, len(vals))
+	f.Reset(length, len(vals), shared)
 	f.Mark(vals, lo)
 	f.Seal()
 	return f
+}
+
+// checkShared asserts that a shared filter sealed from vals holds exactly
+// the rows marked at least twice, each at its index in the sorted list of
+// them, and that a row marked once or never — each of probes, and every
+// row of vals — reports absent with the count of shared rows below it,
+// the lower bound packColumnInto carries to the next value.
+func checkShared(f *RowRank, vals []uint64, lo uint64, probes []uint64) error {
+	marks := map[uint64]int{}
+	for _, v := range vals {
+		marks[v-lo]++
+	}
+	var want []int64
+	for r, k := range marks {
+		if k >= 2 {
+			want = append(want, int64(r))
+		}
+	}
+	slices.Sort(want)
+	if !f.Shared() {
+		return fmt.Errorf("filter not shared")
+	}
+	if err := checkRanks(f, want); err != nil {
+		return err
+	}
+	for _, r := range append(probes, slices.Collect(maps.Keys(marks))...) {
+		if marks[r] >= 2 || r >= f.length {
+			continue
+		}
+		below, _ := slices.BinarySearch(want, int64(r))
+		if k, ok := f.Rank(r, 0); ok || k != below {
+			return fmt.Errorf("row %d marked %d times ranks (%d,%v), want (%d,false)", r, marks[r], k, ok, below)
+		}
+	}
+	return nil
 }
 
 // compactRows is the sort-and-dedup reference: the rows v − lo of vals, in
@@ -100,7 +146,7 @@ func seqRows(n int, stride uint64) []uint64 {
 
 // TestRowRankMatchesCompact: a single process's filter ranks every row at
 // its index in Compact of the same rows, in both forms, at any batch
-// offset.
+// offset; sealed shared, it keeps only the rows marked at least twice.
 func TestRowRankMatchesCompact(t *testing.T) {
 	forms := map[bool]int{}
 	for _, c := range rankCases() {
@@ -116,6 +162,9 @@ func TestRowRankMatchesCompact(t *testing.T) {
 		}
 		if err := checkRanks(f, compactRows(vals, lo)); err != nil {
 			t.Errorf("%s: %v", c.name, err)
+		}
+		if err := checkShared(sealedShared(c.length, lo, vals), vals, lo, nil); err != nil {
+			t.Errorf("%s, shared: %v", c.name, err)
 		}
 	}
 	if forms[true] == 0 || forms[false] == 0 {
@@ -233,7 +282,8 @@ func TestFilterVectorRejectsBadParts(t *testing.T) {
 
 // FuzzFilterRank: arbitrary rows in a small batch and in a 2⁶² universe
 // rank at their index in the sort-and-dedup of the same rows, and nothing
-// panics.
+// panics. Sealed in shared mode, the same rows keep only those marked at
+// least twice (checkShared).
 func FuzzFilterRank(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{100, 0, 99, 0, 64, 0, 0, 0, 63, 0})
@@ -252,13 +302,25 @@ func FuzzFilterRank(f *testing.F) {
 		if err := checkRanks(sealedPart(length, 0, vals), want); err != nil {
 			t.Fatalf("%d rows: %v", length, err)
 		}
+		every := make([]uint64, length) // every row of the small batch
+		for r := range every {
+			every[r] = uint64(r)
+		}
+		if err := checkShared(sealedShared(length, 0, vals), vals, 0, every); err != nil {
+			t.Fatalf("%d rows, shared: %v", length, err)
+		}
 		const lo = 1 << 61
 		shifted := make([]uint64, len(vals))
+		gaps := make([]uint64, len(vals)) // rows never marked
 		for i, v := range vals {
 			shifted[i] = lo + v*(1<<40)
+			gaps[i] = v*(1<<40) + 1
 		}
 		if err := checkRanks(sealedPart(1<<62, lo, shifted), compactRows(shifted, lo)); err != nil {
 			t.Fatalf("2^62 universe: %v", err)
+		}
+		if err := checkShared(sealedShared(1<<62, lo, shifted), shifted, lo, gaps); err != nil {
+			t.Fatalf("2^62 universe, shared: %v", err)
 		}
 	})
 }
