@@ -45,6 +45,7 @@ fuzz:
 	go test -run=^$$ -fuzz=FuzzSampleRange -fuzztime=10s ./internal/samplefile
 	go test -run=^$$ -fuzz=FuzzFromEntries -fuzztime=10s ./internal/bitmat
 	go test -run=^$$ -fuzz=FuzzHybridThresholdEquivalence -fuzztime=10s ./internal/bitmat
+	go test -run=^$$ -fuzz=FuzzTriangleGram -fuzztime=10s ./internal/bitmat
 	go test -run=^$$ -fuzz=FuzzPopcountAndSlice -fuzztime=10s ./internal/bitutil
 	go test -run=^$$ -fuzz=FuzzReadFrame -fuzztime=10s ./internal/bsp/tcptransport
 	go test -run=^$$ -fuzz=FuzzWireDecode -fuzztime=10s ./internal/dist

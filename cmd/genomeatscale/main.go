@@ -19,6 +19,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -38,7 +39,7 @@ func main() {
 	}
 }
 
-func run(args []string, out *os.File) error {
+func run(args []string, out *os.File) (err error) {
 	fs := cliutil.NewFlagSet("genomeatscale")
 	k := fs.Int("k", 19, "k-mer length (1..31); the paper uses 19 for RNASeq and 31 for WGS data")
 	canonical := fs.Bool("canonical", true, "use canonical (strand-independent) k-mers")
@@ -52,9 +53,15 @@ func run(args []string, out *os.File) error {
 	pairsThreshold := fs.Float64("pairs-threshold", -1, "if ≥ 0, print sample pairs with similarity at or above this threshold (post-hoc, from the gathered matrix)")
 	indexFlags := cliutil.BindIndex(fs)
 	statsJSON := cliutil.BindStatsJSON(fs)
+	profile := cliutil.BindProfile(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	stopProfile, err := profile.Start()
+	if err != nil {
+		return err
+	}
+	defer func() { err = errors.Join(err, stopProfile()) }()
 	files := fs.Args()
 	if len(files) < 2 {
 		return fmt.Errorf("need at least two FASTA files, got %d", len(files))

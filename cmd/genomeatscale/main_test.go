@@ -1,7 +1,10 @@
 package main
 
 import (
+	"bytes"
+	"compress/gzip"
 	"context"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -192,5 +195,34 @@ func TestRunIndexOutAndStatsJSON(t *testing.T) {
 	}
 	if len(neighbors) != 1 || neighbors[0].Similarity != 1 {
 		t.Fatalf("self query neighbours = %+v, want one exact match", neighbors)
+	}
+}
+
+// TestRunProfileFlags runs a solve with -cpuprofile and -memprofile and
+// checks that each file is a non-empty gzip stream, the pprof container.
+func TestRunProfileFlags(t *testing.T) {
+	dir := t.TempDir()
+	paths := writeTestFASTA(t, dir, 3)
+	cpu, mem := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")
+	stdout, err := os.CreateTemp(dir, "stdout")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stdout.Close()
+	if err := run(append([]string{"-k", "13", "-cpuprofile", cpu, "-memprofile", mem}, paths...), stdout); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{cpu, mem} {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		zr, err := gzip.NewReader(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatalf("%s: not gzip: %v", path, err)
+		}
+		if body, err := io.ReadAll(zr); err != nil || len(body) == 0 {
+			t.Fatalf("%s: %d decompressed bytes, err %v", path, len(body), err)
+		}
 	}
 }

@@ -33,6 +33,7 @@ package main
 import (
 	"bufio"
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -51,7 +52,7 @@ func main() {
 	}
 }
 
-func run(args []string, out *os.File) error {
+func run(args []string, out *os.File) (err error) {
 	fs := cliutil.NewFlagSet("similarityatscale")
 	maxVal := fs.Uint64("m", 0, "number of possible attribute values (0 = derive from the data; required with -dir)")
 	compute := cliutil.BindCompute(fs)
@@ -61,9 +62,15 @@ func run(args []string, out *os.File) error {
 	distance := fs.Bool("distance", false, "report Jaccard distances (1 − J) instead of similarities")
 	indexFlags := cliutil.BindIndex(fs)
 	statsJSON := cliutil.BindStatsJSON(fs)
+	profile := cliutil.BindProfile(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	stopProfile, err := profile.Start()
+	if err != nil {
+		return err
+	}
+	defer func() { err = errors.Join(err, stopProfile()) }()
 	files := fs.Args()
 
 	var ds core.Dataset

@@ -1,8 +1,11 @@
 package main
 
 import (
+	"bytes"
+	"compress/gzip"
 	"context"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
 	"os"
@@ -350,6 +353,33 @@ func TestRunDirMatchesFiles(t *testing.T) {
 		}
 		if !slices.Equal(got, want) {
 			t.Errorf("sample %d: -dir index neighbours %+v, want %+v", i, got, want)
+		}
+	}
+}
+
+// TestRunProfileFlags runs a solve with -cpuprofile and -memprofile and
+// checks that each file is a non-empty gzip stream, the pprof container.
+func TestRunProfileFlags(t *testing.T) {
+	dir := t.TempDir()
+	a := writeSampleFile(t, dir, "a.txt", []string{"1", "2", "3"})
+	b := writeSampleFile(t, dir, "b.txt", []string{"2", "3", "4"})
+	cpu, mem := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")
+	stdout, _ := os.CreateTemp(dir, "stdout")
+	defer stdout.Close()
+	if err := run([]string{"-cpuprofile", cpu, "-memprofile", mem, a, b}, stdout); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{cpu, mem} {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		zr, err := gzip.NewReader(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatalf("%s: not gzip: %v", path, err)
+		}
+		if body, err := io.ReadAll(zr); err != nil || len(body) == 0 {
+			t.Fatalf("%s: %d decompressed bytes, err %v", path, len(body), err)
 		}
 	}
 }

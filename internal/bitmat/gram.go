@@ -102,59 +102,80 @@ func (p *Packed) GramAccumulate(into *sparse.Dense[int64]) {
 
 // GramAccumulateWorkers is GramAccumulate evaluated on a shared-memory
 // worker pool. workers follows the par convention: 0 resolves to
-// runtime.GOMAXPROCS(0), 1 runs the exact serial loop, n > 1 tiles the
-// upper-triangular column-pair space into square output blocks and hands
-// the tiles to n goroutines. Each tile accumulates into a private dense
-// slab and then flushes it into `into` with direct indexed writes; because
-// only tiles on or above the diagonal exist and each mirrors its own block,
-// the flushed regions are pairwise disjoint, so the writes are race-free
-// and the result is bit-identical to the serial path for every workers
-// value (int64 addition is associative and each cell is computed once).
-// Every cell dispatches through pairPopcount, so the kernel choice follows
-// the two columns' storage layouts.
+// runtime.GOMAXPROCS(0), n ≥ 1 runs n goroutines (1 runs the calling
+// goroutine alone). The upper-triangular column-pair space is tiled into
+// square output blocks; each tile accumulates into a private slab and then
+// flushes it into `into` together with its mirror. Because only tiles on
+// or above the diagonal exist and each mirrors its own block, the flushed
+// regions are pairwise disjoint, so the writes are race-free and the
+// result is bit-identical for every workers value (int64 addition is
+// associative and each cell is computed once). Every cell dispatches
+// through pairPopcount, so the kernel choice follows the two columns'
+// storage layouts.
 func (p *Packed) GramAccumulateWorkers(into *sparse.Dense[int64], workers int) {
-	p.gramAccumulate(nil, into, workers, nil, nil)
+	_ = p.GramAccumulateCtxArena(nil, into, workers, nil)
 }
 
 // GramAccumulateCtxArena is GramAccumulateWorkers with cooperative
 // cancellation, drawing its transient buffers — the tile list and the
 // per-worker tile accumulators — from an Arena, so a batch loop that calls
-// it repeatedly allocates nothing in steady state. The tiled accumulation
-// polls ctx between tiles and returns ctx.Err() once cancelled, leaving
-// `into` partially accumulated (callers abandon the run). A cancellable
-// context also routes the workers <= 1 case through the tile loop —
-// executed serially, in tile order — so even single-worker kernels have
-// interruption points; B is an int64 sum, so the accumulation order does
-// not change the result. A nil arena allocates the buffers per call; with
-// a nil or never-cancellable context and a nil arena this is exactly
-// GramAccumulateWorkers. The arena must not be shared with a concurrent
-// Gram call (see Arena).
+// it repeatedly allocates nothing in steady state. The tile loop polls ctx
+// between tiles and returns ctx.Err() once cancelled, leaving `into`
+// partially accumulated (callers abandon the run). A nil arena allocates
+// the buffers per call; a nil context never cancels. The arena must not be
+// shared with a concurrent Gram call (see Arena).
 func (p *Packed) GramAccumulateCtxArena(ctx context.Context, into *sparse.Dense[int64], workers int, arena *Arena) error {
-	return p.gramAccumulate(ctx, into, workers, arena, nil)
-}
-
-// GramAccumulateMaskedCtxArena is GramAccumulateCtxArena restricted to the
-// column pairs set in mask — the exact tier of the MinHash prescreening
-// pipeline. Output tiles containing no surviving pair are skipped whole
-// (they are never scheduled), and within surviving tiles only surviving
-// cells dispatch a popcount, so pruned pairs' accumulator cells are never
-// touched and stay exactly 0. A nil mask computes every pair; the result
-// for surviving pairs is bit-identical to the unmasked kernel.
-func (p *Packed) GramAccumulateMaskedCtxArena(ctx context.Context, into *sparse.Dense[int64], workers int, arena *Arena, mask *PairMask) error {
-	return p.gramAccumulate(ctx, into, workers, arena, mask)
-}
-
-func (p *Packed) gramAccumulate(ctx context.Context, into *sparse.Dense[int64], workers int, arena *Arena, mask *PairMask) error {
 	if into.Rows != p.Cols || into.Cols != p.Cols {
 		//gas:invariant the accumulator is allocated from this matrix's own Cols by every caller; a mismatch is an engine bug
 		panic(fmt.Sprintf("bitmat: Gram accumulator shape %dx%d, want %dx%d", into.Rows, into.Cols, p.Cols, p.Cols))
 	}
-	workers = par.Resolve(workers)
-	cancellable := ctx != nil && ctx.Done() != nil
-	if (workers <= 1 && !cancellable) || p.Cols < 2 {
-		p.gramAccumulateSerial(into, mask)
-		return nil
+	return p.gramTiles(ctx, workers, arena, nil, (*denseSink)(into))
+}
+
+// tileSink is an accumulator layout the Gram tile loop flushes into. A
+// tile's slab holds its cells on and above the diagonal, row-major and
+// t.j1 − t.j0 wide; addTile adds them into the accumulator. Distinct tiles
+// touch disjoint cells, so addTile may run concurrently for distinct
+// tiles.
+type tileSink interface {
+	addTile(t tileSpec, slab []int64)
+}
+
+// denseSink is a dense n×n accumulator as a tileSink: each tile is added
+// together with its mirror.
+type denseSink sparse.Dense[int64]
+
+func (d *denseSink) addTile(t tileSpec, slab []int64) {
+	stride, tw := d.Cols, t.j1-t.j0
+	for i := t.i0; i < t.i1; i++ {
+		row := slab[(i-t.i0)*tw:]
+		for j := t.j0; j < t.j1; j++ {
+			c := row[j-t.j0]
+			if c == 0 {
+				continue
+			}
+			d.Data[i*stride+j] += c
+			if i != j {
+				d.Data[j*stride+i] += c
+			}
+		}
 	}
+}
+
+// gramTiles is the one Gram tile loop behind both accumulator layouts. It
+// tiles the upper-triangular column-pair space into square blocks, skips
+// the tiles in which no pair survives mask (nil keeps every pair), and
+// hands the tiles to the worker pool. Each tile is computed into the
+// worker's slab (gramTile) and then added into `into`. ctx is polled
+// between tiles. With workers ≤ 1 the tiles run in order on the calling
+// goroutine without a pool, so a warm single-worker call allocates
+// nothing.
+func (p *Packed) gramTiles(ctx context.Context, workers int, arena *Arena, mask *PairMask, into tileSink) error {
+	if arena == nil {
+		// A call-local arena: the worker slabs are still reused tile to tile.
+		arena = NewArena()
+	}
+	workers = par.Resolve(workers)
 	edge := tileEdge(workers, func(e int) int {
 		nt := (p.Cols + e - 1) / e
 		return nt * (nt + 1) / 2
@@ -173,60 +194,38 @@ func (p *Packed) gramAccumulate(ctx context.Context, into *sparse.Dense[int64], 
 		}
 	}
 	arena.ensureWorkers(min(workers, len(tiles)))
-	stride := into.Cols
-	err := par.ForEachWorkerCtx(ctx, workers, len(tiles), func(w, k int) {
-		t := tiles[k]
-		tw := t.j1 - t.j0
-		slab := arena.workerTile(w, (t.i1-t.i0)*tw)
-		for i := t.i0; i < t.i1; i++ {
-			vi := p.view(i)
-			if vi.empty() {
-				continue
-			}
-			row := slab[(i-t.i0)*tw:]
-			for j := max(t.j0, i); j < t.j1; j++ {
-				if mask != nil && !mask.Pair(i, j) {
-					continue
+	var err error
+	if workers <= 1 {
+		for _, t := range tiles {
+			if ctx != nil {
+				if err = ctx.Err(); err != nil {
+					break
 				}
-				vj := p.view(j)
-				if vj.empty() {
-					continue
-				}
-				row[j-t.j0] = int64(pairPopcount(vi, vj))
 			}
+			into.addTile(t, p.gramTile(t, arena.workerTile(0, t.cells()), mask))
 		}
-		for i := t.i0; i < t.i1; i++ {
-			row := slab[(i-t.i0)*tw:]
-			for j := t.j0; j < t.j1; j++ {
-				c := row[j-t.j0]
-				if c == 0 {
-					continue
-				}
-				into.Data[i*stride+j] += c
-				if i != j {
-					into.Data[j*stride+i] += c
-				}
-			}
-		}
-	})
+	} else {
+		err = par.ForEachWorkerCtx(ctx, workers, len(tiles), func(w, k int) {
+			t := tiles[k]
+			into.addTile(t, p.gramTile(t, arena.workerTile(w, t.cells()), mask))
+		})
+	}
 	arena.putSpecs(tiles)
 	return err
 }
 
-// gramAccumulateSerial is the historical single-threaded kernel, with the
-// per-cell closure accumulation replaced by direct slice indexing and the
-// popcount dispatched by column layout.
-func (p *Packed) gramAccumulateSerial(into *sparse.Dense[int64], mask *PairMask) {
-	stride := into.Cols
-	for i := 0; i < p.Cols; i++ {
+// gramTile computes the tile's cells on and above the diagonal into the
+// zeroed slab and returns it. Pairs pruned by mask and pairs with an empty
+// column stay 0.
+func (p *Packed) gramTile(t tileSpec, slab []int64, mask *PairMask) []int64 {
+	tw := t.j1 - t.j0
+	for i := t.i0; i < t.i1; i++ {
 		vi := p.view(i)
 		if vi.empty() {
 			continue
 		}
-		if mask != nil && !mask.AnyInRange(i, i, p.Cols) {
-			continue
-		}
-		for j := i; j < p.Cols; j++ {
+		row := slab[(i-t.i0)*tw:]
+		for j := max(t.j0, i); j < t.j1; j++ {
 			if mask != nil && !mask.Pair(i, j) {
 				continue
 			}
@@ -234,22 +233,19 @@ func (p *Packed) gramAccumulateSerial(into *sparse.Dense[int64], mask *PairMask)
 			if vj.empty() {
 				continue
 			}
-			c := int64(pairPopcount(vi, vj))
-			if c == 0 {
-				continue
-			}
-			into.Data[i*stride+j] += c
-			if i != j {
-				into.Data[j*stride+i] += c
-			}
+			row[j-t.j0] = int64(pairPopcount(vi, vj))
 		}
 	}
+	return slab
 }
 
 // tileSpec is one output tile: rows [i0, i1) × cols [j0, j1).
 type tileSpec struct {
 	i0, i1, j0, j1 int
 }
+
+// cells returns the tile's area, the length of its slab.
+func (t tileSpec) cells() int { return (t.i1 - t.i0) * (t.j1 - t.j0) }
 
 // tileEdge picks the edge length of the square output tiles: start from a
 // cache-friendly 64×64 block and halve until the pool has at least four

@@ -29,7 +29,8 @@ func maskTestMatrix(cols int) *Packed {
 
 // TestGramMasked pins the prescreening contract of the masked kernel:
 // surviving pairs accumulate bit-identically to the unmasked kernel and
-// pruned pairs stay exactly 0, for both the serial and the tiled path.
+// pruned pairs stay exactly 0, for one and several workers and both
+// triangle cell types.
 func TestGramMasked(t *testing.T) {
 	const cols = 97
 	p := maskTestMatrix(cols)
@@ -51,8 +52,11 @@ func TestGramMasked(t *testing.T) {
 	}
 
 	for _, workers := range []int{1, 4} {
-		got := sparse.MustDense[int64](cols, cols)
-		if err := p.GramAccumulateMaskedCtxArena(context.Background(), got, workers, nil, mask); err != nil {
+		narrow, wide := NewTriangle[uint32](cols), NewTriangle[int64](cols)
+		if err := GramAccumulateTriangle(context.Background(), p, narrow, workers, nil, mask); err != nil {
+			t.Fatal(err)
+		}
+		if err := GramAccumulateTriangle(context.Background(), p, wide, workers, nil, mask); err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < cols; i++ {
@@ -61,8 +65,11 @@ func TestGramMasked(t *testing.T) {
 				if mask.Pair(i, j) {
 					want = full.At(i, j)
 				}
-				if got.At(i, j) != want {
-					t.Fatalf("workers=%d: masked B[%d][%d] = %d, want %d", workers, i, j, got.At(i, j), want)
+				if got := int64(narrow.at(i, j)); got != want {
+					t.Fatalf("workers=%d: masked uint32 B[%d][%d] = %d, want %d", workers, i, j, got, want)
+				}
+				if got := wide.at(i, j); got != want {
+					t.Fatalf("workers=%d: masked int64 B[%d][%d] = %d, want %d", workers, i, j, got, want)
 				}
 			}
 		}

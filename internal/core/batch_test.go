@@ -8,16 +8,13 @@ import (
 	"genomeatscale/internal/tile"
 )
 
-// localBatchDataset is a scaled-down sparse-files corpus: 192 samples over a
-// 2^21 universe at an average density of 4·10⁻⁴, each sample's density
-// drawn within ±20 % of it. Over 8 batches every batch takes the bitset
-// form of the filter.
-func localBatchDataset() *InMemoryDataset {
-	const n, m, density = 192, 1 << 21, 4e-4
+// localBatchDataset draws n samples over a universe of m attributes, each
+// attribute present in a sample with probability density·(1 ± spread).
+func localBatchDataset(n int, m uint64, density, spread float64) *InMemoryDataset {
 	rng := rand.New(rand.NewSource(1))
 	samples := make([][]uint64, n)
 	for j := range samples {
-		p := density * (0.8 + 0.4*rng.Float64())
+		p := density * (1 - spread + 2*spread*rng.Float64())
 		for v := uint64(0); ; {
 			// Geometric gaps: each attribute is present with probability p.
 			v += 1 + uint64(rng.ExpFloat64()/p)
@@ -31,29 +28,47 @@ func localBatchDataset() *InMemoryDataset {
 }
 
 // BenchmarkLocalBatch runs the local target's batch loop — slice, filter,
-// pack, Gram — over 8 batches with two workers into a discarding sink, and
-// reports the packed rows per run as active_rows/op.
+// pack, Gram — and the banded finish into a discarding sink with two
+// workers, and reports the packed rows per run as active_rows/op. Two
+// shapes:
+//
+//   - sparse: a scaled-down sparse-files corpus, 192 samples over a 2^21
+//     universe at an average density of 4·10⁻⁴ (±20 % per sample), over 8
+//     batches; every batch takes the bitset form of the filter.
+//   - dense: a scaled-down dense-mem corpus, 1 000 samples over a 2^14
+//     universe at density 0.0125, over 2 batches; its B/op is dominated by
+//     the n(n+1)/2-cell Gram accumulator and the TileRows × n band buffers.
 func BenchmarkLocalBatch(b *testing.B) {
-	ds := localBatchDataset()
-	opts := DefaultOptions()
-	opts.BatchCount, opts.Workers = 8, 2
-	e, err := NewEngine(opts)
-	if err != nil {
-		b.Fatal(err)
+	for _, bc := range []struct {
+		name    string
+		ds      *InMemoryDataset
+		batches int
+	}{
+		{"sparse", localBatchDataset(192, 1<<21, 4e-4, 0.2), 8},
+		{"dense", localBatchDataset(1000, 1<<14, 0.0125, 0), 2},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			opts := DefaultOptions()
+			opts.BatchCount, opts.Workers = bc.batches, 2
+			e, err := NewEngine(opts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			ctx := context.Background()
+			var active int64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err := e.Stream(ctx, bc.ds, tile.Discard)
+				if err != nil {
+					b.Fatal(err)
+				}
+				active = 0
+				for _, a := range res.Stats.ActiveRowsPerBatch {
+					active += a
+				}
+			}
+			b.ReportMetric(float64(active), "active_rows/op")
+		})
 	}
-	ctx := context.Background()
-	var active int64
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := e.Stream(ctx, ds, tile.Discard)
-		if err != nil {
-			b.Fatal(err)
-		}
-		active = 0
-		for _, a := range res.Stats.ActiveRowsPerBatch {
-			active += a
-		}
-	}
-	b.ReportMetric(float64(active), "active_rows/op")
 }

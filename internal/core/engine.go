@@ -267,8 +267,9 @@ func (sr *sinkRunner) flush() error {
 // the whole output is adopted, not copied: the engine is producer and
 // consumer here, and both targets derive such a tile into buffers they
 // allocate for the run and never touch again. That keeps a gathered local
-// run at three n×n matrices — B is the Gram accumulator itself, S and D
-// the single band — which matters because n² is the large output term.
+// run at three n×n matrices — B, S and D of the single band, with the
+// Gram's upper triangle dropped once B is expanded from it and before S
+// and D are allocated — which matters because n² is the large output term.
 type collector struct {
 	n       int
 	b       *sparse.Dense[int64]

@@ -60,9 +60,11 @@ type Options struct {
 	// TileRows is the row-band height of the tiles a single-process run
 	// emits when streaming through Engine.Stream: the n-column output is
 	// derived and handed to the sink TileRows rows at a time, so the peak
-	// resident S/D footprint is TileRows·n values instead of n². 0 (the
-	// default) resolves to DefaultTileRows. Grid runs ignore TileRows —
-	// their tiles are the processor grid's result blocks.
+	// resident B/S/D footprint is 3·TileRows·n values instead of 3·n². The
+	// peak also holds the accumulated Gram's upper triangle, n(n+1)/2
+	// cells of 4 bytes (8 when the attribute universe reaches 2³²), for the
+	// whole run. 0 (the default) resolves to DefaultTileRows. Grid runs
+	// ignore TileRows — their tiles are the processor grid's result blocks.
 	TileRows int
 
 	// Sketch configures the MinHash prescreening tier: when enabled, cheap

@@ -7,7 +7,6 @@ import (
 	"genomeatscale/internal/bsp"
 	"genomeatscale/internal/dist"
 	"genomeatscale/internal/par"
-	"genomeatscale/internal/sparse"
 )
 
 // This file holds the two implementations of the batch loop's target seam
@@ -17,14 +16,15 @@ import (
 
 // localTarget is the single-process target. Every sample is visible, so
 // the filter vector needs no exchange (marking every column's values is the
-// whole of it) and the Gram accumulates into one dense n×n matrix with the
-// popcount kernel. No BSP runtime is started. The filter keeps only the
-// rows two columns share — the only rows an off-diagonal B_ij sums — and
-// finish sets each diagonal B_jj to the exact cardinality â_j.
-type localTarget struct {
+// whole of it) and the Gram accumulates with the popcount kernel into one
+// upper triangle of n(n+1)/2 cells of type C — the only cells the kernel
+// computes. No BSP runtime is started. The filter keeps only the rows two
+// columns share — the only rows an off-diagonal B_ij sums — and finish
+// sets each diagonal B_jj to the exact cardinality â_j.
+type localTarget[C bitmat.Cell] struct {
 	*batchRun
-	b    *sparse.Dense[int64] // the accumulated Gram; becomes the tiles' B
-	rows dist.RowRank         // the batch's filter, reused batch to batch
+	b    *bitmat.Triangle[C] // the accumulated Gram, expanded band by band into the tiles' B
+	rows dist.RowRank        // the batch's filter, reused batch to batch
 	// arena cycles the batch's transient buffers — the packed matrix's
 	// streams and slabs, the Gram tile list and per-worker accumulators —
 	// so the steady state of a multi-batch run allocates ~nothing.
@@ -33,11 +33,23 @@ type localTarget struct {
 	bandRows int              // row-band height of the emitted tiles
 }
 
+// narrowCells reports whether the local Gram of a run over m attributes
+// fits uint32 cells: every B_ij counts attributes, so B_ij ≤ m.
+func narrowCells(m uint64) bool { return m < 1<<32 }
+
 // runLocal runs the batch loop in the calling goroutine against a
-// localTarget, after the MinHash prescreening tier when it is configured.
+// localTarget whose cell width follows from the dataset, after the MinHash
+// prescreening tier when it is configured.
 func (e *Engine) runLocal(r *batchRun, oneBand bool) error {
+	if narrowCells(r.ds.NumAttributes()) {
+		return runLocalCells[uint32](e, r, oneBand)
+	}
+	return runLocalCells[int64](e, r, oneBand)
+}
+
+func runLocalCells[C bitmat.Cell](e *Engine, r *batchRun, oneBand bool) error {
 	n := r.res.N
-	tg := &localTarget{batchRun: r, b: sparse.MustDense[int64](n, n), bandRows: min(r.cfg.tileRows, n)}
+	tg := &localTarget[C]{batchRun: r, b: bitmat.NewTriangle[C](n), bandRows: min(r.cfg.tileRows, n)}
 	if oneBand {
 		tg.bandRows = n
 	}
@@ -62,7 +74,7 @@ func (e *Engine) runLocal(r *batchRun, oneBand bool) error {
 	return r.loop(cols, true, tg)
 }
 
-func (t *localTarget) filter(columns []batchColumn, lo, hi uint64) ([]batchColumn, *dist.RowRank, error) {
+func (t *localTarget[C]) filter(columns []batchColumn, lo, hi uint64) ([]batchColumn, *dist.RowRank, error) {
 	if t.mask != nil {
 		// Prescreen column masking: samples with no surviving partner are
 		// dropped from the pack and from the empty-row filter — after the
@@ -76,45 +88,79 @@ func (t *localTarget) filter(columns []batchColumn, lo, hi uint64) ([]batchColum
 	return columns, &t.rows, nil
 }
 
-func (t *localTarget) gram(ctx context.Context, entries []bitmat.PackedEntry, active int) error {
+func (t *localTarget[C]) gram(ctx context.Context, entries []bitmat.PackedEntry, active int) error {
 	opts := t.cfg.opts
-	packed := bitmat.FromEntriesThresholdArena(entries, wordRowsFor(active, opts.MaskBits), t.b.Rows, opts.MaskBits, active, opts.DenseThreshold, t.arena)
+	packed := bitmat.FromEntriesThresholdArena(entries, wordRowsFor(active, opts.MaskBits), t.b.N, opts.MaskBits, active, opts.DenseThreshold, t.arena)
 	if tr := t.cfg.tuning; tr != nil && t.res.Stats.Batches == 0 {
 		tr.MeasuredOccupancy = packed.WordOccupancy()
 	}
-	err := packed.GramAccumulateMaskedCtxArena(ctx, t.b, t.cfg.workers, t.arena, t.mask)
+	err := bitmat.GramAccumulateTriangle(ctx, packed, t.b, t.cfg.workers, t.arena, t.mask)
 	packed.Release()
 	return err
 }
 
-// finish sets every B_jj = â_j: a column's intersection with itself, the
-// int64 the kernel would give over every row, where the shared-row pack
-// gives it only the shared ones. The prescreen mask keeps every non-empty
-// sample's diagonal (a sketch estimates 1 against itself, at or above any
-// gate), and an empty sample's B_jj is 0 either way. It then derives S and
-// D band by band (Eq. 2) and emits each band as one full-width tile whose B
-// aliases the accumulator. The band buffers are reused across bands, so
-// the resident derived output never exceeds one tile. B is exactly
-// symmetric and the Eq. 2 scalar is symmetric in (i, j), so deriving every
-// (i, j) directly needs no mirroring pass.
-func (t *localTarget) finish(ctx context.Context, counts []int64, emit func(*Tile) error) ([]int64, error) {
-	for j, c := range counts {
-		t.b.Set(j, j, c)
+// finishChunk is the row count of one parallel unit of finish: small
+// enough that the below-diagonal column writes of a chunk's expansion stay
+// in cache (see Triangle.ExpandRows) and that a band splits into many
+// units.
+const finishChunk = 16
+
+// forChunks runs fn over [0, rows) in finishChunk-row chunks on the worker
+// pool.
+func forChunks(ctx context.Context, workers, rows int, fn func(i0, i1 int)) error {
+	return par.ForEachCtx(ctx, workers, (rows+finishChunk-1)/finishChunk, func(c int) {
+		i0 := c * finishChunk
+		fn(i0, min(i0+finishChunk, rows))
+	})
+}
+
+// finish derives the output band by band. Each band's B is expanded from
+// the triangle into one reused TileRows × n int64 buffer, and each
+// diagonal B_jj is set to â_j: a column's intersection with itself, which
+// the kernel would give over every row, where the shared-row pack gives it
+// only the shared ones. The prescreen mask keeps every non-empty sample's
+// diagonal (a sketch estimates 1 against itself, at or above any gate),
+// and an empty sample's B_jj is 0 either way. S and D then follow from the
+// band's B (Eq. 2), chunk by chunk while the chunk's B rows are in cache,
+// and the band is emitted as one full-width tile. The band buffers are
+// reused across bands, so the resident output never exceeds one tile
+// beside the triangle. A single band of n rows (the gathered run) instead
+// expands all of B first and drops the triangle before S and D are
+// allocated, so it never holds more than three n × n matrices.
+func (t *localTarget[C]) finish(ctx context.Context, counts []int64, emit func(*Tile) error) ([]int64, error) {
+	n, band := t.b.N, t.bandRows
+	bbuf := make([]int64, band*n)
+	var sbuf, dbuf []float64
+	if band < n {
+		sbuf, dbuf = make([]float64, band*n), make([]float64, band*n)
 	}
-	n, band := t.b.Rows, t.bandRows
-	sbuf := make([]float64, band*n)
-	dbuf := make([]float64, band*n)
 	for lo := 0; lo < n; lo += band {
 		rows := min(band, n-lo)
-		err := par.ForEachCtx(ctx, t.cfg.workers, rows, func(i int) {
-			dist.JaccardRow(sbuf[i*n:(i+1)*n], dbuf[i*n:(i+1)*n], t.b.Row(lo+i), counts[lo+i], counts)
+		derive := func(i0, i1 int) {
+			for i := i0; i < i1; i++ {
+				dist.JaccardRow(sbuf[i*n:(i+1)*n], dbuf[i*n:(i+1)*n], bbuf[i*n:(i+1)*n], counts[lo+i], counts)
+			}
+		}
+		err := forChunks(ctx, t.cfg.workers, rows, func(i0, i1 int) {
+			t.b.ExpandRows(bbuf[i0*n:i1*n], lo+i0, i1-i0)
+			for i := i0; i < i1; i++ {
+				bbuf[i*n+lo+i] = counts[lo+i]
+			}
+			if sbuf != nil {
+				derive(i0, i1)
+			}
 		})
+		if err == nil && sbuf == nil {
+			t.b = nil
+			sbuf, dbuf = make([]float64, band*n), make([]float64, band*n)
+			err = forChunks(ctx, t.cfg.workers, rows, derive)
+		}
 		if err != nil {
 			return nil, err
 		}
 		tl := &Tile{
 			RowLo: lo, Rows: rows, Cols: n,
-			B: t.b.Data[lo*n : (lo+rows)*n], S: sbuf[:rows*n], D: dbuf[:rows*n],
+			B: bbuf[:rows*n], S: sbuf[:rows*n], D: dbuf[:rows*n],
 		}
 		if err := emit(tl); err != nil {
 			return nil, err
