@@ -269,22 +269,34 @@ func GramBlock(a, b *Packed) *sparse.Dense[int64] {
 }
 
 // GramBlockWorkers is GramBlock evaluated on a shared-memory worker pool
-// (same workers convention as GramAccumulateWorkers). The rectangular
-// output is tiled into square blocks; tiles write disjoint regions of the
-// fresh result matrix, so no synchronisation beyond the pool join is
+// (same workers convention as GramAccumulateWorkers): a fresh block that
+// GramBlockAccumulateWorkers fills.
+func GramBlockWorkers(a, b *Packed, workers int) *sparse.Dense[int64] {
+	out := sparse.MustDense[int64](a.Cols, b.Cols)
+	GramBlockAccumulateWorkers(a, b, out, workers)
+	return out
+}
+
+// GramBlockAccumulateWorkers adds the Cols(a)×Cols(b) Gram block of a and b
+// into the caller's block `into`, of that shape, on a shared-memory worker
+// pool. The rectangular output is tiled into square blocks; tiles touch
+// disjoint regions of into, so no synchronisation beyond the pool join is
 // needed and the result is identical for every workers value. The two
 // operands may use different storage layouts; every cell dispatches
 // through pairPopcount.
-func GramBlockWorkers(a, b *Packed, workers int) *sparse.Dense[int64] {
+func GramBlockAccumulateWorkers(a, b *Packed, into *sparse.Dense[int64], workers int) {
 	if a.WordRows != b.WordRows || a.B != b.B {
 		//gas:invariant both operands are column blocks of one corpus packing and share its row space by construction
 		panic(fmt.Sprintf("bitmat: GramBlock row-space mismatch (%d,%d) vs (%d,%d)", a.WordRows, a.B, b.WordRows, b.B))
 	}
-	out := sparse.MustDense[int64](a.Cols, b.Cols)
+	if into.Rows != a.Cols || into.Cols != b.Cols {
+		//gas:invariant the caller's accumulator is the block of the operands' column ranges, sized once per run
+		panic(fmt.Sprintf("bitmat: %dx%d block for a %dx%d Gram block", into.Rows, into.Cols, a.Cols, b.Cols))
+	}
 	workers = par.Resolve(workers)
 	if workers <= 1 || a.Cols == 0 || b.Cols == 0 {
-		gramBlockInto(a, b, out, tileSpec{0, a.Cols, 0, b.Cols})
-		return out
+		gramBlockInto(a, b, into, tileSpec{0, a.Cols, 0, b.Cols})
+		return
 	}
 	edge := tileEdge(workers, func(e int) int {
 		return ((a.Cols + e - 1) / e) * ((b.Cols + e - 1) / e)
@@ -297,13 +309,12 @@ func GramBlockWorkers(a, b *Packed, workers int) *sparse.Dense[int64] {
 		}
 	}
 	par.ForEach(workers, len(tiles), func(k int) {
-		gramBlockInto(a, b, out, tiles[k])
+		gramBlockInto(a, b, into, tiles[k])
 	})
-	return out
 }
 
-// gramBlockInto fills one output tile of the a×b Gram block with direct
-// indexed writes, dispatching each cell by the operand columns' layouts.
+// gramBlockInto adds one output tile of the a×b Gram block with direct
+// indexed sums, dispatching each cell by the operand columns' layouts.
 func gramBlockInto(a, b *Packed, out *sparse.Dense[int64], t tileSpec) {
 	stride := out.Cols
 	for i := t.i0; i < t.i1; i++ {
@@ -317,7 +328,7 @@ func gramBlockInto(a, b *Packed, out *sparse.Dense[int64], t tileSpec) {
 			if vj.empty() {
 				continue
 			}
-			row[j] = int64(pairPopcount(vi, vj))
+			row[j] += int64(pairPopcount(vi, vj))
 		}
 	}
 }

@@ -64,7 +64,9 @@ func TestGramAccumulateWorkersMatchesSerial(t *testing.T) {
 }
 
 // TestGramBlockWorkersMatchesSerial checks the rectangular SUMMA kernel
-// against its serial form across ragged block shapes.
+// against its serial form across ragged block shapes, and that
+// GramBlockAccumulateWorkers adds into the caller's block instead of
+// overwriting it.
 func TestGramBlockWorkersMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	for trial := 0; trial < 8; trial++ {
@@ -78,6 +80,12 @@ func TestGramBlockWorkersMatchesSerial(t *testing.T) {
 			got := GramBlockWorkers(a, b, workers)
 			if !sparse.Equal(want, got, func(x, y int64) bool { return x == y }) {
 				t.Fatalf("trial=%d workers=%d: parallel GramBlock differs from serial", trial, workers)
+			}
+			GramBlockAccumulateWorkers(a, b, got, workers)
+			for k, v := range got.Data {
+				if v != 2*want.Data[k] {
+					t.Fatalf("trial=%d workers=%d: accumulating into the block gave cell %d = %d, want %d", trial, workers, k, v, 2*want.Data[k])
+				}
 			}
 		}
 	}

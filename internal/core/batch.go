@@ -19,10 +19,11 @@ import (
 //	              — accumulate the per-sample cardinalities â (Eq. 4)
 //	target.filter — mark the batch's rows into f(l) (Eq. 5), a bitset
 //	                with a per-word prefix popcount or, for a hypersparse
-//	                batch, a sorted row list (dist.RowRank). The local
-//	                target keeps only the rows two of its columns share
-//	                and takes every B_jj from â; the grid keeps every
-//	                nonzero row and completes f(l) across processes
+//	                batch, a sorted row list (dist.RowRank). Both targets
+//	                keep only the rows two of the batch's columns share
+//	                and take every B_jj from â; the grid completes f(l)
+//	                across processes, where a row's two holders may sit
+//	                on one rank or on two
 //	packBatch     — compact each value to its row's rank in f(l) (Eq. 6)
 //	                and pack the ranks into MaskBits-wide words (Â(l),
 //	                Section III-B)

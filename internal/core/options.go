@@ -232,9 +232,10 @@ type RunStats struct {
 	TotalSeconds float64
 	// IndicatorNonzeros is nnz(A), summed over all batches.
 	IndicatorNonzeros int64
-	// ActiveRowsPerBatch is the number of rows each batch packed: |f(l)|.
-	// On the local target f(l) keeps only the rows that two of the batch's
-	// kept columns share; on the grid, every nonzero row (Eq. 5).
+	// ActiveRowsPerBatch is the number of rows each batch packed: |f(l)|,
+	// the rows that two of the batch's kept columns share (each B_jj comes
+	// from â instead). The local target and the grid, at any rank count,
+	// pack the same rows of the same input.
 	ActiveRowsPerBatch []int64
 	// Comm holds the BSP communication statistics of a grid run; nil for a
 	// single-process run, which starts no BSP runtime and communicates

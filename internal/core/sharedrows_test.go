@@ -20,8 +20,12 @@ var sharedRowsSeed = flag.Int64("sharedrows.seed", 0, "run TestSharedRowsRandomi
 // bitset form of the filter and large enough for the list form. Every
 // batch's ActiveRowsPerBatch must equal a brute-force count of the rows
 // two kept columns share, and B and S must equal the intersectionSize and
-// ExactJaccard oracle (zero for the pairs the prescreen mask prunes). A
-// failure names its seed; re-run it alone with -sharedrows.seed.
+// ExactJaccard oracle (zero for the pairs the prescreen mask prunes). Each
+// case without a prescreen also runs on in-process grids of 4 and 9 ranks
+// (one and two layers where the grid allows it), which must pack the same
+// rows — whether a shared row's holders sit on one rank or on two — and
+// give the same B and S. A failure names its seed; re-run it alone with
+// -sharedrows.seed.
 func TestSharedRowsRandomized(t *testing.T) {
 	if *sharedRowsSeed != 0 {
 		if _, err := sharedRowsCase(*sharedRowsSeed); err != nil {
@@ -40,7 +44,8 @@ func TestSharedRowsRandomized(t *testing.T) {
 		}
 	}
 	for _, tag := range []string{"n=1", "private", "one-shared", "singletons", "crowded", "empty-sample",
-		"prescreen", "no-prescreen", "bitset-batch", "list-batch", "no-shared-batch", "shared-batch"} {
+		"prescreen", "no-prescreen", "bitset-batch", "list-batch", "no-shared-batch", "shared-batch",
+		"grid-across-ranks", "grid-within-rank"} {
 		if seen[tag] == 0 {
 			t.Errorf("no case covered %s: %v", tag, seen)
 		}
@@ -149,12 +154,11 @@ func sharedRowsCase(seed int64) ([]string, error) {
 	}
 
 	// Brute force: per batch, the rows that at least two kept columns hold.
-	if got := len(res.Stats.ActiveRowsPerBatch); got != opts.BatchCount {
-		return nil, fmt.Errorf("%s: %d batches of active rows, want %d", desc, got, opts.BatchCount)
-	}
-	for l := 0; l < opts.BatchCount; l++ {
+	wantActive := make([]int64, opts.BatchCount)
+	holders := make([]map[uint64][]int, opts.BatchCount) // each row's kept holders, per batch
+	for l := range wantActive {
 		lo, hi := batchBounds(m, opts.BatchCount, l)
-		holders := map[uint64]int{}
+		holders[l] = map[uint64][]int{}
 		values := 0
 		for j := 0; j < n; j++ {
 			if mask != nil && !mask.AnyPartnerOffDiag(j) {
@@ -162,19 +166,15 @@ func sharedRowsCase(seed int64) ([]string, error) {
 			}
 			for _, v := range ds.Sample(j) {
 				if v >= lo && v < hi {
-					holders[v]++
+					holders[l][v] = append(holders[l][v], j)
 					values++
 				}
 			}
 		}
-		want := int64(0)
-		for _, h := range holders {
-			if h >= 2 {
-				want++
+		for _, h := range holders[l] {
+			if len(h) >= 2 {
+				wantActive[l]++
 			}
-		}
-		if got := res.Stats.ActiveRowsPerBatch[l]; got != want {
-			return nil, fmt.Errorf("%s: batch %d [%d,%d) packed %d rows, want the %d rows two kept columns share", desc, l, lo, hi, got, want)
 		}
 		// The filter's form rule (dist.RowRank.Reset), for coverage only.
 		if words := (hi-lo)/64 + min((hi-lo)%64, 1); words <= uint64(values) {
@@ -182,17 +182,70 @@ func sharedRowsCase(seed int64) ([]string, error) {
 		} else {
 			tags = append(tags, "list-batch")
 		}
-		if want == 0 {
+		if wantActive[l] == 0 {
 			tags = append(tags, "no-shared-batch")
 		} else {
 			tags = append(tags, "shared-batch")
 		}
 	}
+	if err := checkSharedRun(res, ds, mask, wantActive); err != nil {
+		return nil, fmt.Errorf("%s: %w", desc, err)
+	}
+	if prescreened {
+		return tags, nil
+	}
 
+	for _, g := range []struct{ procs, layers int }{{4, 1}, {4, 2}, {9, 1}} {
+		gopts := opts
+		gopts.Procs, gopts.Replication = g.procs, g.layers
+		res, err := run(ds, gopts)
+		if err != nil {
+			return nil, fmt.Errorf("%s grid p=%d c=%d: %w", desc, g.procs, g.layers, err)
+		}
+		if err := checkSharedRun(res, ds, nil, wantActive); err != nil {
+			return nil, fmt.Errorf("%s grid p=%d c=%d: %w", desc, g.procs, g.layers, err)
+		}
+		// Samples are owned cyclically (grid.CyclicItems): a shared row
+		// whose holders all sit on different ranks reaches the filter only
+		// through the ranks' seen sets, one held twice on a rank through
+		// that rank's multi set.
+		for _, byRow := range holders {
+			for _, h := range byRow {
+				ranks := map[int]bool{}
+				for _, j := range h {
+					ranks[j%g.procs] = true
+				}
+				switch {
+				case len(h) < 2:
+				case len(ranks) == len(h):
+					tags = append(tags, "grid-across-ranks")
+				default:
+					tags = append(tags, "grid-within-rank")
+				}
+			}
+		}
+	}
+	return tags, nil
+}
+
+// checkSharedRun checks a run of the shared-row case against the brute
+// force: wantActive rows per batch, the exact cardinalities, and B and S
+// equal to the intersectionSize and ExactJaccard oracle (zero for the pairs
+// a non-nil prescreen mask prunes).
+func checkSharedRun(res *Result, ds *InMemoryDataset, mask *bitmat.PairMask, wantActive []int64) error {
+	if got := len(res.Stats.ActiveRowsPerBatch); got != len(wantActive) {
+		return fmt.Errorf("%d batches of active rows, want %d", got, len(wantActive))
+	}
+	for l, want := range wantActive {
+		if got := res.Stats.ActiveRowsPerBatch[l]; got != want {
+			return fmt.Errorf("batch %d packed %d rows, want the %d rows two kept columns share", l, got, want)
+		}
+	}
+	n := ds.NumSamples()
 	wantS := ExactJaccard(ds)
 	for i := 0; i < n; i++ {
 		if got, want := res.Cardinalities[i], int64(len(ds.Sample(i))); got != want {
-			return nil, fmt.Errorf("%s: cardinality %d of sample %d, want %d", desc, got, i, want)
+			return fmt.Errorf("cardinality %d of sample %d, want %d", got, i, want)
 		}
 		for j := 0; j < n; j++ {
 			wantB, wantSij := int64(intersectionSize(ds.Sample(i), ds.Sample(j))), wantS.At(i, j)
@@ -200,12 +253,12 @@ func sharedRowsCase(seed int64) ([]string, error) {
 				wantB, wantSij = 0, 0
 			}
 			if got := res.B.At(i, j); got != wantB {
-				return nil, fmt.Errorf("%s: B[%d][%d] = %d, want %d", desc, i, j, got, wantB)
+				return fmt.Errorf("B[%d][%d] = %d, want %d", i, j, got, wantB)
 			}
 			if got := res.S.At(i, j); !approxEqual(got, wantSij) {
-				return nil, fmt.Errorf("%s: S[%d][%d] = %v, want %v", desc, i, j, got, wantSij)
+				return fmt.Errorf("S[%d][%d] = %v, want %v", i, j, got, wantSij)
 			}
 		}
 	}
-	return tags, nil
+	return nil
 }

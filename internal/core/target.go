@@ -172,15 +172,16 @@ func (t *localTarget[C]) finish(ctx context.Context, counts []int64, emit func(*
 // gridTarget is one BSP rank of the √(p/c) × √(p/c) × c processor grid. It
 // reads its cyclically owned samples, marks their rows into its share of
 // the filter vector, completes it in one exchange (dist.FilterVector), and
-// accumulates its block of the Gram in dist.GramEngine. All communication
-// flows through the BSP runtime, so Result.Stats.Comm reports the exact
+// accumulates its block of the Gram in dist.GramEngine. Like the local
+// target, it keeps only the rows two samples share — on one rank or on two
+// — and the engine sets each diagonal B_jj to â_j. All communication flows
+// through the BSP runtime, so Result.Stats.Comm reports the exact
 // per-superstep byte volumes of the run.
 type gridTarget struct {
 	*batchRun
 	p      *bsp.Proc
 	dctx   *dist.Context
-	part   dist.RowRank // this rank's share of the filter, reused batch to batch
-	fv     *dist.FilterVector
+	fv     *dist.FilterVector // holds this rank's share of the filter
 	engine *dist.GramEngine
 }
 
@@ -210,8 +211,8 @@ func runGrid(r *batchRun) error {
 }
 
 func (t *gridTarget) filter(columns []batchColumn, lo, hi uint64) ([]batchColumn, *dist.RowRank, error) {
-	markColumns(&t.part, columns, lo, hi, false)
-	f, err := t.fv.Replicate(&t.part)
+	markColumns(t.fv.Part(), columns, lo, hi, true)
+	f, err := t.fv.Replicate()
 	return columns, f, err
 }
 

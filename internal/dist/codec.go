@@ -37,7 +37,10 @@ const (
 	_
 	_
 	kindTile
-	kindFilterPart
+	// The retired one-set filter part: its slot stays reserved so a peer
+	// from an older build cannot pass one off as a two-set part.
+	_
+	kindFilterParts
 )
 
 type wireCodec struct {
@@ -75,15 +78,21 @@ func (c wireCodec) Encode(v any) ([]byte, error) {
 		return out, nil
 	case filterPart:
 		out := make([]byte, 1, 1+x.ByteSize())
-		out[0] = kindFilterPart
-		form := uint64(0)
-		if x.Bitset {
-			form = 1
+		out[0] = kindFilterParts
+		forms := uint64(0)
+		if x.Seen.Bitset {
+			forms |= 1
 		}
-		out = binary.LittleEndian.AppendUint64(out, uint64(x.Values))
-		out = binary.LittleEndian.AppendUint64(out, form)
-		for _, w := range x.Words {
-			out = binary.LittleEndian.AppendUint64(out, w)
+		if x.Multi.Bitset {
+			forms |= 2
+		}
+		for _, d := range []uint64{uint64(x.Values), forms, uint64(len(x.Seen.Words))} {
+			out = binary.LittleEndian.AppendUint64(out, d)
+		}
+		for _, set := range []rowSet{x.Seen, x.Multi} {
+			for _, w := range set.Words {
+				out = binary.LittleEndian.AppendUint64(out, w)
+			}
 		}
 		return out, nil
 	default:
@@ -158,19 +167,23 @@ func (c wireCodec) Decode(data []byte) (any, error) {
 			tl.D[i] = math.Float64frombits(binary.LittleEndian.Uint64(rest[8*i:]))
 		}
 		return tl, nil
-	case kindFilterPart:
-		if len(body) < 16 || len(body)%8 != 0 {
+	case kindFilterParts:
+		if len(body) < 24 || len(body)%8 != 0 {
 			return nil, fmt.Errorf("dist: wire codec: filter part of %d bytes", len(body))
 		}
-		values, form := int64(binary.LittleEndian.Uint64(body)), binary.LittleEndian.Uint64(body[8:])
-		if values < 0 || form > 1 {
-			return nil, fmt.Errorf("dist: wire codec: filter part header (%d values, form %d)", values, form)
+		values, forms, nSeen := int64(binary.LittleEndian.Uint64(body)), binary.LittleEndian.Uint64(body[8:]), binary.LittleEndian.Uint64(body[16:])
+		words := make([]uint64, (len(body)-24)/8)
+		if values < 0 || forms > 3 || nSeen > uint64(len(words)) {
+			return nil, fmt.Errorf("dist: wire codec: filter part header (%d values, forms %d, %d seen words of %d)", values, forms, nSeen, len(words))
 		}
-		p := filterPart{Values: int(values), Bitset: form == 1, Words: make([]uint64, (len(body)-16)/8)}
-		for i := range p.Words {
-			p.Words[i] = binary.LittleEndian.Uint64(body[16+8*i:])
+		for i := range words {
+			words[i] = binary.LittleEndian.Uint64(body[24+8*i:])
 		}
-		return p, nil
+		return filterPart{
+			Values: int(values),
+			Seen:   rowSet{Bitset: forms&1 != 0, Words: words[:nSeen:nSeen]},
+			Multi:  rowSet{Bitset: forms&2 != 0, Words: words[nSeen:]},
+		}, nil
 	default:
 		return c.plain.Decode(data)
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"reflect"
+	"slices"
 	"testing"
 
 	"genomeatscale/internal/bitmat"
@@ -34,8 +35,9 @@ func TestWireCodecRoundTrips(t *testing.T) {
 		entries,
 		entrySlice{},
 		packedWire{Entries: entries, WordRows: 8, Cols: 4, B: 64, ActiveRows: 100, DenseThreshold: -1},
-		filterPart{Values: 9, Bitset: true, Words: []uint64{0x8000000000000001, 5}},
-		filterPart{Values: 3, Words: []uint64{0, 64, 1 << 61}},
+		filterPart{Values: 9, Seen: rowSet{Bitset: true, Words: []uint64{0x8000000000000001, 5}}, Multi: rowSet{Words: []uint64{0}}},
+		filterPart{Values: 3, Seen: rowSet{Words: []uint64{0, 64, 1 << 61}}, Multi: rowSet{Words: []uint64{64}}},
+		filterPart{Values: 700, Seen: rowSet{Bitset: true, Words: []uint64{^uint64(0), 1}}, Multi: rowSet{Bitset: true, Words: []uint64{3, 0}}},
 		&tile.Tile{RowLo: 4, ColLo: 8, Rows: 2, Cols: 2,
 			B: []int64{1, 2, 3, 4}, S: []float64{0.1, 0.2, 0.3, 0.4}, D: []float64{0.9, 0.8, 0.7, 0.6}},
 		// Primitive payloads fall through to PlainCodec.
@@ -61,6 +63,18 @@ func TestWireCodecRoundTrips(t *testing.T) {
 			t.Errorf("round-trip %T: got %#v, want %#v", v, got, want)
 		}
 	}
+	// A part with an empty set (an unshared part's Multi, a rank with no
+	// rows): the set decodes empty, and the other keeps its words.
+	for _, v := range []filterPart{
+		{Values: 2, Seen: rowSet{Words: []uint64{4, 9}}},
+		{Multi: rowSet{Words: []uint64{4}}},
+	} {
+		got, ok := roundTrip(t, v).(filterPart)
+		if !ok || got.Values != v.Values || len(got.Seen.Words) != len(v.Seen.Words) || len(got.Multi.Words) != len(v.Multi.Words) ||
+			!slices.Equal(got.Seen.Words, v.Seen.Words) || !slices.Equal(got.Multi.Words, v.Multi.Words) {
+			t.Errorf("round-trip of %+v = %#v", v, got)
+		}
+	}
 }
 
 // TestWireCodecDeterministic: equal values must encode identically — the
@@ -78,9 +92,9 @@ func TestWireCodecDeterministic(t *testing.T) {
 	}
 	// The kind bytes are the wire format: retiring a kind must not renumber
 	// the ones after it, or ranks built from different commits misdecode.
-	if kindEntrySlice != 0x40 || kindPackedWire != 0x41 || kindTile != 0x44 || kindFilterPart != 0x45 {
-		t.Fatalf("wire kinds moved: entries %#x, panel %#x, tile %#x, filter part %#x",
-			kindEntrySlice, kindPackedWire, kindTile, kindFilterPart)
+	if kindEntrySlice != 0x40 || kindPackedWire != 0x41 || kindTile != 0x44 || kindFilterParts != 0x46 {
+		t.Fatalf("wire kinds moved: entries %#x, panel %#x, tile %#x, filter parts %#x",
+			kindEntrySlice, kindPackedWire, kindTile, kindFilterParts)
 	}
 }
 
@@ -133,13 +147,18 @@ func TestWireCodecRejectsCorruptPayloads(t *testing.T) {
 			t.Errorf("panel %+v decoded without error", w)
 		}
 	}
-	// Filter parts with a short header, a partial word, an unknown form or
-	// a negative value count.
+	// Filter parts with a short header, a partial word, an unknown form, a
+	// negative value count, a seen set longer than the payload, or the
+	// retired one-set kind.
 	for _, data := range [][]byte{
-		{kindFilterPart},
-		append(filterHeader(1, 0), 1, 2, 3, 4),
-		filterHeader(1, 2),
-		filterHeader(-1, 0),
+		{kindFilterParts},
+		append(filterHeader(1, 0, 0), 1, 2, 3, 4),
+		filterHeader(1, 4, 0),
+		filterHeader(-1, 0, 0),
+		filterHeader(1, 0, 1),
+		append(filterHeader(1, 1, 2), make([]byte, 8)...),
+		append(filterHeader(1, 0, 1<<63), make([]byte, 8)...),
+		{kindFilterParts - 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
 	} {
 		if _, err := c.Decode(data); err == nil {
 			t.Errorf("filter part %x decoded without error", data)
@@ -170,10 +189,11 @@ func tileHeader(counts [3]uint64) []byte {
 	return out
 }
 
-// filterHeader encodes a bare kindFilterPart header with no words.
-func filterHeader(values int64, form uint64) []byte {
-	out := binary.LittleEndian.AppendUint64([]byte{kindFilterPart}, uint64(values))
-	return binary.LittleEndian.AppendUint64(out, form)
+// filterHeader encodes a bare kindFilterParts header with no words.
+func filterHeader(values int64, forms, seenWords uint64) []byte {
+	out := binary.LittleEndian.AppendUint64([]byte{kindFilterParts}, uint64(values))
+	out = binary.LittleEndian.AppendUint64(out, forms)
+	return binary.LittleEndian.AppendUint64(out, seenWords)
 }
 
 // FuzzWireDecode feeds arbitrary bytes to both codecs a rank decodes with,
@@ -201,8 +221,9 @@ func FuzzWireDecode(f *testing.F) {
 	f.Add(tileHeader([3]uint64{1 << 61, 0, 0}))
 	f.Add([]byte{kindPackedWire, 1, 2, 3})
 	for _, v := range []any{
-		filterPart{Values: 4, Bitset: true, Words: []uint64{1 << 63, 3}},
-		filterPart{Values: 2, Words: []uint64{5, 1 << 40}},
+		filterPart{Values: 4, Seen: rowSet{Bitset: true, Words: []uint64{1 << 63, 3}}, Multi: rowSet{Words: []uint64{63}}},
+		filterPart{Values: 2, Seen: rowSet{Words: []uint64{5, 1 << 40}}},
+		filterPart{Values: 300, Seen: rowSet{Bitset: true, Words: []uint64{7, 1}}, Multi: rowSet{Bitset: true, Words: []uint64{6, 0}}},
 		packedWire{WordRows: 1, Cols: 1, B: 64},
 	} {
 		data, err := wire.Encode(v)
@@ -211,7 +232,9 @@ func FuzzWireDecode(f *testing.F) {
 		}
 		f.Add(data)
 	}
-	f.Add(filterHeader(1, 2))
+	f.Add(filterHeader(1, 4, 0))
+	f.Add(append(filterHeader(1, 3, 1), make([]byte, 16)...))
+	f.Add(append(filterHeader(1, 0, 9), make([]byte, 8)...))
 	// A panel whose one entry lies past its announced word rows.
 	bad, err := wire.Encode(packedWire{Entries: entrySlice{{WordRow: 9, Col: 0, Word: 1}}, WordRows: 2, Cols: 1, B: 64})
 	if err != nil {

@@ -81,7 +81,7 @@ func TestFilterVectorReplicate(t *testing.T) {
 	sort.Slice(wantSorted, func(i, j int) bool { return wantSorted[i] < wantSorted[j] })
 
 	_, err := bsp.Run(procs, func(p *bsp.Proc) error {
-		got, err := NewFilterVector(newContext(p, 1)).Replicate(sealedPart(length, 0, writes[p.Rank()]))
+		got, err := replicate(p, length, writes[p.Rank()], false)
 		if err != nil {
 			return err
 		}

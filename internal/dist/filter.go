@@ -5,6 +5,7 @@ import (
 	"math/bits"
 	"slices"
 
+	"genomeatscale/internal/bitutil"
 	"genomeatscale/internal/bsp"
 )
 
@@ -25,8 +26,11 @@ import (
 // A shared filter (Reset with shared set) keeps only the rows marked at
 // least twice: with each column's values strictly increasing, the rows that
 // two columns of the batch share. Those are the only rows an off-diagonal
-// B_ij sums over; a row one column alone has reaches only B_jj, which the
-// local target takes from the exact cardinality â_j (Eq. 4) instead.
+// B_ij sums over; a row one column alone has reaches only B_jj, which both
+// targets take from the exact cardinality â_j (Eq. 4) instead. The local
+// target marks every column into one shared filter; a grid rank marks its
+// own columns into its FilterVector's shared Part, and Replicate finds the
+// rows two ranks share.
 //
 // A RowRank is reused batch to batch: Reset keeps its buffers.
 type RowRank struct {
@@ -39,6 +43,11 @@ type RowRank struct {
 	prefix []int    // bitset form: set bits in words[:w]
 	rows   []uint64 // list form: sorted distinct rows
 	count  int
+	// part marks a FilterVector's Part, whose shared list-form Seal also
+	// keeps the distinct rows marked (distinct): its peers need them to
+	// find the rows two ranks share.
+	part     bool
+	distinct []uint64
 }
 
 // bitsetWords is the word count of a bitset over length rows.
@@ -108,11 +117,15 @@ func (f *RowRank) outOfRange(r uint64) {
 
 // Seal completes the filter after the last Mark: the prefix popcount of the
 // bitset form, or the sort and de-duplication of the list form — which a
-// shared filter makes keep only the rows that occur at least twice.
+// shared filter makes keep only the rows that occur at least twice (a
+// FilterVector's Part keeps its distinct rows beside them).
 func (f *RowRank) Seal() {
 	if !f.bitset {
 		slices.Sort(f.rows)
 		if f.shared {
+			if f.part {
+				f.distinct = slices.Compact(append(f.distinct[:0], f.rows...))
+			}
 			f.rows = keepRepeated(f.rows)
 		} else {
 			f.rows = slices.Compact(f.rows)
@@ -176,9 +189,9 @@ func (f *RowRank) gallop(row uint64, from int) (int, bool) {
 	return lo + i, found
 }
 
-// appendBitsetRows appends the rows of the bitset form in ascending order.
-func (f *RowRank) appendBitsetRows(out []uint64) []uint64 {
-	for w, x := range f.words {
+// appendSetRows appends the rows of bitset words in ascending order.
+func appendSetRows(out, words []uint64) []uint64 {
+	for w, x := range words {
 		for ; x != 0; x &= x - 1 {
 			out = append(out, uint64(w)*64+uint64(bits.TrailingZeros64(x)))
 		}
@@ -186,110 +199,167 @@ func (f *RowRank) appendBitsetRows(out []uint64) []uint64 {
 	return out
 }
 
+// markWords is Mark for a whole bitset of rows, each row marked once.
+func (f *RowRank) markWords(x []uint64) {
+	if !f.shared {
+		for w, v := range x {
+			f.words[w] |= v
+		}
+		return
+	}
+	words, seen := f.words, f.seen
+	for w, v := range x {
+		words[w] |= seen[w] & v
+		seen[w] |= v
+	}
+}
+
 // FilterVector completes f(l) on the processor grid. Each rank marks the
-// rows of its owned samples into its own RowRank; Replicate then exchanges
-// them in one superstep and builds the same global RowRank on every rank,
-// which is the paper's replicated prefix sum (Eq. 6). A FilterVector is
-// reused batch to batch.
+// rows of its owned samples into its Part; Replicate then exchanges the
+// parts in one superstep and builds the same global RowRank on every rank,
+// which is the paper's replicated prefix sum (Eq. 6). A shared part yields
+// a shared global filter: the rows that two samples share, whether both
+// sit on one rank or on two. A FilterVector is reused batch to batch.
 type FilterVector struct {
 	ctx  *Context
-	send []uint64 // a bitset part's rows, when the list is the smaller payload
+	part RowRank
+	send [2][]uint64 // a bitset set's rows, when the list is the smaller payload
 	all  RowRank
 }
 
 // NewFilterVector returns the filter exchange of one rank.
 func NewFilterVector(ctx *Context) *FilterVector {
-	return &FilterVector{ctx: ctx}
+	return &FilterVector{ctx: ctx, part: RowRank{part: true}}
 }
 
-// Replicate all-gathers every rank's sealed part and returns the global
-// filter, valid until the next call. Each rank sends whichever of its
-// bitset words and its sorted distinct rows is smaller, with its value
-// count. The summed value counts — identical on every rank — pick the
-// global form: bitset parts are ORed and list parts marked into a bitset,
-// or, for a hypersparse batch, the sorted lists are merged p ways. The
-// gathered rows are never re-sorted. A part that contradicts the batch (a
-// row out of range, an unsorted list, a bitset of the wrong size) is a
-// peer's protocol violation and fails the batch with an error.
-func (f *FilterVector) Replicate(part *RowRank) (*RowRank, error) {
+// Part returns this rank's share of the filter, which the caller Resets,
+// Marks and Seals before each Replicate.
+func (f *FilterVector) Part() *RowRank { return &f.part }
+
+// Replicate all-gathers every rank's sealed Part and returns the global
+// filter, valid until the next call. Each rank sends its value count and
+// two row sets: seen, the rows it holds at all, and — for a shared part —
+// multi, the rows two of its own columns share. Each set goes as whichever
+// of its bitset words and its sorted row list is smaller. The summed value
+// counts — identical on every rank — pick the global form. In the bitset
+// form every set is marked into the global filter (a bitset set word by
+// word), so a shared filter keeps the OR of the multis plus every row two
+// seens hold, by the two-bit step of Mark; for a hypersparse batch the
+// sorted lists are merged 2p ways, keeping each row that two lists hold
+// (one, unshared). The gathered rows are never re-sorted. A part that
+// contradicts the batch (a row out of range, an unsorted list, a bitset of
+// the wrong size) is a peer's protocol violation and fails the batch with
+// an error.
+func (f *FilterVector) Replicate() (*RowRank, error) {
+	part := &f.part
 	out := filterPart{Values: part.values}
 	switch {
-	case part.bitset && part.count >= len(part.words):
-		out.Bitset, out.Words = true, part.words
+	case !part.shared && part.bitset:
+		out.Seen = f.wireSet(0, part.words, part.count)
+	case !part.shared:
+		out.Seen = rowSet{Words: part.rows}
 	case part.bitset:
-		f.send = part.appendBitsetRows(f.send[:0])
-		out.Words = f.send
+		out.Seen = f.wireSet(0, part.seen, bitutil.PopcountSlice(part.seen))
+		out.Multi = f.wireSet(1, part.words, part.count)
 	default:
-		out.Words = part.rows
+		out.Seen, out.Multi = rowSet{Words: part.distinct}, rowSet{Words: part.rows}
 	}
 	// The payloads alias this rank's buffers; peers read them before the
 	// next superstep, and the buffers are rewritten only in the next batch.
-	return &f.all, f.merge(part.length, bsp.AllGather(f.ctx.P, out))
+	return &f.all, f.merge(part.length, part.shared, bsp.AllGather(f.ctx.P, out))
+}
+
+// wireSet returns the set of `count` rows in bitset words as the smaller of
+// the words and the sorted row list, which it builds in send buffer i.
+func (f *FilterVector) wireSet(i int, words []uint64, count int) rowSet {
+	if count >= len(words) {
+		return rowSet{Bitset: true, Words: words}
+	}
+	f.send[i] = appendSetRows(f.send[i][:0], words)
+	return rowSet{Words: f.send[i]}
 }
 
 // merge builds the global filter of a batch of length rows from every
 // rank's part.
-func (f *FilterVector) merge(length uint64, parts []filterPart) error {
+func (f *FilterVector) merge(length uint64, shared bool, parts []filterPart) error {
 	all := &f.all
 	values := 0
 	for _, p := range parts {
 		values += p.Values
 	}
-	all.Reset(length, values, false)
+	all.Reset(length, values, shared)
 	for k, p := range parts {
-		if err := all.checkPart(p); err != nil {
-			return fmt.Errorf("dist: filter part of rank %d: %w", k, err)
+		for _, set := range []rowSet{p.Seen, p.Multi} {
+			if err := all.checkSet(set); err != nil {
+				return fmt.Errorf("dist: filter part of rank %d: %w", k, err)
+			}
 		}
 	}
 	if all.bitset {
 		for _, p := range parts {
-			if p.Bitset {
-				for w, x := range p.Words {
-					all.words[w] |= x
+			for _, set := range []rowSet{p.Seen, p.Multi} {
+				if set.Bitset {
+					all.markWords(set.Words)
+				} else {
+					all.Mark(set.Words, 0)
 				}
-				continue
-			}
-			for _, r := range p.Words {
-				all.words[r/64] |= 1 << (r % 64)
 			}
 		}
 		all.Seal()
 		return nil
 	}
-	h := make([]int, len(parts)) // merge cursors, one per sender
+	lists := make([][]uint64, 0, 2*len(parts))
+	for _, p := range parts {
+		lists = append(lists, p.Seen.Words, p.Multi.Words)
+	}
+	need := 1
+	if shared {
+		need = 2
+	}
+	h := make([]int, len(lists)) // merge cursors, one per list
 	for {
-		best := -1
 		var next uint64
-		for k, p := range parts {
-			if h[k] < len(p.Words) && (best < 0 || p.Words[h[k]] < next) {
-				best, next = k, p.Words[h[k]]
+		holders := 0
+		for k, l := range lists {
+			if h[k] == len(l) {
+				continue
+			}
+			switch r := l[h[k]]; {
+			case holders == 0 || r < next:
+				next, holders = r, 1
+			case r == next:
+				holders++
 			}
 		}
-		if best < 0 {
+		if holders == 0 {
 			break
 		}
-		if n := len(all.rows); n == 0 || all.rows[n-1] != next {
+		if holders >= need {
 			all.rows = append(all.rows, next)
 		}
-		h[best]++
+		for k, l := range lists {
+			if h[k] < len(l) && l[h[k]] == next {
+				h[k]++
+			}
+		}
 	}
 	all.count = len(all.rows)
 	return nil
 }
 
-// checkPart validates one received part against this (Reset) filter.
-func (f *RowRank) checkPart(p filterPart) error {
-	if p.Bitset {
+// checkSet validates one received row set against this (Reset) filter.
+func (f *RowRank) checkSet(s rowSet) error {
+	if s.Bitset {
 		if !f.bitset {
 			return fmt.Errorf("bitset part for a hypersparse batch")
 		}
-		if len(p.Words) != len(f.words) {
-			return fmt.Errorf("bitset of %d words for a %d-row batch", len(p.Words), f.length)
+		if len(s.Words) != len(f.words) {
+			return fmt.Errorf("bitset of %d words for a %d-row batch", len(s.Words), f.length)
 		}
 		return nil
 	}
-	for i, r := range p.Words {
-		if r >= f.length || (i > 0 && r <= p.Words[i-1]) {
+	for i, r := range s.Words {
+		if r >= f.length || (i > 0 && r <= s.Words[i-1]) {
 			return fmt.Errorf("row list not sorted, distinct and inside [0,%d) at index %d", f.length, i)
 		}
 	}
@@ -297,16 +367,24 @@ func (f *RowRank) checkPart(p filterPart) error {
 }
 
 // filterPart is one rank's share of the replicated filter: the number of
-// values it marked, whose sum over ranks picks the global form, and its
-// distinct rows, as bitset words (Bitset) or as a sorted list.
+// values it marked, whose sum over ranks picks the global form, the rows it
+// holds (Seen) and, for a shared filter, the rows two of its own columns
+// share (Multi).
 type filterPart struct {
-	Values int
+	Values      int
+	Seen, Multi rowSet
+}
+
+// rowSet is a set of distinct rows, as bitset words (Bitset) or as a sorted
+// list.
+type rowSet struct {
 	Bitset bool
 	Words  []uint64
 }
 
-// ByteSize implements bsp.ByteSizer: the words plus a two-word header.
-func (p filterPart) ByteSize() int { return 16 + 8*len(p.Words) }
+// ByteSize implements bsp.ByteSizer: both sets' words plus a three-word
+// header (values, forms, the seen set's length).
+func (p filterPart) ByteSize() int { return 24 + 8*(len(p.Seen.Words)+len(p.Multi.Words)) }
 
 // resize returns s with length n, reusing its backing array when it fits.
 func resize[T any](s []T, n int) []T {

@@ -24,11 +24,24 @@ func sealedShared(length, lo uint64, vals []uint64) *RowRank {
 }
 
 func sealed(length, lo uint64, vals []uint64, shared bool) *RowRank {
-	f := &RowRank{}
+	return fill(&RowRank{}, length, lo, vals, shared)
+}
+
+// fill resets f for a batch of length rows that starts at value lo, marks
+// vals into it and seals it.
+func fill(f *RowRank, length, lo uint64, vals []uint64, shared bool) *RowRank {
 	f.Reset(length, len(vals), shared)
 	f.Mark(vals, lo)
 	f.Seal()
 	return f
+}
+
+// replicate fills this rank's part of a batch of length rows from vals and
+// returns the replicated filter.
+func replicate(p *bsp.Proc, length uint64, vals []uint64, shared bool) (*RowRank, error) {
+	fv := NewFilterVector(newContext(p, 1))
+	fill(fv.Part(), length, 0, vals, shared)
+	return fv.Replicate()
 }
 
 // checkShared asserts that a shared filter sealed from vals holds exactly
@@ -175,7 +188,9 @@ func TestRowRankMatchesCompact(t *testing.T) {
 // TestFilterVectorMatchesCompact: the replicated filter of 1-, 4- and
 // 9-rank clusters ranks every row at its index in Compact of all ranks'
 // rows, with each rank's values drawn so that bitset and list senders mix
-// (and, in hypersparse batches, every sender is a list).
+// (and, in hypersparse batches, every sender is a list). Replicated from
+// shared parts, it keeps exactly the rows marked at least twice over all
+// ranks — twice on one rank or once on each of two (checkShared).
 func TestFilterVectorMatchesCompact(t *testing.T) {
 	rng := rand.New(rand.NewSource(72))
 	senders := map[bool]int{}
@@ -193,22 +208,32 @@ func TestFilterVectorMatchesCompact(t *testing.T) {
 				perRank[r] = append(perRank[r], v)
 			}
 			want := compactRows(c.vals, 0)
+			// A rank sends its rows as a bitset when it holds at least
+			// one distinct row per bitset word.
 			sentBits := make([]bool, procs)
-			_, errs := bsp.RunCluster(context.Background(), bsp.MemCluster(procs), func(p *bsp.Proc) error {
-				part := sealedPart(c.length, 0, perRank[p.Rank()])
-				sentBits[p.Rank()] = part.bitset && part.count >= len(part.words)
-				got, err := NewFilterVector(newContext(p, 1)).Replicate(part)
-				if err != nil {
-					return err
-				}
-				if err := checkRanks(got, want); err != nil {
-					return fmt.Errorf("rank %d: %w", p.Rank(), err)
-				}
-				return nil
-			})
-			for r, err := range errs {
-				if err != nil {
-					t.Fatalf("p=%d %s: rank %d: %v", procs, c.name, r, err)
+			for r, vals := range perRank {
+				sentBits[r] = bitsetWords(c.length) <= uint64(len(vals)) && len(compactRows(vals, 0)) >= int(bitsetWords(c.length))
+			}
+			for _, shared := range []bool{false, true} {
+				_, errs := bsp.RunCluster(context.Background(), bsp.MemCluster(procs), func(p *bsp.Proc) error {
+					got, err := replicate(p, c.length, perRank[p.Rank()], shared)
+					if err != nil {
+						return err
+					}
+					if shared {
+						err = checkShared(got, c.vals, 0, nil)
+					} else {
+						err = checkRanks(got, want)
+					}
+					if err != nil {
+						return fmt.Errorf("rank %d: %w", p.Rank(), err)
+					}
+					return nil
+				})
+				for r, err := range errs {
+					if err != nil {
+						t.Fatalf("p=%d %s shared=%v: rank %d: %v", procs, c.name, shared, r, err)
+					}
 				}
 			}
 			mixed := false
@@ -223,9 +248,10 @@ func TestFilterVectorMatchesCompact(t *testing.T) {
 	}
 }
 
-// TestFilterCommunication pins the filter's cost on a seeded 4-rank batch:
-// one superstep, and each rank sends at most (p−1)·(min(8·c_r, 8·⌈len/64⌉)
-// + header) bytes, where c_r is its distinct row count.
+// TestFilterCommunication pins the shared filter's cost on a seeded 4-rank
+// batch: one superstep, and each rank sends at most (p−1)·(min(8·seen_r,
+// 8·W) + min(8·multi_r, 8·W) + header) bytes, where seen_r is its distinct
+// row count, multi_r the rows two of its values share and W = ⌈len/64⌉.
 func TestFilterCommunication(t *testing.T) {
 	const procs, length = 4, 64 * 256
 	rng := rand.New(rand.NewSource(73))
@@ -235,14 +261,16 @@ func TestFilterCommunication(t *testing.T) {
 			perRank[r] = append(perRank[r], uint64(rng.Intn(length)))
 		}
 	}
-	distinct := make([]int, procs)
+	seen, multi := make([]int, procs), make([]int, procs)
 	stats, errs := bsp.RunCluster(context.Background(), bsp.MemCluster(procs), func(p *bsp.Proc) error {
-		part := sealedPart(length, 0, perRank[p.Rank()])
-		distinct[p.Rank()] = part.Count()
-		_, err := NewFilterVector(newContext(p, 1)).Replicate(part)
+		vals := perRank[p.Rank()]
+		seen[p.Rank()] = len(compactRows(vals, 0))
+		multi[p.Rank()] = sealedShared(length, 0, vals).Count()
+		_, err := replicate(p, length, vals, true)
 		return err
 	})
-	const header = 16
+	const header = 24
+	w := 8 * int(bitsetWords(length))
 	for r := 0; r < procs; r++ {
 		if errs[r] != nil {
 			t.Fatalf("rank %d: %v", r, errs[r])
@@ -250,9 +278,9 @@ func TestFilterCommunication(t *testing.T) {
 		if s := stats[r].Supersteps; s != 1 {
 			t.Errorf("rank %d: filter took %d supersteps, want 1", r, s)
 		}
-		bound := int64(procs-1) * int64(min(8*distinct[r], 8*int(bitsetWords(length)))+header)
+		bound := int64(procs-1) * int64(min(8*seen[r], w)+min(8*multi[r], w)+header)
 		if sent := stats[r].BytesSentPerRank[r]; sent > bound {
-			t.Errorf("rank %d (%d distinct rows): sent %d filter bytes, bound %d", r, distinct[r], sent, bound)
+			t.Errorf("rank %d (%d distinct rows, %d shared): sent %d filter bytes, bound %d", r, seen[r], multi[r], sent, bound)
 		}
 	}
 }
@@ -261,21 +289,28 @@ func TestFilterCommunication(t *testing.T) {
 // the merge with an error instead of corrupting the filter or panicking.
 func TestFilterVectorRejectsBadParts(t *testing.T) {
 	const rows = 64 * 32 // 32 bitset words; 1000 values pick the bitset form
+	list := func(rows ...uint64) rowSet { return rowSet{Words: rows} }
+	bitset := func(words ...uint64) rowSet { return rowSet{Bitset: true, Words: words} }
 	for _, c := range []struct {
 		name   string
 		length uint64
 		bad    filterPart
 	}{
-		{"unsorted-list", rows, filterPart{Values: 1000, Words: []uint64{7, 3}}},
-		{"duplicate-rows", rows, filterPart{Values: 1000, Words: []uint64{3, 3}}},
-		{"row-past-batch", rows, filterPart{Values: 1000, Words: []uint64{rows}}},
-		{"short-bitset", rows, filterPart{Values: 1000, Bitset: true, Words: []uint64{1}}},
-		{"unsorted-hypersparse-list", 1 << 40, filterPart{Values: 2, Words: []uint64{9, 1}}},
-		{"bitset-in-hypersparse-batch", 1 << 40, filterPart{Values: 2, Bitset: true, Words: []uint64{1}}},
+		{"unsorted-list", rows, filterPart{Values: 1000, Seen: list(7, 3)}},
+		{"duplicate-rows", rows, filterPart{Values: 1000, Seen: list(3, 3)}},
+		{"row-past-batch", rows, filterPart{Values: 1000, Seen: list(rows)}},
+		{"short-bitset", rows, filterPart{Values: 1000, Seen: bitset(1)}},
+		{"unsorted-multi-list", rows, filterPart{Values: 1000, Seen: list(3, 7), Multi: list(7, 3)}},
+		{"short-multi-bitset", rows, filterPart{Values: 1000, Seen: bitset(make([]uint64, 32)...), Multi: bitset(make([]uint64, 33)...)}},
+		{"unsorted-hypersparse-list", 1 << 40, filterPart{Values: 2, Seen: list(9, 1)}},
+		{"unsorted-hypersparse-multi", 1 << 40, filterPart{Values: 2, Seen: list(1, 9), Multi: list(9, 1)}},
+		{"bitset-in-hypersparse-batch", 1 << 40, filterPart{Values: 2, Seen: bitset(1)}},
 	} {
-		var f FilterVector
-		if err := f.merge(c.length, []filterPart{{}, c.bad}); err == nil {
-			t.Errorf("%s: part %+v merged without error", c.name, c.bad)
+		for _, shared := range []bool{false, true} {
+			var f FilterVector
+			if err := f.merge(c.length, shared, []filterPart{{}, c.bad}); err == nil {
+				t.Errorf("%s (shared %v): part %+v merged without error", c.name, shared, c.bad)
+			}
 		}
 	}
 }

@@ -137,18 +137,25 @@ func (e *GramEngine) AddBatch(entries []bitmat.PackedEntry, wordRows, maskBits, 
 	// row BlockOwner(n, Rows, j) as part of the Aᵀ operand (home (s, 0, q))
 	// and to grid column BlockOwner(n, Cols, j) as part of the A operand
 	// (home (0, t, q)). Routing keeps the (col, wordRow) order the batch
-	// was packed in, so every part a home rank receives is sorted.
-	aOut := make([]entrySlice, np)
-	bOut := make([]entrySlice, np)
+	// was packed in, so every part a home rank receives is sorted. A
+	// counting pass sizes each direction's parts exactly, as windows of one
+	// array.
+	homes := func(ent bitmat.PackedEntry) (aHome, bHome int) {
+		layer := grid.BlockOwner(wordRows, g.Layers, ent.WordRow)
+		return g.Rank(grid.BlockOwner(e.n, g.Rows, ent.Col), 0, layer), g.Rank(0, grid.BlockOwner(e.n, g.Cols, ent.Col), layer)
+	}
+	aCount, bCount := make([]int, np), make([]int, np)
 	for _, ent := range entries {
 		if ent.WordRow < 0 || ent.WordRow >= wordRows || ent.Col < 0 || ent.Col >= e.n {
 			return fmt.Errorf("dist: packed word (%d,%d) outside the %dx%d batch", ent.WordRow, ent.Col, wordRows, e.n)
 		}
-		layer := grid.BlockOwner(wordRows, g.Layers, ent.WordRow)
-		s := grid.BlockOwner(e.n, g.Rows, ent.Col)
-		t := grid.BlockOwner(e.n, g.Cols, ent.Col)
-		aHome := g.Rank(s, 0, layer)
-		bHome := g.Rank(0, t, layer)
+		aHome, bHome := homes(ent)
+		aCount[aHome]++
+		bCount[bHome]++
+	}
+	aOut, bOut := routeParts(aCount, len(entries)), routeParts(bCount, len(entries))
+	for _, ent := range entries {
+		aHome, bHome := homes(ent)
 		aOut[aHome] = append(aOut[aHome], ent)
 		bOut[bHome] = append(bOut[bHome], ent)
 	}
@@ -202,17 +209,25 @@ func (e *GramEngine) AddBatch(entries []bitmat.PackedEntry, wordRows, maskBits, 
 	}
 
 	// Local kernel: this rank's block of Â(l)ᵀÂ(l) restricted to the
-	// layer's word rows, computed on this rank's worker pool and
-	// accumulated into the per-layer partial of B. partial and acc share
-	// the (rowHi-rowLo)×(colHi-colLo) block shape, so the accumulation is a
-	// flat indexed sum.
-	partial := bitmat.GramBlockWorkers(aPanel, bPanel, e.workers)
-	for idx, v := range partial.Data {
-		e.acc.Data[idx] += v
-	}
+	// layer's word rows, computed on this rank's worker pool and added
+	// straight into the per-layer partial of B.
+	bitmat.GramBlockAccumulateWorkers(aPanel, bPanel, e.acc, e.workers)
 	p.AddFlops(int64(aPanel.NNZWords()) * int64(bPanel.Cols))
 	p.NoteMemory(int64(aPanel.MemoryWords()+bPanel.MemoryWords()) + int64(len(e.acc.Data)))
 	return nil
+}
+
+// routeParts returns one empty part per rank, part k with capacity
+// counts[k], all windows of one array of total entries.
+func routeParts(counts []int, total int) []entrySlice {
+	buf := make(entrySlice, total)
+	parts := make([]entrySlice, len(counts))
+	off := 0
+	for k, c := range counts {
+		parts[k] = buf[off : off : off+c]
+		off += c
+	}
+	return parts
 }
 
 // assemble builds a home rank's panel of word rows [wlo, whi) and columns
@@ -272,7 +287,9 @@ func (e *GramEngine) receivePanel(tag, wordRows, cols, maskBits int) (*bitmat.Pa
 // Finalize reduces the per-layer partial blocks onto layer 0 (the 3D
 // algorithm's inter-layer sum) and returns this rank's view of the result.
 // counts must be the globally combined per-sample cardinalities â (Eq. 4),
-// identical on every rank. Finalize is a collective; one superstep.
+// identical on every rank; layer 0 sets each diagonal cell B_jj of its
+// block to â_j, which a batch packed over the shared rows alone does not
+// sum. Finalize is a collective; one superstep.
 func (e *GramEngine) Finalize(counts []int64) *Blocks {
 	if len(counts) != e.n {
 		//gas:invariant counts is the AllReduce result over this run's n samples, identical on every rank by the collective's semantics
@@ -300,6 +317,9 @@ func (e *GramEngine) Finalize(counts []int64) *Blocks {
 		for i, v := range part {
 			e.acc.Data[i] += v
 		}
+	}
+	for j := max(e.rowLo, e.colLo); j < min(e.rowHi, e.colHi); j++ {
+		e.acc.Set(j-e.rowLo, j-e.colLo, counts[j])
 	}
 	bl.b = e.acc
 	return bl
