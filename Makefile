@@ -1,4 +1,4 @@
-.PHONY: build test race benchmark-check examples fuzz lint
+.PHONY: build test race benchmark-check examples fuzz lint lines
 
 build:
 	go build ./...
@@ -25,6 +25,21 @@ examples:
 
 test:
 	go test ./...
+
+# lines prints the non-test and test Go line counts of each package that
+# `go list ./...` finds (all of a package directory's .go files, whatever
+# their build tags; testdata and benchmark/, its own module, are not
+# packages of ./...) and their totals.
+lines:
+	@go list -f '{{.ImportPath}} {{.Dir}}' ./... | while read -r pkg dir; do \
+		src=0; tst=0; \
+		for f in "$$dir"/*.go; do \
+			n=$$(wc -l < "$$f"); \
+			case "$$f" in *_test.go) tst=$$((tst + n));; *) src=$$((src + n));; esac; \
+		done; \
+		printf '%-48s %7d %7d\n' "$$pkg" "$$src" "$$tst"; \
+	done | awk 'BEGIN { printf "%-48s %7s %7s\n", "package", "non-test", "test" } \
+		{ print; s += $$2; t += $$3 } END { printf "%-48s %7d %7d\n", "total", s, t }'
 
 race:
 	go test -race ./...

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"compress/gzip"
 	"context"
+	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"math/rand"
 	"net"
 	"os"
@@ -380,6 +382,117 @@ func TestRunProfileFlags(t *testing.T) {
 		}
 		if body, err := io.ReadAll(zr); err != nil || len(body) == 0 {
 			t.Fatalf("%s: %d decompressed bytes, err %v", path, len(body), err)
+		}
+	}
+}
+
+// TestRunGridMatchesLocal: the TSV a processor-grid run writes — in
+// process at several rank counts, replication factors, batch counts and
+// mask widths, and as a 4-rank TCP job — equals the local run's byte for
+// byte, for similarities and for distances. The samples form clusters
+// around shared cores plus private values, so the batches hold both rows
+// that two samples share and rows that only one sample has.
+func TestRunGridMatchesLocal(t *testing.T) {
+	const m, clusters, perCluster = 4096, 4, 6
+	rng := rand.New(rand.NewSource(9))
+	dir := t.TempDir()
+	holders := map[uint64]int{}
+	var files []string
+	for c := 0; c < clusters; c++ {
+		core := rng.Perm(m)[:60]
+		for s := 0; s < perCluster; s++ {
+			set := map[uint64]bool{}
+			for _, v := range core {
+				if rng.Intn(4) > 0 {
+					set[uint64(v)] = true
+				}
+			}
+			for k := 0; k < 20; k++ {
+				set[uint64(rng.Intn(m))] = true
+			}
+			vals := slices.Sorted(maps.Keys(set))
+			for _, v := range vals {
+				holders[v]++
+			}
+			path := filepath.Join(dir, fmt.Sprintf("s-%d-%d.txt", c, s))
+			if err := samplefile.WriteText(path, vals); err != nil {
+				t.Fatal(err)
+			}
+			files = append(files, path)
+		}
+	}
+	kinds := map[bool]int{}
+	for _, k := range holders {
+		kinds[k >= 2]++
+	}
+	if kinds[true] == 0 || kinds[false] == 0 {
+		t.Fatalf("dataset lacks shared or private rows: %v", kinds)
+	}
+	null, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer null.Close()
+
+	// solve runs one job and returns the TSV it wrote. tcpRanks > 0 runs it
+	// as a TCP job of that many ranks, each a goroutine.
+	solve := func(tcpRanks int, flags ...string) string {
+		t.Helper()
+		path := filepath.Join(t.TempDir(), "out.tsv")
+		args := append([]string{"-m", fmt.Sprint(m), "-output", path}, flags...)
+		if tcpRanks == 0 {
+			if err := run(append(args, files...), null); err != nil {
+				t.Fatalf("%v: %v", flags, err)
+			}
+		} else {
+			peers := make([]string, tcpRanks)
+			for r := range peers {
+				ln, err := net.Listen("tcp", "127.0.0.1:0")
+				if err != nil {
+					t.Fatal(err)
+				}
+				peers[r] = ln.Addr().String()
+				ln.Close()
+			}
+			errs := make([]error, tcpRanks)
+			var wg sync.WaitGroup
+			for r := range errs {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					rankArgs := append(slices.Clone(args), "-transport", "tcp", "-rank", fmt.Sprint(r), "-peers", strings.Join(peers, ","))
+					errs[r] = run(append(rankArgs, files...), null)
+				}()
+			}
+			wg.Wait()
+			if err := errors.Join(errs...); err != nil {
+				t.Fatalf("%d-rank tcp %v: %v", tcpRanks, flags, err)
+			}
+		}
+		content, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(content)
+	}
+	grids := []struct {
+		tcpRanks int
+		flags    []string
+	}{
+		{0, []string{"-procs", "4"}},
+		{0, []string{"-procs", "12", "-replication", "3", "-mask-bits", "32", "-batches", "3"}},
+		{0, []string{"-procs", "7", "-replication", "1"}},
+		{4, nil},
+	}
+	for _, measure := range [][]string{nil, {"-distance"}} {
+		want := solve(0, measure...)
+		if !strings.Contains(want, "\t") || !strings.Contains(want, "s-3-5") {
+			t.Fatalf("local %v run wrote no matrix:\n%s", measure, want)
+		}
+		for _, g := range grids {
+			if got := solve(g.tcpRanks, append(slices.Clone(g.flags), measure...)...); got != want {
+				t.Errorf("%v %v (tcp ranks %d): TSV differs from the local run's", g.flags, measure, g.tcpRanks)
+			}
 		}
 	}
 }

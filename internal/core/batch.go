@@ -184,15 +184,15 @@ func sliceBatch(ds Dataset, cols []int, lo, hi uint64) ([]batchColumn, error) {
 }
 
 // markColumns resets f for the batch [lo, hi) and marks every value of
-// columns into it (Eq. 5): no row list, no sort, no copy. The value count
-// picks f's form (see dist.RowRank); shared makes f keep only the rows that
-// two of the columns share.
-func markColumns(f *dist.RowRank, columns []batchColumn, lo, hi uint64, shared bool) {
+// columns into it (Eq. 5): no row list, no sort, no copy. f keeps the rows
+// that two of the columns share, and the value count picks its form (see
+// dist.RowRank).
+func markColumns(f *dist.RowRank, columns []batchColumn, lo, hi uint64) {
 	values := 0
 	for _, c := range columns {
 		values += len(c.vals)
 	}
-	f.Reset(hi-lo, values, shared)
+	f.Reset(hi-lo, values)
 	for _, c := range columns {
 		f.Mark(c.vals, lo)
 	}
@@ -203,57 +203,47 @@ func markColumns(f *dist.RowRank, columns []batchColumn, lo, hi uint64, shared b
 type packBuffers struct {
 	entries []bitmat.PackedEntry   // the batch's entries, in column order
 	perCol  [][]bitmat.PackedEntry // parallel pack: each column's entries
-	errs    []error                // parallel pack: each column's error
 }
 
 // packBatch compacts each column's values to their ranks in the batch's
 // filter (Eq. 6) and packs them into MaskBits-wide words, emitting the
-// packed matrix Â(l) in coordinate form, sorted by (col, wordRow). A
-// filter that is not shared must contain every row present in columns
-// (guaranteed when it was marked from them); a shared one drops the rows it
-// lacks, and a column with no shared row emits no entries. Columns are
-// independent, so with workers > 1 they are packed on the shared worker
-// pool into per-column slices, concatenated in column order — the emitted
-// coordinate sequence is identical for every workers value; with one worker
-// the columns append into a single slice. Both paths poll ctx between
-// columns, so a cancelled run abandons the pack mid-batch and returns
-// ctx.Err().
+// packed matrix Â(l) in coordinate form, sorted by (col, wordRow). Only the
+// rows in f — those two samples share — are packed, and a column with no
+// shared row emits no entries. Columns are independent, so with workers > 1
+// they are packed on the shared worker pool into per-column slices,
+// concatenated in column order — the emitted coordinate sequence is
+// identical for every workers value; with one worker the columns append
+// into a single slice. Both paths poll ctx between columns, so a cancelled
+// run abandons the pack mid-batch and returns ctx.Err(), the only error.
 //
 // The returned entries alias buf, whose slices the next call overwrites and
 // may grow, so steady state re-packs in place.
 func packBatch(ctx context.Context, columns []batchColumn, f *dist.RowRank, lo uint64, maskBits, workers int, buf *packBuffers) ([]bitmat.PackedEntry, error) {
 	entries := buf.entries[:0]
 	if par.Resolve(workers) <= 1 || len(columns) <= 1 {
-		var err error
 		for _, cr := range columns {
 			if ctx != nil {
 				if err := ctx.Err(); err != nil {
 					return nil, err
 				}
 			}
-			if entries, err = packColumnInto(entries, cr, f, lo, maskBits); err != nil {
-				return nil, err
-			}
+			entries = packColumnInto(entries, cr, f, lo, maskBits)
 		}
 		buf.entries = entries
 		return entries, nil
 	}
 	if len(buf.perCol) < len(columns) {
 		buf.perCol = append(buf.perCol, make([][]bitmat.PackedEntry, len(columns)-len(buf.perCol))...)
-		buf.errs = make([]error, len(columns))
 	}
-	perCol, errs := buf.perCol[:len(columns)], buf.errs[:len(columns)]
+	perCol := buf.perCol[:len(columns)]
 	if err := par.ForEachCtx(ctx, workers, len(columns), func(k int) {
-		perCol[k], errs[k] = packColumnInto(perCol[k][:0], columns[k], f, lo, maskBits)
+		perCol[k] = packColumnInto(perCol[k][:0], columns[k], f, lo, maskBits)
 	}); err != nil {
 		return nil, err
 	}
 	total := 0
-	for k := range columns {
-		if errs[k] != nil {
-			return nil, errs[k]
-		}
-		total += len(perCol[k])
+	for _, part := range perCol {
+		total += len(part)
 	}
 	entries = slices.Grow(entries, total)
 	for _, part := range perCol {
@@ -268,20 +258,16 @@ func packBatch(ctx context.Context, columns []batchColumn, f *dist.RowRank, lo u
 // packBatch). Each value's compacted row is its rank in f — a popcount in
 // the bitset form, a gallop from the previous rank in the list form — so a
 // column costs O(values in the column), whatever the batch's size. A value
-// whose row a shared f lacks is skipped; its rank is still a lower bound
-// for the next value's. Any other missing row is an error.
-func packColumnInto(entries []bitmat.PackedEntry, cr batchColumn, f *dist.RowRank, lo uint64, maskBits int) ([]bitmat.PackedEntry, error) {
-	shared := f.Shared()
+// whose row f lacks is unshared and skipped; its rank is still a lower
+// bound for the next value's.
+func packColumnInto(entries []bitmat.PackedEntry, cr batchColumn, f *dist.RowRank, lo uint64, maskBits int) []bitmat.PackedEntry {
 	prevWord, wordEnd := -1, 0 // current word and its first rank past the end
 	var cur uint64
 	rank := 0
 	for _, v := range cr.vals {
 		var ok bool
 		if rank, ok = f.Rank(v-lo, rank); !ok {
-			if shared {
-				continue
-			}
-			return nil, fmt.Errorf("core: row %d missing from filter", v-lo)
+			continue
 		}
 		if rank >= wordEnd {
 			if prevWord >= 0 {
@@ -295,7 +281,7 @@ func packColumnInto(entries []bitmat.PackedEntry, cr batchColumn, f *dist.RowRan
 	if prevWord >= 0 {
 		entries = append(entries, bitmat.PackedEntry{WordRow: prevWord, Col: cr.col, Word: cur})
 	}
-	return entries, nil
+	return entries
 }
 
 // wordRowsFor returns ceil(active / maskBits), the packed height of a batch.

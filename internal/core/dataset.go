@@ -3,10 +3,10 @@
 // Sections III and IV of the paper. Data samples are sets of attribute
 // indices (for GenomeAtScale, the k-mers present in a sequencing sample);
 // the algorithm encodes them as a hypersparse indicator matrix A ∈ {0,1}^(m×n),
-// processes A in row batches, filters empty rows with a distributed filter
-// vector, compresses row segments into b-bit masks, and accumulates
-// B = AᵀA with a popcount-AND semiring before deriving the similarity
-// matrix S and distance matrix D = 1 − S.
+// processes A in row batches, keeps the rows two samples of a batch share
+// with a distributed filter vector, compresses row segments into b-bit
+// masks, and accumulates B = AᵀA with a popcount-AND semiring before
+// deriving the similarity matrix S and distance matrix D = 1 − S.
 //
 // There is one pipeline: Engine.Stream (and Engine.Similarity, the same run
 // with a collecting sink) drives the batch loop of batch.go — slice, filter,

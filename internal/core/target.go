@@ -77,14 +77,14 @@ func runLocalCells[C bitmat.Cell](e *Engine, r *batchRun, oneBand bool) error {
 func (t *localTarget[C]) filter(columns []batchColumn, lo, hi uint64) ([]batchColumn, *dist.RowRank, error) {
 	if t.mask != nil {
 		// Prescreen column masking: samples with no surviving partner are
-		// dropped from the pack and from the empty-row filter — after the
+		// dropped from the pack and from the shared-row filter — after the
 		// loop's cardinality accumulation, so â stays exact for every
 		// sample. Candidate pairs' intersection counts are unchanged: rows
 		// present only in pruned columns contribute nothing to surviving
 		// pairs.
 		columns = maskBatchColumns(columns, t.mask)
 	}
-	markColumns(&t.rows, columns, lo, hi, true)
+	markColumns(&t.rows, columns, lo, hi)
 	return columns, &t.rows, nil
 }
 
@@ -211,7 +211,7 @@ func runGrid(r *batchRun) error {
 }
 
 func (t *gridTarget) filter(columns []batchColumn, lo, hi uint64) ([]batchColumn, *dist.RowRank, error) {
-	markColumns(t.fv.Part(), columns, lo, hi, true)
+	markColumns(t.fv.Part(), columns, lo, hi)
 	f, err := t.fv.Replicate()
 	return columns, f, err
 }

@@ -63,8 +63,9 @@ func TestWireCodecRoundTrips(t *testing.T) {
 			t.Errorf("round-trip %T: got %#v, want %#v", v, got, want)
 		}
 	}
-	// A part with an empty set (an unshared part's Multi, a rank with no
-	// rows): the set decodes empty, and the other keeps its words.
+	// A part with an empty set (a Multi when no two of a rank's columns
+	// share a row, a rank with no rows): the set decodes empty, and the
+	// other keeps its words.
 	for _, v := range []filterPart{
 		{Values: 2, Seen: rowSet{Words: []uint64{4, 9}}},
 		{Multi: rowSet{Words: []uint64{4}}},

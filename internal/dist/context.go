@@ -1,10 +1,10 @@
 // Package dist implements the distributed execution layer of
 // SimilarityAtScale (Section III-C of the paper): the √(p/c) × √(p/c) × c
 // processor grid with cyclic sample ownership, the distributed filter
-// vector f(l) with its replicated prefix-sum row compaction (Eq. 5, 6), and
-// the processor-grid Gram engine that accumulates B = ÂᵀÂ batch by batch
-// over the BSP runtime (Eq. 4, 7) before deriving S and D blockwise
-// (Eq. 2).
+// vector f(l) of the rows two samples of a batch share, with its replicated
+// prefix-sum row compaction (Eq. 5, 6), and the processor-grid Gram engine
+// that accumulates B = ÂᵀÂ batch by batch over the BSP runtime (Eq. 4, 7)
+// before deriving S and D blockwise (Eq. 2).
 //
 // The package is consumed by internal/core, whose one batch loop runs
 // against either a local or a grid target: both build the batch's filter as

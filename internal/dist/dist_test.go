@@ -62,15 +62,16 @@ func TestContextGridAndOwnership(t *testing.T) {
 func TestFilterVectorReplicate(t *testing.T) {
 	const procs = 5
 	const length = 100
-	// Every rank writes an overlapping, unsorted, duplicated set of rows;
-	// Replicate must rank the global sorted distinct union on all ranks.
+	// Every rank writes an overlapping, unsorted set of rows, each row
+	// twice: every written row is shared, so Replicate must rank the global
+	// sorted distinct union on all ranks.
 	want := map[int64]bool{}
 	writes := make([][]uint64, procs)
 	rng := rand.New(rand.NewSource(11))
 	for r := 0; r < procs; r++ {
 		for k := 0; k < 30; k++ {
 			v := int64(rng.Intn(length))
-			writes[r] = append(writes[r], uint64(v), uint64(v)) // duplicates on purpose
+			writes[r] = append(writes[r], uint64(v), uint64(v)) // twice: shared
 			want[v] = true
 		}
 	}
@@ -81,7 +82,7 @@ func TestFilterVectorReplicate(t *testing.T) {
 	sort.Slice(wantSorted, func(i, j int) bool { return wantSorted[i] < wantSorted[j] })
 
 	_, err := bsp.Run(procs, func(p *bsp.Proc) error {
-		got, err := replicate(p, length, writes[p.Rank()], false)
+		got, err := replicate(p, length, writes[p.Rank()])
 		if err != nil {
 			return err
 		}
@@ -102,16 +103,13 @@ func TestFilterVectorReplicate(t *testing.T) {
 
 func TestFilterVectorWriteOutOfRange(t *testing.T) {
 	// One value over 10 rows picks the bitset form, none the list form.
-	for _, c := range []struct {
-		values int
-		shared bool
-	}{{1, false}, {1, true}, {0, false}, {0, true}} {
+	for _, values := range []int{1, 0} {
 		func() {
 			var f RowRank
-			f.Reset(10, c.values, c.shared)
+			f.Reset(10, values)
 			defer func() {
 				if recover() == nil {
-					t.Fatalf("%+v: out-of-range mark must panic", c)
+					t.Fatalf("%d values: out-of-range mark must panic", values)
 				}
 			}()
 			f.Mark([]uint64{15}, 5)

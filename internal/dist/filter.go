@@ -9,43 +9,41 @@ import (
 	"genomeatscale/internal/bsp"
 )
 
-// RowRank is the filter f(l) of Eq. 5 over the rows [0, length) of one batch
-// together with its Eq. 6 compaction: Rank(r) is the number of nonzero rows
-// below r, which is row r's index in the packed batch. It takes one of two
-// forms, picked by Reset from the batch's observed value count alone:
+// RowRank is the batch filter f(l) over the rows [0, length) of one batch
+// together with its Eq. 6 compaction: Rank(r) is the number of filter rows
+// below r, which is row r's index in the packed batch. The filter keeps the
+// rows marked at least twice: with each column's values strictly
+// increasing, the rows that two columns of the batch share. Those are the
+// only rows an off-diagonal B_ij sums over; a row one column alone has
+// reaches only B_jj, which both targets take from the exact cardinality â_j
+// (Eq. 4) instead. The local target marks every column into one filter; a
+// grid rank marks its own columns into its FilterVector's Part, and
+// Replicate finds the rows two ranks share.
+//
+// It takes one of two forms, picked by Reset from the batch's observed
+// value count alone:
 //
 //   - a bitset of ⌈length/64⌉ words plus a per-word prefix popcount, when
 //     that word count is at most the value count. A rank is then one load,
 //     one mask and one popcount: prefix[w] + OnesCount64(word[w] & (bit−1)).
-//   - otherwise (hypersparse batches, up to the 2⁶² universe) the sorted,
-//     de-duplicated row list — the Compact form — ranked by galloping from
-//     the caller's previous position.
+//   - otherwise (hypersparse batches, up to the 2⁶² universe) the sorted
+//     list of the kept rows, ranked by galloping from the caller's previous
+//     position.
 //
 // Either way the filter's words are bounded by the values marked into it.
-//
-// A shared filter (Reset with shared set) keeps only the rows marked at
-// least twice: with each column's values strictly increasing, the rows that
-// two columns of the batch share. Those are the only rows an off-diagonal
-// B_ij sums over; a row one column alone has reaches only B_jj, which both
-// targets take from the exact cardinality â_j (Eq. 4) instead. The local
-// target marks every column into one shared filter; a grid rank marks its
-// own columns into its FilterVector's shared Part, and Replicate finds the
-// rows two ranks share.
-//
 // A RowRank is reused batch to batch: Reset keeps its buffers.
 type RowRank struct {
 	length uint64
 	values int // values the filter was Reset for; its share of the form rule
 	bitset bool
-	shared bool     // keep only rows marked at least twice
 	words  []uint64 // bitset form: bit r%64 of words[r/64] is row r
-	seen   []uint64 // shared bitset form: rows marked at least once
+	seen   []uint64 // bitset form: rows marked at least once
 	prefix []int    // bitset form: set bits in words[:w]
-	rows   []uint64 // list form: sorted distinct rows
+	rows   []uint64 // list form: sorted kept rows
 	count  int
-	// part marks a FilterVector's Part, whose shared list-form Seal also
-	// keeps the distinct rows marked (distinct): its peers need them to
-	// find the rows two ranks share.
+	// part marks a FilterVector's Part, whose list-form Seal also keeps the
+	// distinct rows marked (distinct): its peers need them to find the rows
+	// two ranks share.
 	part     bool
 	distinct []uint64
 }
@@ -55,31 +53,24 @@ func bitsetWords(length uint64) uint64 { return length/64 + min(length%64, 1) }
 
 // Reset empties the filter for a batch of length rows into which `values`
 // row marks (duplicates included) will be written, and picks its form.
-// shared makes Seal keep only the rows marked at least twice.
-func (f *RowRank) Reset(length uint64, values int, shared bool) {
-	f.length, f.values, f.shared, f.count = length, values, shared, 0
+func (f *RowRank) Reset(length uint64, values int) {
+	f.length, f.values, f.count = length, values, 0
 	nw := bitsetWords(length)
 	f.bitset = values >= 0 && nw <= uint64(values)
 	f.rows = f.rows[:0]
 	if f.bitset {
 		f.words = resize(f.words, int(nw))
 		clear(f.words)
-		if shared {
-			f.seen = resize(f.seen, int(nw))
-			clear(f.seen)
-		}
+		f.seen = resize(f.seen, int(nw))
+		clear(f.seen)
 	}
 }
 
-// Shared reports whether the filter keeps only rows marked at least twice.
-func (f *RowRank) Shared() bool { return f.shared }
-
 // Mark writes the rows v − lo of the batch values vals (Eq. 5). Values may
 // repeat and arrive in any order across calls; every v − lo must lie in
-// [0, length). A shared bitset sets a row's bit in words once seen has it.
+// [0, length). The bitset form sets a row's bit in words once seen has it.
 func (f *RowRank) Mark(vals []uint64, lo uint64) {
-	switch {
-	case !f.bitset:
+	if !f.bitset {
 		for _, v := range vals {
 			r := v - lo
 			if r >= f.length {
@@ -87,26 +78,17 @@ func (f *RowRank) Mark(vals []uint64, lo uint64) {
 			}
 			f.rows = append(f.rows, r)
 		}
-	case f.shared:
-		words, seen := f.words, f.seen
-		for _, v := range vals {
-			r := v - lo
-			if r >= f.length {
-				f.outOfRange(r)
-			}
-			w, bit := r/64, uint64(1)<<(r%64)
-			words[w] |= seen[w] & bit
-			seen[w] |= bit
+		return
+	}
+	words, seen := f.words, f.seen
+	for _, v := range vals {
+		r := v - lo
+		if r >= f.length {
+			f.outOfRange(r)
 		}
-	default:
-		words := f.words
-		for _, v := range vals {
-			r := v - lo
-			if r >= f.length {
-				f.outOfRange(r)
-			}
-			words[r/64] |= 1 << (r % 64)
-		}
+		w, bit := r/64, uint64(1)<<(r%64)
+		words[w] |= seen[w] & bit
+		seen[w] |= bit
 	}
 }
 
@@ -116,20 +98,16 @@ func (f *RowRank) outOfRange(r uint64) {
 }
 
 // Seal completes the filter after the last Mark: the prefix popcount of the
-// bitset form, or the sort and de-duplication of the list form — which a
-// shared filter makes keep only the rows that occur at least twice (a
-// FilterVector's Part keeps its distinct rows beside them).
+// bitset form, or the list form's sort down to one copy of each row that
+// occurs at least twice (a FilterVector's Part keeps its distinct rows
+// beside them).
 func (f *RowRank) Seal() {
 	if !f.bitset {
 		slices.Sort(f.rows)
-		if f.shared {
-			if f.part {
-				f.distinct = slices.Compact(append(f.distinct[:0], f.rows...))
-			}
-			f.rows = keepRepeated(f.rows)
-		} else {
-			f.rows = slices.Compact(f.rows)
+		if f.part {
+			f.distinct = slices.Compact(append(f.distinct[:0], f.rows...))
 		}
+		f.rows = keepRepeated(f.rows)
 		f.count = len(f.rows)
 		return
 	}
@@ -155,7 +133,7 @@ func keepRepeated(rows []uint64) []uint64 {
 }
 
 // Count returns the number of rows in the filter, the batch's packed row
-// count: the nonzero rows, or the shared rows of a shared filter.
+// count: the rows two of its columns share.
 func (f *RowRank) Count() int { return f.count }
 
 // Rank returns the compacted index of row (Eq. 6) and whether the row is
@@ -201,12 +179,6 @@ func appendSetRows(out, words []uint64) []uint64 {
 
 // markWords is Mark for a whole bitset of rows, each row marked once.
 func (f *RowRank) markWords(x []uint64) {
-	if !f.shared {
-		for w, v := range x {
-			f.words[w] |= v
-		}
-		return
-	}
 	words, seen := f.words, f.seen
 	for w, v := range x {
 		words[w] |= seen[w] & v
@@ -217,9 +189,9 @@ func (f *RowRank) markWords(x []uint64) {
 // FilterVector completes f(l) on the processor grid. Each rank marks the
 // rows of its owned samples into its Part; Replicate then exchanges the
 // parts in one superstep and builds the same global RowRank on every rank,
-// which is the paper's replicated prefix sum (Eq. 6). A shared part yields
-// a shared global filter: the rows that two samples share, whether both
-// sit on one rank or on two. A FilterVector is reused batch to batch.
+// which is the paper's replicated prefix sum (Eq. 6): the rows that two
+// samples share, whether both sit on one rank or on two. A FilterVector is
+// reused batch to batch.
 type FilterVector struct {
 	ctx  *Context
 	part RowRank
@@ -238,35 +210,29 @@ func (f *FilterVector) Part() *RowRank { return &f.part }
 
 // Replicate all-gathers every rank's sealed Part and returns the global
 // filter, valid until the next call. Each rank sends its value count and
-// two row sets: seen, the rows it holds at all, and — for a shared part —
-// multi, the rows two of its own columns share. Each set goes as whichever
-// of its bitset words and its sorted row list is smaller. The summed value
-// counts — identical on every rank — pick the global form. In the bitset
-// form every set is marked into the global filter (a bitset set word by
-// word), so a shared filter keeps the OR of the multis plus every row two
-// seens hold, by the two-bit step of Mark; for a hypersparse batch the
-// sorted lists are merged 2p ways, keeping each row that two lists hold
-// (one, unshared). The gathered rows are never re-sorted. A part that
-// contradicts the batch (a row out of range, an unsorted list, a bitset of
-// the wrong size) is a peer's protocol violation and fails the batch with
-// an error.
+// two row sets: seen, the rows it holds at all, and multi, the rows two of
+// its own columns share. Each set goes as whichever of its bitset words and
+// its sorted row list is smaller. The summed value counts — identical on
+// every rank — pick the global form. In the bitset form every set is marked
+// into the global filter (a bitset set word by word), so it keeps the OR of
+// the multis plus every row two seens hold, by the two-bit step of Mark;
+// for a hypersparse batch the sorted lists are merged 2p ways, keeping each
+// row that two lists hold. The gathered rows are never re-sorted. A part
+// that contradicts the batch (a row out of range, an unsorted list, a
+// bitset of the wrong size) is a peer's protocol violation and fails the
+// batch with an error.
 func (f *FilterVector) Replicate() (*RowRank, error) {
 	part := &f.part
 	out := filterPart{Values: part.values}
-	switch {
-	case !part.shared && part.bitset:
-		out.Seen = f.wireSet(0, part.words, part.count)
-	case !part.shared:
-		out.Seen = rowSet{Words: part.rows}
-	case part.bitset:
+	if part.bitset {
 		out.Seen = f.wireSet(0, part.seen, bitutil.PopcountSlice(part.seen))
 		out.Multi = f.wireSet(1, part.words, part.count)
-	default:
+	} else {
 		out.Seen, out.Multi = rowSet{Words: part.distinct}, rowSet{Words: part.rows}
 	}
 	// The payloads alias this rank's buffers; peers read them before the
 	// next superstep, and the buffers are rewritten only in the next batch.
-	return &f.all, f.merge(part.length, part.shared, bsp.AllGather(f.ctx.P, out))
+	return &f.all, f.merge(part.length, bsp.AllGather(f.ctx.P, out))
 }
 
 // wireSet returns the set of `count` rows in bitset words as the smaller of
@@ -281,13 +247,13 @@ func (f *FilterVector) wireSet(i int, words []uint64, count int) rowSet {
 
 // merge builds the global filter of a batch of length rows from every
 // rank's part.
-func (f *FilterVector) merge(length uint64, shared bool, parts []filterPart) error {
+func (f *FilterVector) merge(length uint64, parts []filterPart) error {
 	all := &f.all
 	values := 0
 	for _, p := range parts {
 		values += p.Values
 	}
-	all.Reset(length, values, shared)
+	all.Reset(length, values)
 	for k, p := range parts {
 		for _, set := range []rowSet{p.Seen, p.Multi} {
 			if err := all.checkSet(set); err != nil {
@@ -312,10 +278,6 @@ func (f *FilterVector) merge(length uint64, shared bool, parts []filterPart) err
 	for _, p := range parts {
 		lists = append(lists, p.Seen.Words, p.Multi.Words)
 	}
-	need := 1
-	if shared {
-		need = 2
-	}
 	h := make([]int, len(lists)) // merge cursors, one per list
 	for {
 		var next uint64
@@ -334,7 +296,7 @@ func (f *FilterVector) merge(length uint64, shared bool, parts []filterPart) err
 		if holders == 0 {
 			break
 		}
-		if holders >= need {
+		if holders >= 2 {
 			all.rows = append(all.rows, next)
 		}
 		for k, l := range lists {
@@ -368,8 +330,7 @@ func (f *RowRank) checkSet(s rowSet) error {
 
 // filterPart is one rank's share of the replicated filter: the number of
 // values it marked, whose sum over ranks picks the global form, the rows it
-// holds (Seen) and, for a shared filter, the rows two of its own columns
-// share (Multi).
+// holds (Seen) and the rows two of its own columns share (Multi).
 type filterPart struct {
 	Values      int
 	Seen, Multi rowSet
@@ -394,9 +355,10 @@ func resize[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// Compact sorts a copy of rows and removes duplicates. It is the list form
-// of f(l) written out, and the reference RowRank is tested against: a row's
-// rank is its index in Compact of the batch's rows.
+// Compact sorts a copy of rows and removes duplicates: the paper's Eq. 5
+// filter of every nonzero row, with each row's Eq. 6 rank its index in the
+// result. Neither target packs that filter; it is the sort-and-dedup
+// reference that this package's tests and the benchmark's replay use.
 func Compact(rows []int64) []int64 {
 	if len(rows) == 0 {
 		return nil

@@ -12,25 +12,16 @@ import (
 	"genomeatscale/internal/bsp"
 )
 
-// sealedPart builds one process's filter over a batch of length rows that
+// sealed builds one process's filter over a batch of length rows that
 // starts at value lo, from the given values.
-func sealedPart(length, lo uint64, vals []uint64) *RowRank {
-	return sealed(length, lo, vals, false)
-}
-
-// sealedShared is sealedPart for a shared filter.
-func sealedShared(length, lo uint64, vals []uint64) *RowRank {
-	return sealed(length, lo, vals, true)
-}
-
-func sealed(length, lo uint64, vals []uint64, shared bool) *RowRank {
-	return fill(&RowRank{}, length, lo, vals, shared)
+func sealed(length, lo uint64, vals []uint64) *RowRank {
+	return fill(&RowRank{}, length, lo, vals)
 }
 
 // fill resets f for a batch of length rows that starts at value lo, marks
 // vals into it and seals it.
-func fill(f *RowRank, length, lo uint64, vals []uint64, shared bool) *RowRank {
-	f.Reset(length, len(vals), shared)
+func fill(f *RowRank, length, lo uint64, vals []uint64) *RowRank {
+	f.Reset(length, len(vals))
 	f.Mark(vals, lo)
 	f.Seal()
 	return f
@@ -38,17 +29,17 @@ func fill(f *RowRank, length, lo uint64, vals []uint64, shared bool) *RowRank {
 
 // replicate fills this rank's part of a batch of length rows from vals and
 // returns the replicated filter.
-func replicate(p *bsp.Proc, length uint64, vals []uint64, shared bool) (*RowRank, error) {
+func replicate(p *bsp.Proc, length uint64, vals []uint64) (*RowRank, error) {
 	fv := NewFilterVector(newContext(p, 1))
-	fill(fv.Part(), length, 0, vals, shared)
+	fill(fv.Part(), length, 0, vals)
 	return fv.Replicate()
 }
 
-// checkShared asserts that a shared filter sealed from vals holds exactly
-// the rows marked at least twice, each at its index in the sorted list of
-// them, and that a row marked once or never — each of probes, and every
-// row of vals — reports absent with the count of shared rows below it,
-// the lower bound packColumnInto carries to the next value.
+// checkShared asserts that a filter sealed from vals holds exactly the rows
+// marked at least twice, each at its index in the sorted list of them, and
+// that a row marked once or never — each of probes, and every row of vals —
+// reports absent with the count of shared rows below it, the lower bound
+// packColumnInto carries to the next value.
 func checkShared(f *RowRank, vals []uint64, lo uint64, probes []uint64) error {
 	marks := map[uint64]int{}
 	for _, v := range vals {
@@ -61,9 +52,6 @@ func checkShared(f *RowRank, vals []uint64, lo uint64, probes []uint64) error {
 		}
 	}
 	slices.Sort(want)
-	if !f.Shared() {
-		return fmt.Errorf("filter not shared")
-	}
 	if err := checkRanks(f, want); err != nil {
 		return err
 	}
@@ -133,6 +121,8 @@ func rankCases() []rankCase {
 		{"partial-last-word", 100, []uint64{99, 64, 0, 98}},
 		{"list-side", 64 * 50, seqRows(49, 64)},
 		{"bitset-side", 64 * 50, seqRows(50, 64)},
+		{"list-side-twice", 64 * 50, append(seqRows(24, 64), seqRows(24, 64)...)},
+		{"bitset-side-twice", 64 * 50, append(seqRows(25, 64), seqRows(25, 64)...)},
 		{"universe-2^62", 1 << 62, []uint64{1<<62 - 1, 0, 1 << 61, 1 << 61}},
 	}
 	rng := rand.New(rand.NewSource(71))
@@ -157,9 +147,9 @@ func seqRows(n int, stride uint64) []uint64 {
 	return out
 }
 
-// TestRowRankMatchesCompact: a single process's filter ranks every row at
-// its index in Compact of the same rows, in both forms, at any batch
-// offset; sealed shared, it keeps only the rows marked at least twice.
+// TestRowRankMatchesCompact: a single process's filter keeps exactly the
+// rows marked at least twice, each ranked at its index in the sorted list
+// of them (checkShared), in both forms and at any batch offset.
 func TestRowRankMatchesCompact(t *testing.T) {
 	forms := map[bool]int{}
 	for _, c := range rankCases() {
@@ -168,16 +158,13 @@ func TestRowRankMatchesCompact(t *testing.T) {
 		for i, r := range c.vals {
 			vals[i] = lo + r
 		}
-		f := sealedPart(c.length, lo, vals)
+		f := sealed(c.length, lo, vals)
 		forms[f.bitset]++
 		if f.bitset != (bitsetWords(c.length) <= uint64(len(vals))) {
 			t.Errorf("%s: bitset form %v for %d values over %d rows", c.name, f.bitset, len(vals), c.length)
 		}
-		if err := checkRanks(f, compactRows(vals, lo)); err != nil {
+		if err := checkShared(f, vals, lo, nil); err != nil {
 			t.Errorf("%s: %v", c.name, err)
-		}
-		if err := checkShared(sealedShared(c.length, lo, vals), vals, lo, nil); err != nil {
-			t.Errorf("%s, shared: %v", c.name, err)
 		}
 	}
 	if forms[true] == 0 || forms[false] == 0 {
@@ -186,11 +173,10 @@ func TestRowRankMatchesCompact(t *testing.T) {
 }
 
 // TestFilterVectorMatchesCompact: the replicated filter of 1-, 4- and
-// 9-rank clusters ranks every row at its index in Compact of all ranks'
-// rows, with each rank's values drawn so that bitset and list senders mix
-// (and, in hypersparse batches, every sender is a list). Replicated from
-// shared parts, it keeps exactly the rows marked at least twice over all
-// ranks — twice on one rank or once on each of two (checkShared).
+// 9-rank clusters keeps exactly the rows marked at least twice over all
+// ranks — twice on one rank or once on each of two (checkShared) — with
+// each rank's values drawn so that bitset and list senders mix (and, in
+// hypersparse batches, every sender is a list).
 func TestFilterVectorMatchesCompact(t *testing.T) {
 	rng := rand.New(rand.NewSource(72))
 	senders := map[bool]int{}
@@ -207,33 +193,22 @@ func TestFilterVectorMatchesCompact(t *testing.T) {
 				}
 				perRank[r] = append(perRank[r], v)
 			}
-			want := compactRows(c.vals, 0)
 			// A rank sends its rows as a bitset when it holds at least
 			// one distinct row per bitset word.
 			sentBits := make([]bool, procs)
 			for r, vals := range perRank {
 				sentBits[r] = bitsetWords(c.length) <= uint64(len(vals)) && len(compactRows(vals, 0)) >= int(bitsetWords(c.length))
 			}
-			for _, shared := range []bool{false, true} {
-				_, errs := bsp.RunCluster(context.Background(), bsp.MemCluster(procs), func(p *bsp.Proc) error {
-					got, err := replicate(p, c.length, perRank[p.Rank()], shared)
-					if err != nil {
-						return err
-					}
-					if shared {
-						err = checkShared(got, c.vals, 0, nil)
-					} else {
-						err = checkRanks(got, want)
-					}
-					if err != nil {
-						return fmt.Errorf("rank %d: %w", p.Rank(), err)
-					}
-					return nil
-				})
-				for r, err := range errs {
-					if err != nil {
-						t.Fatalf("p=%d %s shared=%v: rank %d: %v", procs, c.name, shared, r, err)
-					}
+			_, errs := bsp.RunCluster(context.Background(), bsp.MemCluster(procs), func(p *bsp.Proc) error {
+				got, err := replicate(p, c.length, perRank[p.Rank()])
+				if err != nil {
+					return err
+				}
+				return checkShared(got, c.vals, 0, nil)
+			})
+			for r, err := range errs {
+				if err != nil {
+					t.Fatalf("p=%d %s: rank %d: %v", procs, c.name, r, err)
 				}
 			}
 			mixed := false
@@ -248,7 +223,7 @@ func TestFilterVectorMatchesCompact(t *testing.T) {
 	}
 }
 
-// TestFilterCommunication pins the shared filter's cost on a seeded 4-rank
+// TestFilterCommunication pins the filter's cost on a seeded 4-rank
 // batch: one superstep, and each rank sends at most (p−1)·(min(8·seen_r,
 // 8·W) + min(8·multi_r, 8·W) + header) bytes, where seen_r is its distinct
 // row count, multi_r the rows two of its values share and W = ⌈len/64⌉.
@@ -265,8 +240,8 @@ func TestFilterCommunication(t *testing.T) {
 	stats, errs := bsp.RunCluster(context.Background(), bsp.MemCluster(procs), func(p *bsp.Proc) error {
 		vals := perRank[p.Rank()]
 		seen[p.Rank()] = len(compactRows(vals, 0))
-		multi[p.Rank()] = sealedShared(length, 0, vals).Count()
-		_, err := replicate(p, length, vals, true)
+		multi[p.Rank()] = sealed(length, 0, vals).Count()
+		_, err := replicate(p, length, vals)
 		return err
 	})
 	const header = 24
@@ -306,19 +281,16 @@ func TestFilterVectorRejectsBadParts(t *testing.T) {
 		{"unsorted-hypersparse-multi", 1 << 40, filterPart{Values: 2, Seen: list(1, 9), Multi: list(9, 1)}},
 		{"bitset-in-hypersparse-batch", 1 << 40, filterPart{Values: 2, Seen: bitset(1)}},
 	} {
-		for _, shared := range []bool{false, true} {
-			var f FilterVector
-			if err := f.merge(c.length, shared, []filterPart{{}, c.bad}); err == nil {
-				t.Errorf("%s (shared %v): part %+v merged without error", c.name, shared, c.bad)
-			}
+		var f FilterVector
+		if err := f.merge(c.length, []filterPart{{}, c.bad}); err == nil {
+			t.Errorf("%s: part %+v merged without error", c.name, c.bad)
 		}
 	}
 }
 
 // FuzzFilterRank: arbitrary rows in a small batch and in a 2⁶² universe
-// rank at their index in the sort-and-dedup of the same rows, and nothing
-// panics. Sealed in shared mode, the same rows keep only those marked at
-// least twice (checkShared).
+// keep only those marked at least twice, each ranked at its index in the
+// sorted list of them (checkShared), and nothing panics.
 func FuzzFilterRank(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{100, 0, 99, 0, 64, 0, 0, 0, 63, 0})
@@ -333,16 +305,12 @@ func FuzzFilterRank(f *testing.F) {
 		for i := 2; i+1 < len(data) && length > 0; i += 2 {
 			vals = append(vals, uint64(binary.LittleEndian.Uint16(data[i:]))%length)
 		}
-		want := compactRows(vals, 0)
-		if err := checkRanks(sealedPart(length, 0, vals), want); err != nil {
-			t.Fatalf("%d rows: %v", length, err)
-		}
 		every := make([]uint64, length) // every row of the small batch
 		for r := range every {
 			every[r] = uint64(r)
 		}
-		if err := checkShared(sealedShared(length, 0, vals), vals, 0, every); err != nil {
-			t.Fatalf("%d rows, shared: %v", length, err)
+		if err := checkShared(sealed(length, 0, vals), vals, 0, every); err != nil {
+			t.Fatalf("%d rows: %v", length, err)
 		}
 		const lo = 1 << 61
 		shifted := make([]uint64, len(vals))
@@ -351,11 +319,8 @@ func FuzzFilterRank(f *testing.F) {
 			shifted[i] = lo + v*(1<<40)
 			gaps[i] = v*(1<<40) + 1
 		}
-		if err := checkRanks(sealedPart(1<<62, lo, shifted), compactRows(shifted, lo)); err != nil {
+		if err := checkShared(sealed(1<<62, lo, shifted), shifted, lo, gaps); err != nil {
 			t.Fatalf("2^62 universe: %v", err)
-		}
-		if err := checkShared(sealedShared(1<<62, lo, shifted), shifted, lo, gaps); err != nil {
-			t.Fatalf("2^62 universe, shared: %v", err)
 		}
 	})
 }
