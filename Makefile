@@ -62,6 +62,7 @@ fuzz:
 	go test -run=^$$ -fuzz=FuzzHybridThresholdEquivalence -fuzztime=10s ./internal/bitmat
 	go test -run=^$$ -fuzz=FuzzTriangleGram -fuzztime=10s ./internal/bitmat
 	go test -run=^$$ -fuzz=FuzzPopcountAndSlice -fuzztime=10s ./internal/bitutil
+	go test -run=^$$ -fuzz=FuzzPopcountAndBlock -fuzztime=10s ./internal/bitutil
 	go test -run=^$$ -fuzz=FuzzReadFrame -fuzztime=10s ./internal/bsp/tcptransport
 	go test -run=^$$ -fuzz=FuzzWireDecode -fuzztime=10s ./internal/dist
 	go test -run=^$$ -fuzz=FuzzFilterRank -fuzztime=10s ./internal/dist

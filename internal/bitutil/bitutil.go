@@ -31,6 +31,21 @@ func PopcountAndSlice(a, b []uint64) int {
 	return activeImpl.andSlice(a, b)
 }
 
+// PopcountAndBlock sets out[4i+j] = Σ_k popcount(a[i][k] ∧ b[j][k]) for
+// the 4×4 block of column pairs, over the common length of the eight
+// slabs (missing words count as zero, as in PopcountAndSlice). It is the
+// register-blocked form of PopcountAndSlice: one pass over the word rows
+// serves all 16 pairs. It runs the AVX-512 VPOPCNTQ block kernel where
+// the assembly slab kernel is installed (see Kernel), the portable one
+// otherwise; both return the same sums.
+func PopcountAndBlock(out *[16]int64, a, b *[4][]uint64) {
+	if activeImpl.asmBlock {
+		popcountAndBlockAsm(out, a, b)
+		return
+	}
+	popcountAndBlockGo(out, a, b)
+}
+
 // WordsFor returns the number of b-bit words needed to hold n bits.
 func WordsFor(n int, b int) int {
 	if b <= 0 {

@@ -8,11 +8,15 @@ func xgetbv0() (eax, edx uint32)
 func popcntAndSliceAsm(a, b *uint64, n int) int64
 func popcntSliceAsm(a *uint64, n int) int64
 
+//go:noescape
+func popcntAndBlockAsm(out *[16]int64, a, b *[4]*uint64, n int)
+
 // avx512Impl is the assembly kernel, registered when the host supports it.
 var avx512Impl = &kernelImpl{
 	name:     "avx512-vpopcntq",
 	andSlice: popcountAndSliceAVX512,
 	slice:    popcountSliceAVX512,
+	asmBlock: true,
 }
 
 func popcountAndSliceAVX512(a, b []uint64) int {
@@ -31,6 +35,18 @@ func popcountSliceAVX512(xs []uint64) int {
 		return 0
 	}
 	return int(popcntSliceAsm(&xs[0], len(xs)))
+}
+
+// popcountAndBlockAsm is PopcountAndBlock on the AVX-512 block kernel.
+func popcountAndBlockAsm(out *[16]int64, a, b *[4][]uint64) {
+	n := blockLen(a, b)
+	if n == 0 {
+		*out = [16]int64{}
+		return
+	}
+	pa := [4]*uint64{&a[0][0], &a[1][0], &a[2][0], &a[3][0]}
+	pb := [4]*uint64{&b[0][0], &b[1][0], &b[2][0], &b[3][0]}
+	popcntAndBlockAsm(out, &pa, &pb, n)
 }
 
 // asmKernelSupported reports whether the host can run the VPOPCNTQ kernel:

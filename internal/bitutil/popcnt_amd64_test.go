@@ -25,8 +25,18 @@ func asmSliceKernels() map[string]func([]uint64) int {
 	}
 }
 
-// TestKernelSelection pins the init-time choice: the assembly kernel on
-// hosts that support it, the portable 8-way kernel everywhere else.
+func asmBlockKernels() map[string]func(out *[16]int64, a, b *[4][]uint64) {
+	if !asmKernelSupported() {
+		return nil
+	}
+	return map[string]func(out *[16]int64, a, b *[4][]uint64){
+		"avx512-vpopcntq": popcountAndBlockAsm,
+	}
+}
+
+// TestKernelSelection pins the init-time choice: the assembly slab and
+// block kernels on hosts that support them, the portable kernels
+// everywhere else.
 func TestKernelSelection(t *testing.T) {
 	want := "portable-8way"
 	if asmKernelSupported() {
@@ -34,5 +44,8 @@ func TestKernelSelection(t *testing.T) {
 	}
 	if got := Kernel(); got != want {
 		t.Fatalf("Kernel() = %q, want %q", got, want)
+	}
+	if got := activeImpl.asmBlock; got != asmKernelSupported() {
+		t.Fatalf("assembly block kernel installed = %v, want %v", got, asmKernelSupported())
 	}
 }

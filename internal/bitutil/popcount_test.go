@@ -185,3 +185,105 @@ func FuzzPopcountAndSlice(f *testing.F) {
 		}
 	})
 }
+
+// blockKernelsUnderTest enumerates every 4×4 block kernel reachable in
+// this build: the portable one, the dispatched entry point, and (on
+// capable amd64 hosts) the assembly kernel directly.
+func blockKernelsUnderTest() map[string]func(out *[16]int64, a, b *[4][]uint64) {
+	ks := map[string]func(out *[16]int64, a, b *[4][]uint64){
+		"portable-block": popcountAndBlockGo,
+		"dispatched":     PopcountAndBlock,
+	}
+	for name, fn := range asmBlockKernels() {
+		ks[name] = fn
+	}
+	return ks
+}
+
+// checkBlockKernels runs every block kernel on (a, b) and requires each of
+// the 16 sums to equal refPopcountAnd of its pair over the common length.
+// out starts dirty so a kernel that leaves a sum unwritten fails.
+func checkBlockKernels(t *testing.T, a, b *[4][]uint64) {
+	t.Helper()
+	n := blockLen(a, b)
+	for name, fn := range blockKernelsUnderTest() {
+		var out [16]int64
+		for k := range out {
+			out[k] = -1
+		}
+		fn(&out, a, b)
+		for i := range 4 {
+			for j := range 4 {
+				if want := int64(refPopcountAnd(a[i][:n], b[j][:n])); out[4*i+j] != want {
+					t.Fatalf("block kernel %s: n=%d pair (%d,%d): got %d, want %d", name, n, i, j, out[4*i+j], want)
+				}
+			}
+		}
+	}
+}
+
+// TestPopcountAndBlockDifferential pins every block kernel to the per-pair
+// reference across lengths straddling the 8-word step and its masked tail
+// (n < 8, n mod 8 ≠ 0), on slabs that start at different word offsets of
+// one backing array, including all-ones words.
+func TestPopcountAndBlockDifferential(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	backing := make([]uint64, 4096)
+	for _, n := range []int{0, 1, 2, 3, 7, 8, 9, 15, 16, 17, 63, 64, 65, 127, 512, 515} {
+		for _, ones := range []bool{false, true} {
+			for k := range backing {
+				backing[k] = rng.Uint64()
+				if ones {
+					backing[k] = ^uint64(0)
+				}
+			}
+			var a, b [4][]uint64
+			for k := range 4 {
+				off := rng.Intn(len(backing) - n)
+				a[k] = backing[off : off+n]
+				off = rng.Intn(len(backing) - n)
+				b[k] = backing[off : off+n]
+			}
+			checkBlockKernels(t, &a, &b)
+			// Unequal lengths: the shortest slab governs.
+			if n > 0 {
+				b[rng.Intn(4)] = b[0][:rng.Intn(n)]
+				checkBlockKernels(t, &a, &b)
+			}
+		}
+	}
+}
+
+// FuzzPopcountAndBlock cuts arbitrary bytes into one word backing array
+// and reads the eight operand slabs of a 4×4 block from it at offsets the
+// fuzzer picks, so the slabs start at different words and may overlap.
+// Every block kernel must match refPopcountAnd pair by pair at any length:
+// zero, under one 8-word step, and with a tail that is not a multiple of 8.
+func FuzzPopcountAndBlock(f *testing.F) {
+	f.Add([]byte{}, uint16(0), uint64(0))
+	f.Add(binary.LittleEndian.AppendUint64(nil, ^uint64(0)), uint16(1), uint64(0))
+	seed := make([]byte, 8*80)
+	for i := range seed {
+		seed[i] = byte(i * 29)
+	}
+	f.Add(seed, uint16(13), uint64(0x0706050403020100))
+	f.Add(seed, uint16(64), uint64(0x3f2e1d0c3b2a1908))
+	f.Fuzz(func(t *testing.T, data []byte, length uint16, offsets uint64) {
+		words := make([]uint64, len(data)/8)
+		for i := range words {
+			words[i] = binary.LittleEndian.Uint64(data[i*8:])
+		}
+		n := int(length) % (len(words) + 1)
+		var a, b [4][]uint64
+		for k := range 8 {
+			off := int(offsets>>(8*k)&0xff) % (len(words) - n + 1)
+			slab := words[off : off+n]
+			if k < 4 {
+				a[k] = slab
+			} else {
+				b[k-4] = slab
+			}
+		}
+		checkBlockKernels(t, &a, &b)
+	})
+}
