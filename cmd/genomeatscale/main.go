@@ -12,9 +12,14 @@
 //	genomeatscale -k 19 -min-count 1 -procs 8 -batches 4 -workers 1 \
 //	    -similarity sim.tsv -distance dist.tsv -newick tree.nwk sample1.fa sample2.fa ...
 //
-// With -top-k or -threshold the run streams: only the requested sample
-// pairs are retained (in memory bounded by the reduction, not by n²) and
-// printed as a pair list instead of the full matrices.
+// Every run streams the engine's finalized tiles into the sinks its flags
+// ask for: -similarity, -distance and -phylip each write their matrix row
+// by row as the tiles arrive, -pairs-threshold retains the pairs at or
+// above it, and only printing the matrix (no -similarity or -distance
+// file) or -newick assembles the matrix in memory. With -top-k or
+// -threshold only the requested sample pairs are retained (in memory
+// bounded by the reduction, not by n²) and printed as a pair list instead
+// of the full matrices.
 package main
 
 import (
@@ -30,6 +35,7 @@ import (
 	"genomeatscale/internal/core"
 	"genomeatscale/internal/genome"
 	"genomeatscale/internal/output"
+	"genomeatscale/internal/tile"
 )
 
 func main() {
@@ -50,7 +56,7 @@ func run(args []string, out *os.File) (err error) {
 	distPath := fs.String("distance", "", "write the distance matrix to this TSV file")
 	phylipPath := fs.String("phylip", "", "write the distance matrix in PHYLIP format to this file")
 	newickPath := fs.String("newick", "", "write a neighbour-joining guide tree in Newick format to this file")
-	pairsThreshold := fs.Float64("pairs-threshold", -1, "if ≥ 0, print sample pairs with similarity at or above this threshold (post-hoc, from the gathered matrix)")
+	pairsThreshold := fs.Float64("pairs-threshold", -1, "if ≥ 0, print sample pairs with similarity at or above this threshold beside the matrix outputs")
 	indexFlags := cliutil.BindIndex(fs)
 	statsJSON := cliutil.BindStatsJSON(fs)
 	profile := cliutil.BindProfile(fs)
@@ -91,7 +97,11 @@ func run(args []string, out *os.File) (err error) {
 		return err
 	}
 
-	if compute.Streaming() {
+	// The matrix is assembled in memory only to be printed (no -top-k,
+	// -threshold or TSV file) or for the -newick tree.
+	pairs := compute.PairSink()
+	printMatrix := pairs == nil && *simPath == "" && *distPath == ""
+	if pairs != nil {
 		if transport.TCP() {
 			return fmt.Errorf("streaming mode (-top-k/-threshold) runs in-process; drop -transport tcp")
 		}
@@ -101,22 +111,8 @@ func run(args []string, out *os.File) (err error) {
 		if *pairsThreshold >= 0 {
 			return fmt.Errorf("-pairs-threshold filters the gathered matrix post hoc; in streaming mode use -threshold instead")
 		}
-		res, pairs, err := compute.StreamPairs(context.Background(), ds)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "\nstreamed %d×%d Jaccard similarity run in %.3fs (%d tiles, peak tile %d words)\n",
-			res.N, res.N, res.Stats.TotalSeconds, res.Stats.TilesEmitted, res.Stats.PeakTileWords)
-		cliutil.PrintTuning(out, res.Stats.Tuning)
-		cliutil.PrintSketch(out, res.Stats.Sketch)
-		if err := cliutil.WriteStatsJSONFlag(out, *statsJSON, &res.Stats); err != nil {
-			return err
-		}
-		if err := indexFlags.Write(out, ds, compute.Options()); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "\n%d retained sample pairs:\n", len(pairs))
-		return output.WritePairs(out, pairs)
+	} else if *pairsThreshold >= 0 {
+		pairs = tile.NewThreshold(*pairsThreshold)
 	}
 
 	opts := compute.Options()
@@ -129,52 +125,58 @@ func run(args []string, out *os.File) (err error) {
 	if err != nil {
 		return err
 	}
-	res, err := e.Similarity(context.Background(), ds)
-	if err != nil {
+
+	// Only the root process holds output: the other ranks of a TCP job
+	// stream into no sink and never touch the output paths.
+	var sinks cliutil.Sinks
+	defer func() { err = sinks.Finish(err) }()
+	var collect *tile.Collect
+	if transport.Root() {
+		if pairs != nil {
+			sinks.Add(pairs)
+		}
+		if err := sinks.AddFile(*simPath, output.FormatTSV, output.MatrixSimilarity); err != nil {
+			return err
+		}
+		if err := sinks.AddFile(*distPath, output.FormatTSV, output.MatrixDistance); err != nil {
+			return err
+		}
+		if err := sinks.AddFile(*phylipPath, output.FormatPHYLIP, output.MatrixDistance); err != nil {
+			return err
+		}
+		if printMatrix || *newickPath != "" {
+			collect = tile.NewCollect()
+			sinks.Add(collect)
+		}
+	}
+	res, err := e.Stream(context.Background(), ds, sinks.Sink())
+	if err = sinks.Finish(err); err != nil {
 		return err
 	}
 
 	if !transport.Root() {
-		// Non-root TCP ranks hold no gathered matrix — rank 0 writes the
-		// outputs for the whole job.
+		// Rank 0 writes the outputs for the whole job.
 		fmt.Fprintf(out, "\nrank %d of %d: run complete in %.3fs\n",
 			*transport.Rank, opts.Procs, res.Stats.TotalSeconds)
 		cliutil.PrintComm(out, &res.Stats)
 		return nil
 	}
-
-	fmt.Fprintf(out, "\ncomputed %d×%d Jaccard similarity matrix in %.3fs (%d batches)\n",
-		res.N, res.N, res.Stats.TotalSeconds, res.Stats.Batches)
-	cliutil.PrintTuning(out, res.Stats.Tuning)
-	cliutil.PrintSketch(out, res.Stats.Sketch)
-	cliutil.PrintComm(out, &res.Stats)
-	if err := cliutil.WriteStatsJSONFlag(out, *statsJSON, &res.Stats); err != nil {
+	fmt.Fprintf(out, "\nstreamed %d×%d Jaccard similarity matrix in %.3fs (%d batches, %d tiles, peak tile %d words)\n",
+		res.N, res.N, res.Stats.TotalSeconds, res.Stats.Batches, res.Stats.TilesEmitted, res.Stats.PeakTileWords)
+	if err := cliutil.Report(out, &res.Stats, *statsJSON, indexFlags, ds, opts); err != nil {
 		return err
 	}
-	if err := indexFlags.Write(out, ds, opts); err != nil {
-		return err
-	}
-
 	if *simPath != "" {
-		if err := cliutil.WriteMatrixTSVFile(*simPath, res.Names, res.S); err != nil {
-			return err
-		}
 		fmt.Fprintf(out, "similarity matrix written to %s\n", *simPath)
 	}
 	if *distPath != "" {
-		if err := cliutil.WriteMatrixTSVFile(*distPath, res.Names, res.D); err != nil {
-			return err
-		}
 		fmt.Fprintf(out, "distance matrix written to %s\n", *distPath)
 	}
 	if *phylipPath != "" {
-		if err := output.WritePHYLIPFile(*phylipPath, res.Names, res.D); err != nil {
-			return err
-		}
 		fmt.Fprintf(out, "PHYLIP distance matrix written to %s\n", *phylipPath)
 	}
 	if *newickPath != "" {
-		tree, err := cluster.NeighborJoining(res.D, res.Names)
+		tree, err := cluster.NeighborJoining(collect.D(), res.Names)
 		if err != nil {
 			return err
 		}
@@ -183,18 +185,19 @@ func run(args []string, out *os.File) (err error) {
 		}
 		fmt.Fprintf(out, "guide tree written to %s\n", *newickPath)
 	}
-	if *pairsThreshold >= 0 {
-		pairs, err := output.TopPairs(res.Names, res.S, *pairsThreshold)
-		if err != nil {
-			return err
+	if pairs != nil {
+		kept := compute.Pairs(pairs)
+		if *pairsThreshold >= 0 {
+			fmt.Fprintf(out, "\n%d sample pairs with similarity ≥ %.3f:\n", len(kept), *pairsThreshold)
+		} else {
+			fmt.Fprintf(out, "\n%d retained sample pairs:\n", len(kept))
 		}
-		fmt.Fprintf(out, "\n%d sample pairs with similarity ≥ %.3f:\n", len(pairs), *pairsThreshold)
-		if err := output.WritePairs(out, pairs); err != nil {
+		if err := output.WritePairs(out, res.Names, kept); err != nil {
 			return err
 		}
 	}
-	if *simPath == "" && *distPath == "" {
-		cliutil.PrintMatrix(out, res.Names, res.S)
+	if printMatrix {
+		cliutil.PrintMatrix(out, res.Names, collect.S())
 	}
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"compress/gzip"
 	"context"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -11,8 +12,12 @@ import (
 	"testing"
 
 	"genomeatscale/internal/cliutil"
+	"genomeatscale/internal/core"
 	"genomeatscale/internal/genome"
 	"genomeatscale/internal/index"
+	"genomeatscale/internal/output"
+	"genomeatscale/internal/sparse"
+	"genomeatscale/internal/tile"
 )
 
 // writeTestFASTA writes n related FASTA files into dir and returns their paths.
@@ -223,6 +228,106 @@ func TestRunProfileFlags(t *testing.T) {
 		}
 		if body, err := io.ReadAll(zr); err != nil || len(body) == 0 {
 			t.Fatalf("%s: %d decompressed bytes, err %v", path, len(body), err)
+		}
+	}
+}
+
+// writePHYLIP is the PHYLIP oracle (the one internal/output's tests hold):
+// the gathered distance matrix written with fmt's verbs.
+func writePHYLIP(names []string, d *sparse.Dense[float64]) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%5d\n", len(names))
+	for i, name := range names {
+		name = strings.NewReplacer(" ", "_", "\t", "_", "\n", "_").Replace(name)
+		fmt.Fprintf(&b, "%-10s", name[:min(len(name), 10)])
+		for j := range names {
+			fmt.Fprintf(&b, " %9.6f", d.At(i, j))
+		}
+		b.WriteString("\n")
+	}
+	return b.String()
+}
+
+// TestRunMatchesOracle: the -similarity, -distance and -phylip files a run
+// streams, locally and on a 4-rank grid, equal output.WriteTSV and the
+// PHYLIP oracle of the matrices Engine.Similarity gathers for the same
+// k-mer sets, and -pairs-threshold 0 prints every pair of the gathered
+// S in tile.SortPairs order.
+func TestRunMatchesOracle(t *testing.T) {
+	dir := t.TempDir()
+	paths := writeTestFASTA(t, dir, 6)
+	samples := make([]genome.Sample, len(paths))
+	for i, path := range paths {
+		records, err := genome.ReadFASTAFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := strings.TrimSuffix(filepath.Base(path), filepath.Ext(path))
+		samples[i], err = genome.BuildSampleFromRecords(name, records, genome.SampleOptions{
+			ExtractorOptions: genome.ExtractorOptions{K: 13, Canonical: true},
+			MinCount:         1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	ds, err := genome.BuildDataset(samples)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := core.NewEngine(core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	gathered, err := e.Similarity(context.Background(), ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wantSim, wantDist bytes.Buffer
+	if err := output.WriteTSV(&wantSim, gathered.Names, gathered.S); err != nil {
+		t.Fatal(err)
+	}
+	if err := output.WriteTSV(&wantDist, gathered.Names, gathered.D); err != nil {
+		t.Fatal(err)
+	}
+	var all []tile.Pair
+	for i := range gathered.N {
+		for j := i + 1; j < gathered.N; j++ {
+			all = append(all, tile.Pair{I: i, J: j, Similarity: gathered.S.At(i, j)})
+		}
+	}
+	tile.SortPairs(all)
+	var wantPairs strings.Builder
+	fmt.Fprintf(&wantPairs, "\n%d sample pairs with similarity ≥ 0.000:\nsample_a\tsample_b\tjaccard\n", len(all))
+	for _, p := range all {
+		fmt.Fprintf(&wantPairs, "%s\t%s\t%.6f\n", gathered.Names[p.I], gathered.Names[p.J], p.Similarity)
+	}
+
+	for _, target := range [][]string{{"-procs", "1"}, {"-procs", "4", "-batches", "3"}} {
+		out := t.TempDir()
+		sim, dist, phy := filepath.Join(out, "s.tsv"), filepath.Join(out, "d.tsv"), filepath.Join(out, "d.phy")
+		stdout, err := os.Create(filepath.Join(out, "stdout"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer stdout.Close()
+		args := append(append([]string{"-k", "13", "-similarity", sim, "-distance", dist, "-phylip", phy, "-pairs-threshold", "0"}, target...), paths...)
+		if err := run(args, stdout); err != nil {
+			t.Fatalf("%v: %v", target, err)
+		}
+		for _, file := range []struct{ path, want string }{
+			{sim, wantSim.String()}, {dist, wantDist.String()}, {phy, writePHYLIP(gathered.Names, gathered.D)},
+		} {
+			if got, err := os.ReadFile(file.path); err != nil || string(got) != file.want {
+				t.Errorf("%v: %s differs from the oracle (err %v):\n%s\nwant:\n%s", target, filepath.Base(file.path), err, got, file.want)
+			}
+		}
+		content, err := os.ReadFile(stdout.Name())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.HasSuffix(string(content), wantPairs.String()) {
+			t.Errorf("%v: stdout does not end with the brute-force pair list:\n%s\nwant suffix:\n%s", target, content, wantPairs.String())
 		}
 	}
 }

@@ -4,9 +4,11 @@
 //
 // Each input file is one data sample; each non-empty line holds one
 // non-negative integer attribute value (the paper's Listing 2: "One file
-// line contains one data value"). The tool prints the similarity matrix or
-// writes it as TSV; with -top-k or -threshold it streams, retaining only
-// the requested sample pairs instead of gathering the full matrix.
+// line contains one data value"). Every run streams the engine's finalized
+// tiles into the sinks its flags ask for: -output writes the similarity
+// (or -distance) matrix as TSV row by row as the tiles arrive, -top-k and
+// -threshold retain only the requested sample pairs, and without either
+// the matrix is assembled in memory and printed.
 //
 // With -dir the samples are not loaded up front: the directory's files
 // (text or binary encoding, auto-detected) are read out-of-core during the
@@ -22,7 +24,7 @@
 //
 // With -transport tcp the process runs as ONE rank of a multi-process BSP
 // job: every process is started with identical flags except -rank, the
-// peer list names each rank's listen address, and rank 0 assembles and
+// peer list names each rank's listen address, and rank 0 writes or
 // prints the matrix while the other ranks report completion only. The
 // cmd/bsprank launcher starts all ranks of such a job on one machine:
 //
@@ -43,6 +45,7 @@ import (
 	"genomeatscale/internal/cliutil"
 	"genomeatscale/internal/core"
 	"genomeatscale/internal/output"
+	"genomeatscale/internal/tile"
 )
 
 func main() {
@@ -126,7 +129,12 @@ func run(args []string, out *os.File) (err error) {
 		}
 	}
 
-	if compute.Streaming() {
+	label, field := "similarity", output.MatrixSimilarity
+	if *distance {
+		label, field = "distance", output.MatrixDistance
+	}
+	pairs := compute.PairSink()
+	if pairs != nil {
 		if transport.TCP() {
 			return fmt.Errorf("streaming mode (-top-k/-threshold) runs in-process; drop -transport tcp")
 		}
@@ -136,25 +144,7 @@ func run(args []string, out *os.File) (err error) {
 		if *distance {
 			return fmt.Errorf("streaming mode (-top-k/-threshold) reports similarity pairs (distance = 1 − jaccard); drop -distance")
 		}
-		res, pairs, err := compute.StreamPairs(context.Background(), ds)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "streamed %d×%d Jaccard similarity run over m=%d attributes in %.3fs (%d tiles)\n",
-			res.N, res.N, m, res.Stats.TotalSeconds, res.Stats.TilesEmitted)
-		cliutil.PrintTuning(out, res.Stats.Tuning)
-		cliutil.PrintSketch(out, res.Stats.Sketch)
-		cliutil.PrintIngest(out, res.Stats.Ingest)
-		if err := cliutil.WriteStatsJSONFlag(out, *statsJSON, &res.Stats); err != nil {
-			return err
-		}
-		if err := indexFlags.Write(out, ds, compute.Options()); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "\n%d retained sample pairs:\n", len(pairs))
-		return output.WritePairs(out, pairs)
 	}
-
 	opts := compute.Options()
 	closeTransport, err := transport.Setup(&opts)
 	if err != nil {
@@ -165,47 +155,55 @@ func run(args []string, out *os.File) (err error) {
 	if err != nil {
 		return err
 	}
-	res, err := e.Similarity(context.Background(), ds)
-	if err != nil {
+
+	// Only the root process holds output: the other ranks of a TCP job
+	// stream into no sink and never touch the -output path.
+	var sinks cliutil.Sinks
+	defer func() { err = sinks.Finish(err) }()
+	var collect *tile.Collect
+	if transport.Root() {
+		switch {
+		case pairs != nil:
+			sinks.Add(pairs)
+		case *outPath != "":
+			if err := sinks.AddFile(*outPath, output.FormatTSV, field); err != nil {
+				return err
+			}
+		default:
+			collect = tile.NewCollect()
+			sinks.Add(collect)
+		}
+	}
+	res, err := e.Stream(context.Background(), ds, sinks.Sink())
+	if err = sinks.Finish(err); err != nil {
 		return err
 	}
 
 	if !transport.Root() {
-		// Non-root TCP ranks hold no gathered matrix — rank 0 prints it
-		// and writes the index/stats artifacts for the whole job.
+		// Rank 0 writes the output and the index/stats artifacts for the
+		// whole job.
 		fmt.Fprintf(out, "rank %d of %d: run complete in %.3fs\n",
 			*transport.Rank, opts.Procs, res.Stats.TotalSeconds)
 		cliutil.PrintComm(out, &res.Stats)
 		return nil
 	}
-	if err := cliutil.WriteStatsJSONFlag(out, *statsJSON, &res.Stats); err != nil {
+	fmt.Fprintf(out, "streamed %d×%d Jaccard %s matrix over m=%d attributes in %.3fs (%d tiles)\n",
+		res.N, res.N, label, m, res.Stats.TotalSeconds, res.Stats.TilesEmitted)
+	if err := cliutil.Report(out, &res.Stats, *statsJSON, indexFlags, ds, opts); err != nil {
 		return err
 	}
-	if err := indexFlags.Write(out, ds, opts); err != nil {
-		return err
-	}
-
-	matrix := res.S
-	label := "similarity"
-	if *distance {
-		matrix = res.D
-		label = "distance"
-	}
-	fmt.Fprintf(out, "computed %d×%d Jaccard %s matrix over m=%d attributes in %.3fs\n",
-		res.N, res.N, label, m, res.Stats.TotalSeconds)
-	cliutil.PrintTuning(out, res.Stats.Tuning)
-	cliutil.PrintSketch(out, res.Stats.Sketch)
-	cliutil.PrintIngest(out, res.Stats.Ingest)
-	cliutil.PrintComm(out, &res.Stats)
-
-	if *outPath != "" {
-		if err := cliutil.WriteMatrixTSVFile(*outPath, res.Names, matrix); err != nil {
-			return err
-		}
+	switch {
+	case pairs != nil:
+		kept := compute.Pairs(pairs)
+		fmt.Fprintf(out, "\n%d retained sample pairs:\n", len(kept))
+		return output.WritePairs(out, res.Names, kept)
+	case *outPath != "":
 		fmt.Fprintf(out, "%s matrix written to %s\n", label, *outPath)
-		return nil
+	case *distance:
+		cliutil.PrintMatrix(out, res.Names, collect.D())
+	default:
+		cliutil.PrintMatrix(out, res.Names, collect.S())
 	}
-	cliutil.PrintMatrix(out, res.Names, matrix)
 	return nil
 }
 

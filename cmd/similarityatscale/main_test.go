@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"maps"
 	"math/rand"
 	"net"
@@ -18,8 +19,11 @@ import (
 	"testing"
 
 	"genomeatscale/internal/cliutil"
+	"genomeatscale/internal/core"
 	"genomeatscale/internal/index"
+	"genomeatscale/internal/output"
 	"genomeatscale/internal/samplefile"
+	"genomeatscale/internal/synth"
 )
 
 func writeSampleFile(t *testing.T, dir, name string, values []string) string {
@@ -494,5 +498,169 @@ func TestRunGridMatchesLocal(t *testing.T) {
 				t.Errorf("%v %v (tcp ranks %d): TSV differs from the local run's", g.flags, measure, g.tcpRanks)
 			}
 		}
+	}
+}
+
+// tcpJob runs one TCP job of len(rankArgs) ranks in-process, each a
+// goroutine calling run with its own arguments plus the transport flags,
+// and returns the ranks' errors joined.
+func tcpJob(t *testing.T, out *os.File, rankArgs ...[]string) error {
+	t.Helper()
+	peers := make([]string, len(rankArgs))
+	for r := range peers {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		peers[r] = ln.Addr().String()
+		ln.Close()
+	}
+	errs := make([]error, len(rankArgs))
+	var wg sync.WaitGroup
+	for r, args := range rankArgs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[r] = run(append([]string{"-transport", "tcp", "-rank", fmt.Sprint(r), "-peers", strings.Join(peers, ",")}, args...), out)
+		}()
+	}
+	wg.Wait()
+	return errors.Join(errs...)
+}
+
+// TestRunMatchesOracle: the TSV -output streams, with and without
+// -distance, on the local target, two in-process grids and a 4-rank TCP
+// job, equals output.WriteTSV of the matrix Engine.Similarity gathers on
+// the same seeded synthetic set.
+func TestRunMatchesOracle(t *testing.T) {
+	const m = 20000
+	ds, err := synth.Generate(synth.Config{Samples: 21, Attributes: m, Density: 0.01, ColumnVariability: 0.5, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	var names, files []string
+	var samples [][]uint64
+	for i := 0; i < ds.NumSamples(); i++ {
+		name := fmt.Sprintf("sample-%03d", i)
+		path := filepath.Join(dir, name+".txt")
+		if err := samplefile.WriteText(path, ds.Sample(i)); err != nil {
+			t.Fatal(err)
+		}
+		names, files, samples = append(names, name), append(files, path), append(samples, ds.Sample(i))
+	}
+	e, err := core.NewEngine(core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	gathered, err := e.Similarity(context.Background(), core.MustInMemoryDataset(names, samples, m))
+	if err != nil {
+		t.Fatal(err)
+	}
+	null, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer null.Close()
+
+	for _, measure := range []string{"", "-distance"} {
+		matrix := gathered.S
+		if measure != "" {
+			matrix = gathered.D
+		}
+		var want bytes.Buffer
+		if err := output.WriteTSV(&want, gathered.Names, matrix); err != nil {
+			t.Fatal(err)
+		}
+		for _, target := range [][]string{nil, {"-procs", "4"}, {"-procs", "7", "-replication", "1"}, {"tcp", "4"}} {
+			path := filepath.Join(t.TempDir(), "out.tsv")
+			args := []string{"-m", fmt.Sprint(m), "-batches", "3", "-output", path}
+			if measure != "" {
+				args = append(args, measure)
+			}
+			if len(target) == 2 && target[0] == "tcp" {
+				rankArgs := make([][]string, 4)
+				for r := range rankArgs {
+					rankArgs[r] = append(slices.Clone(args), files...)
+				}
+				err = tcpJob(t, null, rankArgs...)
+			} else {
+				err = run(append(append(args, target...), files...), null)
+			}
+			if err != nil {
+				t.Fatalf("%v %q: %v", target, measure, err)
+			}
+			got, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want.Bytes()) {
+				t.Errorf("%v %q: -output differs from WriteTSV of the gathered matrix", target, measure)
+			}
+		}
+	}
+}
+
+// TestRunOutputFailureLeavesNoFile: an -output path that cannot be created
+// fails the command before the run reads a sample, and a run that fails
+// after its file was opened (one corrupt .smp under -dir) removes it.
+func TestRunOutputFailureLeavesNoFile(t *testing.T) {
+	dir := t.TempDir()
+	for i, vals := range [][]uint64{{1, 2, 3}, {2, 3, 4}, {3, 4, 5}} {
+		if err := samplefile.WriteBinary(filepath.Join(dir, fmt.Sprintf("s%d.smp", i)), vals); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.WriteFile(filepath.Join(dir, "s3.smp"), []byte("not a sample file"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	null, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer null.Close()
+	common := []string{"-m", "100", "-dir", dir, "-pattern", "*.smp", "-prefetch", "0"}
+
+	// The corrupt sample would fail the run; the -output error must come
+	// first.
+	missing := filepath.Join(t.TempDir(), "missing-dir", "out.tsv")
+	err = run(append(slices.Clone(common), "-output", missing), null)
+	var pathErr *fs.PathError
+	if !errors.As(err, &pathErr) || !strings.HasPrefix(pathErr.Path, missing) {
+		t.Fatalf("-output into a missing directory: got %v, want the create error for %s", err, missing)
+	}
+
+	outDir := t.TempDir()
+	if err := run(append(slices.Clone(common), "-output", filepath.Join(outDir, "out.tsv")), null); err == nil || !strings.Contains(err.Error(), "s3") {
+		t.Fatalf("run over a corrupt sample: got %v, want an error naming s3", err)
+	}
+	if entries, err := os.ReadDir(outDir); err != nil || len(entries) != 0 {
+		t.Errorf("failed run left %v behind (err %v)", entries, err)
+	}
+}
+
+// TestRunTCPOnlyRootWrites gives each rank of a 2-rank TCP job its own
+// -output path: rank 0 writes the matrix, rank 1 never creates a file.
+func TestRunTCPOnlyRootWrites(t *testing.T) {
+	dir := t.TempDir()
+	a := writeSampleFile(t, dir, "a.txt", []string{"1", "2", "3"})
+	b := writeSampleFile(t, dir, "b.txt", []string{"2", "3", "4"})
+	null, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer null.Close()
+	paths := []string{filepath.Join(dir, "rank0.tsv"), filepath.Join(dir, "rank1.tsv")}
+	if err := tcpJob(t, null,
+		[]string{"-output", paths[0], a, b},
+		[]string{"-output", paths[1], a, b},
+	); err != nil {
+		t.Fatal(err)
+	}
+	if content, err := os.ReadFile(paths[0]); err != nil || !strings.Contains(string(content), "a\t1.000000\t0.500000") {
+		t.Errorf("rank 0's file: %q, %v", content, err)
+	}
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 3 {
+		t.Errorf("the job left %v in its directory (err %v), want a.txt, b.txt and rank 0's file", entries, err)
 	}
 }

@@ -1,24 +1,25 @@
 // Package cliutil holds the command-line plumbing shared by the cmd/
 // tools, so the engine-configuration flags are defined once — with one
 // canonical help text — instead of being copy-pasted (and drifting)
-// between commands, and so the matrix printing/writing helpers live in one
-// place.
+// between commands, and so the sinks a run's output flags ask for and the
+// report it prints are built in one place.
 package cliutil
 
 import (
-	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 
-	genomeatscale "genomeatscale"
 	"genomeatscale/internal/core"
 	"genomeatscale/internal/output"
 	"genomeatscale/internal/samplefile"
 	"genomeatscale/internal/sparse"
+	"genomeatscale/internal/tile"
 )
 
 // NewFlagSet returns the flag set every CLI uses: ContinueOnError, so run
@@ -145,14 +146,30 @@ func PrintSketch(w io.Writer, s *core.SketchStats) {
 		s.Size, s.Threshold, s.Slack, s.PairsSurvived, s.PairsScreened, pruned, s.EstimatedRecall, s.SketchSeconds)
 }
 
-// Engine builds a reusable engine from the bound flag values.
-func (f *ComputeFlags) Engine() (*core.Engine, error) {
-	return core.NewEngine(f.Options())
+// PairSink is a pair-reducing sink, tile.TopKSink or tile.ThresholdSink.
+type PairSink interface {
+	tile.Sink
+	Pairs() []tile.Pair
 }
 
-// Streaming reports whether -top-k or -threshold requested a streaming
-// reduction instead of the gathered matrix.
-func (f *ComputeFlags) Streaming() bool { return *f.TopK > 0 || *f.Threshold >= 0 }
+// PairSink returns the reduction -top-k or -threshold asks for (TopK when
+// both are set), or nil when neither is.
+func (f *ComputeFlags) PairSink() PairSink {
+	switch {
+	case *f.TopK > 0:
+		return tile.NewTopK(*f.TopK)
+	case *f.Threshold >= 0:
+		return tile.NewThreshold(*f.Threshold)
+	}
+	return nil
+}
+
+// Pairs returns the pairs sink retained, in tile.SortPairs order. With
+// both -top-k and -threshold set, only the top-k pairs at or above the
+// threshold remain.
+func (f *ComputeFlags) Pairs(sink PairSink) []tile.Pair {
+	return slices.DeleteFunc(sink.Pairs(), func(p tile.Pair) bool { return p.Similarity < *f.Threshold })
+}
 
 // IngestFlags binds the out-of-core ingestion flags: instead of listing
 // sample files on the command line (all loaded up front), -dir scans a
@@ -201,66 +218,73 @@ func PrintIngest(w io.Writer, s *core.IngestStats) {
 		s.Loads, s.LoadSeconds, float64(s.BytesRead)/(1<<20), s.ValuesDecoded, s.Evictions, s.PeakResident)
 }
 
-// StreamPairs runs the engine in streaming mode according to the -top-k /
-// -threshold flags and returns the run result plus the retained pairs
-// (named, sorted by descending similarity) ready for output.WritePairs.
-// With both flags set, the top-k pairs are additionally filtered by the
-// threshold.
-func (f *ComputeFlags) StreamPairs(ctx context.Context, ds genomeatscale.Dataset) (*genomeatscale.Result, []output.Pair, error) {
-	e, err := f.Engine()
-	if err != nil {
-		return nil, nil, err
-	}
-	var res *genomeatscale.Result
-	var raw []genomeatscale.Pair
-	switch {
-	case *f.TopK > 0:
-		sink := genomeatscale.TopK(*f.TopK)
-		if res, err = e.Stream(ctx, ds, sink); err != nil {
-			return nil, nil, err
-		}
-		raw = sink.Pairs()
-		if tau := *f.Threshold; tau >= 0 {
-			kept := raw[:0]
-			for _, p := range raw {
-				if p.Similarity >= tau {
-					kept = append(kept, p)
-				}
-			}
-			raw = kept
-		}
-	case *f.Threshold >= 0:
-		sink := genomeatscale.Threshold(*f.Threshold)
-		if res, err = e.Stream(ctx, ds, sink); err != nil {
-			return nil, nil, err
-		}
-		raw = sink.Pairs()
-	default:
-		return nil, nil, fmt.Errorf("cliutil: StreamPairs without -top-k or -threshold")
-	}
-	pairs := make([]output.Pair, len(raw))
-	for i, p := range raw {
-		pairs[i] = output.Pair{
-			I: p.I, J: p.J,
-			NameI: res.Names[p.I], NameJ: res.Names[p.J],
-			Similarity: p.Similarity,
-		}
-	}
-	return res, pairs, nil
+// Sinks gathers what one run streams into: the sinks the output flags ask
+// for and the matrix files their TileWriters write.
+type Sinks struct {
+	sinks []tile.Sink
+	files []*os.File
 }
 
-// WriteMatrixTSVFile writes a labelled square matrix as TSV to path.
-func WriteMatrixTSVFile(path string, names []string, m *sparse.Dense[float64]) (err error) {
-	fl, err := os.Create(path)
+// Add adds a sink.
+func (s *Sinks) Add(sink tile.Sink) { s.sinks = append(s.sinks, sink) }
+
+// AddFile adds a TileWriter writing the selected matrix in format to
+// path; an empty path adds nothing. The writer writes path + ".tmp",
+// created here so that an unwritable path fails before any compute, and
+// Finish renames it to path.
+func (s *Sinks) AddFile(path string, format output.MatrixFormat, field output.MatrixField) error {
+	if path == "" {
+		return nil
+	}
+	f, err := os.Create(path + ".tmp")
 	if err != nil {
 		return err
 	}
-	defer func() {
-		if cerr := fl.Close(); cerr != nil && err == nil {
-			err = cerr
+	s.files = append(s.files, f)
+	s.Add(output.NewTileWriter(f, format, field))
+	return nil
+}
+
+// Sink returns the one sink the run streams into.
+func (s *Sinks) Sink() tile.Sink { return tile.Fan(s.sinks...) }
+
+// Finish closes the matrix files and, when err, the run's outcome, is
+// nil, renames each to its path. Otherwise, or when a close or rename
+// fails, it removes them: a failed run leaves no partial matrix behind
+// and an earlier file at the path untouched. It returns err joined with
+// any close or rename error. Later calls do nothing, so a deferred call
+// covers the paths that return before the run.
+func (s *Sinks) Finish(err error) error {
+	files := s.files
+	s.files = nil
+	for _, f := range files {
+		if cerr := f.Close(); cerr != nil {
+			err = errors.Join(err, cerr)
 		}
-	}()
-	return output.WriteTSV(fl, names, m)
+	}
+	for _, f := range files {
+		if err == nil {
+			err = os.Rename(f.Name(), strings.TrimSuffix(f.Name(), ".tmp"))
+		}
+		if err != nil {
+			os.Remove(f.Name())
+		}
+	}
+	return err
+}
+
+// Report prints the epilogue every finished run shares: the autotuning,
+// prescreening, ingestion and communication lines (each only when the run
+// carried it), then the -stats-json and -index-out artifacts.
+func Report(out io.Writer, stats *core.RunStats, statsJSON string, index *IndexFlags, ds core.Dataset, opts core.Options) error {
+	PrintTuning(out, stats.Tuning)
+	PrintSketch(out, stats.Sketch)
+	PrintIngest(out, stats.Ingest)
+	PrintComm(out, stats)
+	if err := WriteStatsJSONFlag(out, statsJSON, stats); err != nil {
+		return err
+	}
+	return index.Write(out, ds, opts)
 }
 
 // PrintMatrix pretty-prints a labelled square matrix with truncated row

@@ -3,12 +3,17 @@ package cliutil
 import (
 	"bytes"
 	"context"
+	"errors"
+	"fmt"
+	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	genomeatscale "genomeatscale"
 	"genomeatscale/internal/core"
+	"genomeatscale/internal/output"
 	"genomeatscale/internal/sparse"
 )
 
@@ -25,20 +30,18 @@ func TestBindComputeDefaultsMatchPaper(t *testing.T) {
 		opts.Procs != def.Procs || opts.Replication != def.Replication {
 		t.Errorf("flag defaults %+v diverge from DefaultOptions %+v", opts, def)
 	}
-	if f.Streaming() {
+	if f.PairSink() != nil {
 		t.Error("defaults must not select streaming mode")
 	}
-	if _, err := f.Engine(); err != nil {
+	if _, err := core.NewEngine(opts); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func TestStreamPairsTopKAndThreshold(t *testing.T) {
-	fs := NewFlagSet("test")
-	f := BindCompute(fs)
-	if err := fs.Parse([]string{"-top-k", "2", "-procs", "2"}); err != nil {
-		t.Fatal(err)
-	}
+// TestPairSinkTopKAndThreshold streams into the sink -top-k/-threshold
+// select and checks the named pairs: the best ones first, and with both
+// flags only the top-k pairs at or above the threshold.
+func TestPairSinkTopKAndThreshold(t *testing.T) {
 	ds, err := genomeatscale.NewDataset(
 		[]string{"a", "b", "c"},
 		[][]uint64{{1, 2, 3, 4}, {1, 2, 3, 5}, {50, 51}},
@@ -47,47 +50,93 @@ func TestStreamPairsTopKAndThreshold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, pairs, err := f.StreamPairs(context.Background(), ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.S != nil {
-		t.Error("streaming run must not gather S")
-	}
-	if len(pairs) != 2 {
-		t.Fatalf("got %d pairs, want 2", len(pairs))
-	}
-	if pairs[0].NameI != "a" || pairs[0].NameJ != "b" {
-		t.Errorf("best pair should be (a, b), got (%s, %s)", pairs[0].NameI, pairs[0].NameJ)
-	}
-	if pairs[0].Similarity < pairs[1].Similarity {
-		t.Error("pairs must be sorted by descending similarity")
-	}
-
-	// Adding a threshold on top of -top-k filters the retained pairs.
-	fs2 := NewFlagSet("test")
-	f2 := BindCompute(fs2)
-	if err := fs2.Parse([]string{"-top-k", "3", "-threshold", "0.5"}); err != nil {
-		t.Fatal(err)
-	}
-	_, pairs2, err := f2.StreamPairs(context.Background(), ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range pairs2 {
-		if p.Similarity < 0.5 {
-			t.Errorf("pair %+v below threshold", p)
+	// solve runs the flags' pair sink on a two-rank grid and returns its
+	// pairs, named.
+	solve := func(args ...string) []string {
+		t.Helper()
+		fs := NewFlagSet("test")
+		f := BindCompute(fs)
+		if err := fs.Parse(append([]string{"-procs", "2"}, args...)); err != nil {
+			t.Fatal(err)
 		}
+		e, err := core.NewEngine(f.Options())
+		if err != nil {
+			t.Fatal(err)
+		}
+		sink := f.PairSink()
+		res, err := e.Stream(context.Background(), ds, sink)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var named []string
+		for _, p := range f.Pairs(sink) {
+			named = append(named, fmt.Sprintf("%s-%s %.1f", res.Names[p.I], res.Names[p.J], p.Similarity))
+		}
+		return named
 	}
+	pairs := solve("-top-k", "2")
+	// The best pairs first, ties by sample index.
+	if want := []string{"a-b 0.6", "a-c 0.0"}; !slices.Equal(pairs, want) {
+		t.Errorf("-top-k 2 kept %q, want %q", pairs, want)
+	}
+	// Adding a threshold on top of -top-k filters the retained pairs.
+	if pairs, want := solve("-top-k", "3", "-threshold", "0.5"), []string{"a-b 0.6"}; !slices.Equal(pairs, want) {
+		t.Errorf("-top-k 3 -threshold 0.5 kept %q, want %q", pairs, want)
+	}
+	if pairs, want := solve("-threshold", "0"), []string{"a-b 0.6", "a-c 0.0", "b-c 0.0"}; !slices.Equal(pairs, want) {
+		t.Errorf("-threshold 0 kept %q, want %q", pairs, want)
+	}
+}
 
-	// StreamPairs without a streaming flag is a usage error.
-	fs3 := NewFlagSet("test")
-	f3 := BindCompute(fs3)
-	if err := fs3.Parse(nil); err != nil {
+// TestSinksFinish checks that Finish moves the files of a successful run
+// into place, that after a failed run it removes them and leaves an
+// earlier file at the path as it was, and that a second call does nothing.
+func TestSinksFinish(t *testing.T) {
+	dir := t.TempDir()
+	a, b := filepath.Join(dir, "a.tsv"), filepath.Join(dir, "b.phy")
+	solve := func(runErr error) error {
+		before, _ := os.ReadFile(a)
+		var s Sinks
+		if err := s.AddFile(a, output.FormatTSV, output.MatrixSimilarity); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.AddFile(b, output.FormatPHYLIP, output.MatrixDistance); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.AddFile("", output.FormatTSV, output.MatrixDistance); err != nil {
+			t.Fatal(err)
+		}
+		if now, _ := os.ReadFile(a); !bytes.Equal(now, before) {
+			t.Fatalf("AddFile touched %s before the run ended", a)
+		}
+		err := s.Finish(runErr)
+		if again := s.Finish(nil); again != nil {
+			t.Errorf("a second Finish returned %v", again)
+		}
+		return err
+	}
+	if err := solve(nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := f3.StreamPairs(context.Background(), ds); err == nil {
-		t.Error("StreamPairs without -top-k/-threshold must error")
+	if err := os.WriteFile(a, []byte("earlier"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	failed := errors.New("run failed")
+	if err := solve(failed); err != failed {
+		t.Fatalf("Finish(err) = %v, want the run's error", err)
+	}
+	if got, err := os.ReadFile(a); err != nil || string(got) != "earlier" {
+		t.Errorf("failed run changed the earlier %s: %q, %v", a, got, err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 2 || entries[0].Name() != "a.tsv" || entries[1].Name() != "b.phy" {
+		t.Errorf("directory holds %v, want only a.tsv and b.phy", entries)
+	}
+	if err := new(Sinks).AddFile(filepath.Join(dir, "missing-dir", "x.tsv"), output.FormatTSV, output.MatrixSimilarity); err == nil {
+		t.Error("unwritable path should error")
 	}
 }
 
@@ -152,13 +201,6 @@ func TestTruncate(t *testing.T) {
 	}
 	if Truncate("ab", 3) != "ab" {
 		t.Error("Truncate of short string wrong")
-	}
-}
-
-func TestWriteMatrixTSVFileError(t *testing.T) {
-	err := WriteMatrixTSVFile(filepath.Join(t.TempDir(), "missing-dir", "x.tsv"), nil, nil)
-	if err == nil {
-		t.Error("unwritable path should error")
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"time"
 
-	"genomeatscale/internal/bsp"
 	"genomeatscale/internal/bsp/tcptransport"
 	"genomeatscale/internal/core"
 	"genomeatscale/internal/dist"
@@ -94,13 +93,8 @@ func PrintComm(w io.Writer, s *core.RunStats) {
 		fmt.Fprintf(w, "communication: %d supersteps, %.2f MiB total\n",
 			s.Comm.Supersteps, float64(s.Comm.TotalBytes)/(1<<20))
 	}
-	printTransport(w, s.Transport)
-}
-
-func printTransport(w io.Writer, t *bsp.TransportStats) {
-	if t == nil {
-		return
+	if t := s.Transport; t != nil {
+		fmt.Fprintf(w, "transport: %d dials (%d retries), %.2f MiB sent / %.2f MiB received on the wire, max superstep exchange %.3fs\n",
+			t.Dials, t.Retries, float64(t.BytesSent)/(1<<20), float64(t.BytesRecv)/(1<<20), t.MaxStepSeconds)
 	}
-	fmt.Fprintf(w, "transport: %d dials (%d retries), %.2f MiB sent / %.2f MiB received on the wire, max superstep exchange %.3fs\n",
-		t.Dials, t.Retries, float64(t.BytesSent)/(1<<20), float64(t.BytesRecv)/(1<<20), t.MaxStepSeconds)
 }

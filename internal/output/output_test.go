@@ -1,15 +1,17 @@
 package output
 
 import (
+	"bufio"
 	"bytes"
 	"context"
-	"math"
-	"path/filepath"
+	"fmt"
+	"io"
 	"strings"
 	"testing"
 
 	"genomeatscale/internal/core"
 	"genomeatscale/internal/sparse"
+	"genomeatscale/internal/tile"
 )
 
 func sampleResult(t *testing.T) ([]string, *sparse.Dense[float64], *sparse.Dense[float64]) {
@@ -54,11 +56,6 @@ func TestWritePHYLIP(t *testing.T) {
 	if !strings.Contains(lines[1], "0.000000") {
 		t.Errorf("diagonal missing in %q", lines[1])
 	}
-	// File variant.
-	path := filepath.Join(t.TempDir(), "d.phy")
-	if err := WritePHYLIPFile(path, names, d); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestWritePHYLIPErrors(t *testing.T) {
@@ -70,9 +67,6 @@ func TestWritePHYLIPErrors(t *testing.T) {
 	}
 	if err := WritePHYLIP(&bytes.Buffer{}, []string{"a"}, sparse.MustDense[float64](1, 2)); err == nil {
 		t.Error("non-square matrix should error")
-	}
-	if err := WritePHYLIPFile(filepath.Join(t.TempDir(), "missing", "x.phy"), []string{"a"}, sparse.MustDense[float64](1, 1)); err == nil {
-		t.Error("unwritable path should error")
 	}
 }
 
@@ -93,41 +87,39 @@ func TestTSVRoundTrip(t *testing.T) {
 	}
 }
 
-func TestTopPairsAndWritePairs(t *testing.T) {
-	names, s, _ := sampleResult(t)
-	pairs, err := TopPairs(names, s, 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Only (alpha, beta) exceeds 0.1 (J = 0.5); the third sample is disjoint.
-	if len(pairs) != 1 {
-		t.Fatalf("pairs = %+v", pairs)
-	}
-	if pairs[0].NameI != "alpha" || math.Abs(pairs[0].Similarity-0.5) > 1e-12 {
-		t.Errorf("pair = %+v", pairs[0])
-	}
-	all, err := TopPairs(names, s, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(all) != 3 {
-		t.Fatalf("all pairs = %d", len(all))
-	}
-	// Sorted by decreasing similarity.
-	for i := 1; i < len(all); i++ {
-		if all[i].Similarity > all[i-1].Similarity {
-			t.Error("pairs not sorted")
-		}
-	}
+// TestWritePairs pins the pair list's bytes: a header row, then one
+// (sample_a, sample_b, jaccard) line per pair, named from the run's names,
+// with six decimals, in the order given.
+func TestWritePairs(t *testing.T) {
+	pairs := []tile.Pair{{I: 0, J: 1, Similarity: 0.5}, {I: 0, J: 2, Similarity: 1.0 / 3}, {I: 1, J: 2, Similarity: 0}}
 	var buf bytes.Buffer
-	if err := WritePairs(&buf, all); err != nil {
+	if err := WritePairs(&buf, []string{"alpha", "beta", "gamma"}, pairs); err != nil {
 		t.Fatal(err)
 	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 4 || !strings.HasPrefix(lines[0], "sample_a") {
-		t.Errorf("pairs output:\n%s", buf.String())
+	const want = "sample_a\tsample_b\tjaccard\n" +
+		"alpha\tbeta\t0.500000\n" +
+		"alpha\tgamma\t0.333333\n" +
+		"beta\tgamma\t0.000000\n"
+	if got := buf.String(); got != want {
+		t.Errorf("WritePairs wrote\n%q\nwant\n%q", got, want)
 	}
-	if _, err := TopPairs([]string{"a"}, s, 0); err == nil {
-		t.Error("mismatched names should error")
+}
+
+// WritePHYLIP is the PHYLIP oracle TileWriter's FormatPHYLIP output is
+// compared against: it writes a gathered square distance matrix with
+// fmt's verbs.
+func WritePHYLIP(w io.Writer, names []string, d *sparse.Dense[float64]) error {
+	if err := checkMatrix(names, d); err != nil {
+		return err
 	}
+	bw := bufio.NewWriter(w)
+	fmt.Fprintf(bw, "%5d\n", len(names))
+	for i, name := range names {
+		fmt.Fprintf(bw, "%-10s", phylipName(name))
+		for j := 0; j < d.Cols; j++ {
+			fmt.Fprintf(bw, " %9.6f", d.At(i, j))
+		}
+		fmt.Fprintln(bw)
+	}
+	return bw.Flush()
 }

@@ -6,6 +6,7 @@ import (
 	"io"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"genomeatscale/internal/tile"
 )
@@ -17,10 +18,11 @@ const (
 	// FormatTSV is the tab-separated matrix with a header row, identical to
 	// WriteTSV output.
 	FormatTSV MatrixFormat = iota
-	// FormatCSV is the comma-separated variant of FormatTSV.
-	FormatCSV
-	// FormatPHYLIP is the classic PHYLIP square matrix, identical to
-	// WritePHYLIP output; it is conventionally used with MatrixDistance.
+	// FormatPHYLIP is the classic PHYLIP square distance matrix: the sample
+	// count on the first line, then one line per sample with its name
+	// (whitespace replaced, truncated and space-padded to 10 characters)
+	// followed by the values. It is conventionally used with
+	// MatrixDistance.
 	FormatPHYLIP
 )
 
@@ -36,12 +38,12 @@ const (
 )
 
 // TileWriter is a tile sink that serialises one matrix of a streaming run
-// as CSV, TSV or PHYLIP, writing each output row as soon as it is
-// complete. Rows arrive in order from both targets (a local run emits
-// full-width row bands, a grid run emits grid blocks sorted by
-// position), so the writer holds only the rows of the current
-// row band — never the full n×n matrix. The byte output is identical to
-// running WriteTSV / WritePHYLIP on the gathered matrix.
+// as TSV or PHYLIP, writing each output row as soon as it is complete.
+// Rows arrive in order from both targets (a local run emits full-width
+// row bands, which are written straight from the tile; a grid run emits
+// grid blocks sorted by position, which are assembled row by row), so
+// the writer holds only the rows of the current row band — never the
+// full n×n matrix.
 type TileWriter struct {
 	w      io.Writer
 	format MatrixFormat
@@ -52,6 +54,7 @@ type TileWriter struct {
 	n       int
 	next    int // first row not yet written
 	pending map[int]*pendingRow
+	line    []byte // the row being formatted
 }
 
 type pendingRow struct {
@@ -78,9 +81,6 @@ func (tw *TileWriter) Start(n int, names []string) error {
 	case FormatTSV:
 		_, err := fmt.Fprintf(tw.bw, "sample\t%s\n", strings.Join(tw.names, "\t"))
 		return err
-	case FormatCSV:
-		_, err := fmt.Fprintf(tw.bw, "sample,%s\n", strings.Join(tw.names, ","))
-		return err
 	case FormatPHYLIP:
 		_, err := fmt.Fprintf(tw.bw, "%5d\n", n)
 		return err
@@ -88,8 +88,9 @@ func (tw *TileWriter) Start(n int, names []string) error {
 	return fmt.Errorf("output: unknown tile-writer format %d", tw.format)
 }
 
-// Emit folds a tile into the pending rows and writes every row that became
-// complete, in order.
+// Emit writes the tile's rows that are complete and next in order, folds
+// the others into the pending rows, and then writes every pending row
+// that became complete, in order.
 func (tw *TileWriter) Emit(t *tile.Tile) error {
 	if tw.bw == nil {
 		return fmt.Errorf("output: TileWriter.Emit before Start")
@@ -103,12 +104,20 @@ func (tw *TileWriter) Emit(t *tile.Tile) error {
 		if row < tw.next {
 			return fmt.Errorf("output: tile revisits already-written row %d", row)
 		}
+		src := vals[i*t.Cols : (i+1)*t.Cols]
 		pr := tw.pending[row]
+		if pr == nil && row == tw.next && t.ColLo == 0 && t.Cols == tw.n {
+			if err := tw.writeRow(row, src); err != nil {
+				return err
+			}
+			tw.next++
+			continue
+		}
 		if pr == nil {
 			pr = &pendingRow{vals: make([]float64, tw.n)}
 			tw.pending[row] = pr
 		}
-		copy(pr.vals[t.ColLo:t.ColLo+t.Cols], vals[i*t.Cols:(i+1)*t.Cols])
+		copy(pr.vals[t.ColLo:t.ColLo+t.Cols], src)
 		pr.filled += t.Cols
 		if pr.filled > tw.n {
 			return fmt.Errorf("output: row %d received overlapping tiles", row)
@@ -127,32 +136,38 @@ func (tw *TileWriter) Emit(t *tile.Tile) error {
 	}
 }
 
+// writeRow formats one labelled row into the reused line buffer and
+// writes it (Start has rejected any format but TSV and PHYLIP). Cells are
+// strconv's six-decimal 'f' form, the bytes WriteTSV and a " %9.6f" verb
+// produce.
 func (tw *TileWriter) writeRow(row int, vals []float64) error {
-	switch tw.format {
-	case FormatTSV, FormatCSV:
-		sep := "\t"
-		if tw.format == FormatCSV {
-			sep = ","
+	line := tw.line[:0]
+	if tw.format == FormatPHYLIP {
+		name := phylipName(tw.names[row])
+		line = append(line, name...)
+		for k := utf8.RuneCountInString(name); k < 10; k++ {
+			line = append(line, ' ')
 		}
-		cells := make([]string, len(vals))
-		for j, v := range vals {
-			cells[j] = strconv.FormatFloat(v, 'f', 6, 64)
-		}
-		_, err := fmt.Fprintf(tw.bw, "%s%s%s\n", tw.names[row], sep, strings.Join(cells, sep))
-		return err
-	case FormatPHYLIP:
-		if _, err := fmt.Fprintf(tw.bw, "%-10s", phylipName(tw.names[row])); err != nil {
-			return err
-		}
+		var cell [32]byte
 		for _, v := range vals {
-			if _, err := fmt.Fprintf(tw.bw, " %9.6f", v); err != nil {
-				return err
+			// " %9.6f": a space, then c right-aligned in nine columns.
+			c := strconv.AppendFloat(cell[:0], v, 'f', 6, 64)
+			for k := min(len(c), 9); k < 10; k++ {
+				line = append(line, ' ')
 			}
+			line = append(line, c...)
 		}
-		_, err := fmt.Fprintln(tw.bw)
-		return err
+	} else {
+		line = append(line, tw.names[row]...)
+		for _, v := range vals {
+			line = append(line, '\t')
+			line = strconv.AppendFloat(line, v, 'f', 6, 64)
+		}
 	}
-	return fmt.Errorf("output: unknown tile-writer format %d", tw.format)
+	line = append(line, '\n')
+	tw.line = line
+	_, err := tw.bw.Write(line)
+	return err
 }
 
 // Flush verifies every row was written and flushes the buffer.

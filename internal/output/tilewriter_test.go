@@ -2,6 +2,8 @@ package output
 
 import (
 	"bytes"
+	"io"
+	"math"
 	"math/rand"
 	"sort"
 	"strings"
@@ -104,24 +106,6 @@ func TestTileWriterMatchesBatchWriters(t *testing.T) {
 	}
 }
 
-func TestTileWriterCSVRoundTripHeader(t *testing.T) {
-	rng := rand.New(rand.NewSource(32))
-	n := 5
-	names, s, d := randomMatrices(rng, n)
-	var buf bytes.Buffer
-	runSink(t, NewTileWriter(&buf, FormatCSV, MatrixSimilarity), n, names, blockTiles(s, d, 2, 3))
-	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
-	if len(lines) != n+1 {
-		t.Fatalf("got %d lines, want %d", len(lines), n+1)
-	}
-	if lines[0] != "sample,"+strings.Join(names, ",") {
-		t.Fatalf("bad CSV header: %q", lines[0])
-	}
-	if !strings.HasPrefix(lines[1], names[0]+",1.000000,") {
-		t.Fatalf("bad first CSV row: %q", lines[1])
-	}
-}
-
 func TestTileWriterIncompleteRunErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	n := 6
@@ -138,5 +122,58 @@ func TestTileWriterIncompleteRunErrors(t *testing.T) {
 	}
 	if err := tw.Flush(); err == nil {
 		t.Error("Flush with missing rows must error")
+	}
+}
+
+// BenchmarkTileWriterTSV streams a 1 000 × 1 000 similarity matrix of
+// seeded values in [0, 1) through a TSV TileWriter into io.Discard, once
+// as the full-width row bands a local run emits (256 rows, the engine's
+// default tile height) and once as the 250 × 250 blocks of a grid run.
+func BenchmarkTileWriterTSV(b *testing.B) {
+	const n = 1000
+	names, s, d := randomMatrices(rand.New(rand.NewSource(41)), n)
+	for _, shape := range []struct {
+		name       string
+		rows, cols int
+	}{{"bands", 256, n}, {"blocks", 250, 250}} {
+		tiles := blockTiles(s, d, shape.rows, shape.cols)
+		b.Run(shape.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				tw := NewTileWriter(io.Discard, FormatTSV, MatrixSimilarity)
+				if err := tw.Start(n, names); err != nil {
+					b.Fatal(err)
+				}
+				for _, tl := range tiles {
+					if err := tw.Emit(tl); err != nil {
+						b.Fatal(err)
+					}
+				}
+				if err := tw.Flush(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// TestTileWriterPHYLIPPadding checks the hand-padded PHYLIP fields against
+// fmt's "%-10s" and " %9.6f" where the padding is not the common case:
+// multi-byte names (fmt pads by runes), names with whitespace, and cells
+// wider than nine characters, negative or not finite.
+func TestTileWriterPHYLIPPadding(t *testing.T) {
+	names := []string{"αβγ", "x y", "ünïcödé-name-longer", "plain"}
+	n := len(names)
+	d := sparse.MustDense[float64](n, n)
+	for i, v := range []float64{0, 123456.5, -0.25, math.NaN(), math.Inf(1), 1e-7, 10, 0.1234565} {
+		d.Data[i] = v
+	}
+	var streamed, batch bytes.Buffer
+	runSink(t, NewTileWriter(&streamed, FormatPHYLIP, MatrixSimilarity), n, names, blockTiles(d, d, 3, 2))
+	if err := WritePHYLIP(&batch, names, d); err != nil {
+		t.Fatal(err)
+	}
+	if streamed.String() != batch.String() {
+		t.Errorf("PHYLIP stream\n%q\ndiffers from WritePHYLIP\n%q", streamed.String(), batch.String())
 	}
 }

@@ -81,6 +81,37 @@ func Flush(s Sink) error {
 	return nil
 }
 
+// Fan returns one sink that delivers every Start, Emit and Flush to each of
+// sinks in turn, stopping at the first error: the way one run feeds
+// several consumers, e.g. a pair reduction and two matrix files. One sink
+// is returned as it is; with none, the fan drops every tile. Each sink
+// sees the same tile and must not modify it.
+func Fan(sinks ...Sink) Sink {
+	if len(sinks) == 1 {
+		return sinks[0]
+	}
+	return fan(sinks)
+}
+
+type fan []Sink
+
+func (f fan) each(op func(Sink) error) error {
+	for _, s := range f {
+		if err := op(s); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (f fan) Start(n int, names []string) error {
+	return f.each(func(s Sink) error { return Start(s, n, names) })
+}
+
+func (f fan) Emit(t *Tile) error { return f.each(func(s Sink) error { return s.Emit(t) }) }
+
+func (f fan) Flush() error { return f.each(Flush) }
+
 // --- Collect -----------------------------------------------------------------
 
 // Collect reassembles the emitted tiles into full dense B, S and D

@@ -1,7 +1,9 @@
 package tile
 
 import (
+	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -205,5 +207,53 @@ func TestStartFlushOptional(t *testing.T) {
 	}
 	if err := Discard.Emit(&Tile{}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// failingSink fails its Emit and records whether it was called.
+type failingSink struct{ emitted bool }
+
+func (f *failingSink) Emit(*Tile) error { f.emitted = true; return errors.New("sink failed") }
+
+// TestFan checks that a fanned-out run gives every sink what a run into
+// it alone gives, that Fan of no sinks drops tiles and of one adds no
+// wrapper, and that the first failing sink stops delivery of that tile.
+func TestFan(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	n := 11
+	s := randomSymmetric(rng, n)
+	tiles := buildTiles(rng, n, s, 3, 4)
+	collect, top := NewCollect(), NewTopK(6)
+	sink := Fan(collect, top)
+	if err := Start(sink, n, nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, tl := range tiles {
+		if err := sink.Emit(tl); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := Flush(sink); err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range s {
+		if collect.S().Data[i] != v {
+			t.Fatalf("fanned Collect S[%d] = %v, want %v", i, collect.S().Data[i], v)
+		}
+	}
+	if got, want := top.Pairs(), postHocTopK(s, n, 6); !slices.Equal(got, want) {
+		t.Errorf("fanned TopK = %v, want %v", got, want)
+	}
+
+	if err := Fan().Emit(tiles[0]); err != nil {
+		t.Errorf("Fan() must drop tiles, got %v", err)
+	}
+	if Fan(top) != Sink(top) {
+		t.Error("Fan of one sink must be that sink")
+	}
+	fail, after := &failingSink{}, &failingSink{}
+	if err := Fan(fail, after).Emit(tiles[0]); err == nil || !fail.emitted || after.emitted {
+		t.Errorf("Fan.Emit = %v (first called %v, second called %v); want the first error and no second call",
+			err, fail.emitted, after.emitted)
 	}
 }
